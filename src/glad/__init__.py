@@ -11,20 +11,17 @@ from .encoder import EmbeddingSet, gin_backward, gin_forward
 from .errors import (DegenerateInputError, FormatError, GladError, LoadError,
                      MethodError, SplitError)
 from .metrics import midrank, roc_auc, wilcoxon_one_sided
-from .numkit import (GradSet, ParamSet, finite_diff_grad, init_params,
-                     load_params, save_params, sgd_step)
+from .numkit import GradSet, ParamSet, finite_diff_grad, init_params, sgd_step
 from .pipeline import (BenchmarkParams, EvalReport, PipelineConfig,
                        generate_benchmark, parse_grid_file,
                        parse_pipeline_config, run_pipeline)
-from .pooling import (KernelConfig, NystromMap, gaussian_kernel, mean_pool,
-                      median_heuristic, mmd_pool, mmd_squared, nystrom_fit,
-                      set_kernel)
+from .pooling import (KernelConfig, NystromMap, mean_pool, median_heuristic,
+                      mmd_pool, mmd_squared, nystrom_fit, set_kernel)
 from .selection import (SelectionResult, hits, hits_ens, hits_select,
                         mc_select, normalize_rows, select, spearman,
                         udr_select)
 from .trainer import (CandidatePool, ModelConfig, TrainedCandidate,
-                      batch_gradients, batch_loss, expand_grid, init_center,
-                      load_pool, run_grid, save_pool, score_graph,
-                      score_graphs, svdd_loss, train_candidate)
+                      batch_objective, expand_grid, load_pool, run_grid,
+                      save_pool, score_graphs, train_candidate)
 
 __version__ = "0.1.0"

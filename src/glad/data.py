@@ -118,6 +118,9 @@ class GraphDatabase:
             if arr is not None and len(arr) != len(self.graphs):
                 raise ValueError(f"{name} length {len(arr)} != "
                                  f"{len(self.graphs)} graphs")
+        # Training embeds each graph id once, so ids must name one graph.
+        if len({g.graph_id for g in self.graphs}) != len(self.graphs):
+            raise ValueError("graph ids must be unique")
         dims = {g.d_in for g in self.graphs}
         if len(dims) > 1:
             raise ValueError(f"inconsistent feature widths: {sorted(map(str, dims))}")

@@ -1,6 +1,6 @@
 """Parameter containers and small numerical utilities: Glorot
-initialization, SGD with decoupled-from-the-data-term weight decay,
-central finite differences, and a plain-text checkpoint format.
+initialization, SGD with decoupled-from-the-data-term weight decay, and
+central finite differences.
 """
 
 from __future__ import annotations
@@ -8,10 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import FormatError
-
-CHECKPOINT_MAGIC = "GLAMPARAMS1"
 
 
 @dataclass(eq=False)
@@ -157,53 +153,3 @@ def finite_diff_grad(loss_fn, params: ParamSet, h: float = 1e-5,
         gmats[k][pos] = (up - down) / (2.0 * h)
     return grads
 
-
-def save_params(params: ParamSet, path) -> None:
-    """Write a checkpoint: magic line, dimensions, epsilons, then one
-    whitespace-separated row of entries per weight matrix."""
-    lines = [CHECKPOINT_MAGIC,
-             f"{params.d_in} {params.d_hidden} {params.n_layers}",
-             " ".join(repr(float(e)) for e in params.epsilons)]
-    for w in params.matrices():
-        lines.append(" ".join(repr(float(x)) for x in w.ravel()))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_params(path) -> ParamSet:
-    """Read a checkpoint written by :func:`save_params`.
-
-    Raises FormatError on a bad magic line, truncation, or entry counts
-    that disagree with the declared dimensions.
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic")
-    try:
-        d_in, d_hidden, n_layers = (int(x) for x in lines[1].split())
-        epsilons = [float(x) for x in lines[2].split()]
-    except (IndexError, ValueError):
-        raise FormatError(f"{path}: malformed checkpoint header") from None
-    if len(epsilons) != n_layers:
-        raise FormatError(f"{path}: {len(epsilons)} epsilons for {n_layers} layers")
-    if len(lines) < 3 + 2 * n_layers:
-        raise FormatError(f"{path}: truncated checkpoint")
-    layers = []
-    row = 3
-    for l in range(n_layers):
-        fan_in = d_in if l == 0 else d_hidden
-        mats = []
-        for shape in ((fan_in, d_hidden), (d_hidden, d_hidden)):
-            try:
-                vals = np.array([float(x) for x in lines[row].split()])
-            except ValueError:
-                raise FormatError(f"{path}: bad weight entry on row {row + 1}") from None
-            if vals.size != shape[0] * shape[1]:
-                raise FormatError(f"{path}: row {row + 1} has {vals.size} "
-                                  f"entries, expected {shape[0] * shape[1]}")
-            mats.append(vals.reshape(shape))
-            row += 1
-        layers.append((mats[0], mats[1]))
-    return ParamSet(layers=layers, epsilons=epsilons,
-                    d_in=d_in, d_hidden=d_hidden)

@@ -70,7 +70,6 @@ class EvalReport:
     n_models: int
     n_dropped: int
     notices: list = field(default_factory=list)
-    wilcoxon_p: dict | None = None
 
 
 def generate_benchmark(params: BenchmarkParams, master_seed: int):
@@ -124,7 +123,8 @@ def parse_grid_file(path) -> dict:
 
     Sections ``[mean]``, ``[mmd]`` and ``[common]`` hold ``key = v1, v2,
     ...`` lines; ``#`` starts a comment.  Keys are typed by name (counts
-    are integers, rates are floats).
+    are integers, rates are floats).  A grid that does not expand into
+    valid configs raises FormatError.
     """
     spec = {}
     section = None
@@ -160,6 +160,12 @@ def parse_grid_file(path) -> dict:
         spec[section][key] = values
     if not spec or not ({"mean", "mmd"} & set(spec)):
         raise FormatError(f"{path}: grid file defines no model family")
+    # Expanding for one training graph runs every config check: the
+    # training-set size only clamps the landmark count.
+    try:
+        gtrain.expand_grid(spec, n_train=1)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return spec
 
 

@@ -72,12 +72,6 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(xx + yy - 2.0 * (x @ y.T), 0.0)
 
 
-def gaussian_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """``exp(-gamma * ||x - y||^2)`` for two single vectors."""
-    d = x - y
-    return float(np.exp(-gamma * np.dot(d, d)))
-
-
 def _stack(sets):
     """Concatenate set vectors; returns (matrix, sizes, row offsets)."""
     sizes = np.array([s.vectors.shape[0] for s in sets], dtype=np.int64)
@@ -85,11 +79,19 @@ def _stack(sets):
     return np.concatenate([s.vectors for s in sets], axis=0), sizes, offsets
 
 
-def set_kernel_matrix(sets_a, sets_b, gamma: float) -> np.ndarray:
+def set_kernel_matrix(sets_a, sets_b, gamma: float,
+                      with_pullback: bool = False):
     """All set-kernel values between two lists of embedding sets.
 
     Entry (a, b) is the mean of ``exp(-gamma * ||x - y||^2)`` over all
     node pairs x in set a, y in set b.
+
+    With ``with_pullback`` returns ``(k, pullback)``.  ``pullback(coeffs)``
+    gives the gradients of ``sum(coeffs * k)`` w.r.t. the node vectors of
+    both lists as ``(grads_a, grads_b)``, lists of arrays shaped like each
+    set's vectors; it reuses the node-pair kernel computed here.  When a
+    set object appears on both sides the caller must add the two
+    contributions.
     """
     xa, sa, oa = _stack(sets_a)
     xb, sb, ob = _stack(sets_b)
@@ -97,7 +99,20 @@ def set_kernel_matrix(sets_a, sets_b, gamma: float) -> np.ndarray:
     # Sum within blocks: reduce rows per set a, then columns per set b.
     rows = np.add.reduceat(e, oa[:-1], axis=0)
     blocks = np.add.reduceat(rows, ob[:-1], axis=1)
-    return blocks / (sa[:, None] * sb[None, :])
+    norm = sa[:, None] * sb[None, :]
+    k = blocks / norm
+    if not with_pullback:
+        return k
+
+    def pullback(coeffs):
+        # Per-node-pair coefficient: upstream / (n_a * m_b), spread to nodes.
+        g = np.repeat(np.repeat(coeffs / norm, sa, axis=0), sb, axis=1)
+        g *= e
+        da = -2.0 * gamma * (xa * g.sum(axis=1)[:, None] - g @ xb)
+        db = -2.0 * gamma * (xb * g.sum(axis=0)[:, None] - g.T @ xa)
+        return np.split(da, oa[1:-1]), np.split(db, ob[1:-1])
+
+    return k, pullback
 
 
 def set_kernel(s_i: EmbeddingSet, s_j: EmbeddingSet, gamma: float) -> float:
@@ -113,29 +128,6 @@ def mmd_squared(s_i: EmbeddingSet, s_j: EmbeddingSet, gamma: float) -> float:
     """
     k = set_kernel_matrix([s_i, s_j], [s_i, s_j], gamma)
     return float(k[0, 0] + k[1, 1] - 2.0 * k[0, 1])
-
-
-def set_kernel_grads(sets_a, sets_b, gamma: float, coeffs: np.ndarray):
-    """Gradients of ``sum(coeffs * set_kernel_matrix(a, b))`` w.r.t. the
-    node vectors of both lists.
-
-    Returns ``(grads_a, grads_b)``: lists of arrays shaped like each
-    set's vectors.  When a set object appears on both sides the caller
-    must add the two contributions.
-    """
-    xa, sa, oa = _stack(sets_a)
-    xb, sb, ob = _stack(sets_b)
-    e = np.exp(-gamma * _sq_dists(xa, xb))
-    # Per-node-pair coefficient: upstream / (n_a * m_b), spread to rows.
-    row_set = np.repeat(np.arange(len(sets_a)), sa)
-    col_set = np.repeat(np.arange(len(sets_b)), sb)
-    c = coeffs[np.ix_(row_set, col_set)] / (sa[row_set][:, None] * sb[col_set][None, :])
-    g = c * e
-    da = -2.0 * gamma * (xa * g.sum(axis=1)[:, None] - g @ xb)
-    db = -2.0 * gamma * (xb * g.sum(axis=0)[:, None] - g.T @ xa)
-    grads_a = [da[oa[k]:oa[k + 1]] for k in range(len(sets_a))]
-    grads_b = [db[ob[k]:ob[k + 1]] for k in range(len(sets_b))]
-    return grads_a, grads_b
 
 
 def median_heuristic(sets, sample_cap: int = DEFAULT_SAMPLE_CAP,

@@ -22,8 +22,7 @@ from .encoder import gin_backward, gin_forward
 from .errors import DegenerateInputError, FormatError
 from .numkit import GradSet, ParamSet, init_params, sgd_step
 from .pooling import (KernelConfig, NystromMap, mean_pool, median_heuristic,
-                      mmd_pool_batch, nystrom_fit, set_kernel_grads,
-                      set_kernel_matrix)
+                      mmd_pool_batch, nystrom_fit, set_kernel_matrix)
 
 POOLINGS = ("mean", "mmd")
 
@@ -117,90 +116,61 @@ class CandidatePool:
 # Objective
 # ---------------------------------------------------------------------------
 
-def init_center(pooled: np.ndarray) -> np.ndarray:
-    """Center of the one-class objective: mean of pooled rows."""
-    return pooled.mean(axis=0)
-
-
-def svdd_loss(pooled: np.ndarray, center: np.ndarray, params: ParamSet,
-              weight_decay: float) -> float:
-    """Mean squared center distance plus the ridge penalty
-    ``weight_decay / 2 * sum ||W||_F^2``."""
-    diffs = pooled - center
-    data = float(np.mean(np.sum(diffs * diffs, axis=1)))
-    return data + 0.5 * weight_decay * params.sq_norm()
-
-
-def pooled_batch(graphs, params: ParamSet, mmd_state=None) -> np.ndarray:
-    """Pooled vectors for a batch at the given parameters.
+def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
+    """Pooled vectors for a batch at the given parameters and, given a
+    center, the data-term loss and its gradient.
 
     ``mmd_state = (landmark_graphs, factor, gamma)`` selects the
     distribution readout: landmark node embeddings are recomputed at
     ``params`` while the eigen factor and bandwidth stay frozen.  With
-    ``mmd_state=None`` the mean readout is used.
+    ``mmd_state=None`` the mean readout is used.  Each graph id is
+    embedded once, batch graphs first.
+
+    Returns ``(pooled, data_loss, grads)``; the last two are None without
+    a center.  ``data_loss`` is the mean squared center distance and
+    ``grads`` its gradient, excluding the ridge term (the optimizer
+    applies decay itself).  For the distribution readout the gradient
+    flows through every node embedding the kernel matrix touches,
+    landmark graphs included.
     """
-    if mmd_state is None:
-        return np.stack([mean_pool(gin_forward(g, params)) for g in graphs])
-    landmark_graphs, factor, gamma = mmd_state
-    emb = {}
-    for g in list(graphs) + list(landmark_graphs):
-        if g.graph_id not in emb:
-            emb[g.graph_id] = gin_forward(g, params)
-    bsets = [emb[g.graph_id] for g in graphs]
-    lsets = [emb[g.graph_id] for g in landmark_graphs]
-    return set_kernel_matrix(bsets, lsets, gamma) @ factor
-
-
-def batch_loss(graphs, params: ParamSet, center: np.ndarray,
-               weight_decay: float, mmd_state=None) -> float:
-    """Full objective on a batch; the quantity training descends."""
-    return svdd_loss(pooled_batch(graphs, params, mmd_state), center,
-                     params, weight_decay)
-
-
-def batch_gradients(graphs, params: ParamSet, center: np.ndarray,
-                    mmd_state=None):
-    """Data-term loss and its gradient for one batch.
-
-    Returns ``(data_loss, grads)`` where ``grads`` excludes the ridge
-    term (the optimizer applies decay itself).  For the distribution
-    readout the gradient flows through every node embedding the kernel
-    matrix touches, landmark graphs included.
-    """
-    grads = GradSet.zeros_like(params)
-    n = len(graphs)
-    if mmd_state is None:
-        loss = 0.0
-        for g in graphs:
-            emb, caches = gin_forward(g, params, with_cache=True)
-            diff = mean_pool(emb) - center
-            loss += float(diff @ diff)
-            d_out = np.tile((2.0 / (n * emb.size)) * diff, (emb.size, 1))
-            gin_backward(g, params, caches, d_out, grads)
-        return loss / n, grads
-
-    landmark_graphs, factor, gamma = mmd_state
+    landmark_graphs = [] if mmd_state is None else list(mmd_state[0])
+    everyone = list(graphs) + landmark_graphs
+    with_grad = center is not None
     uniq, emb, caches = {}, {}, {}
-    for g in list(graphs) + list(landmark_graphs):
+    for g in everyone:
         if g.graph_id not in uniq:
             uniq[g.graph_id] = g
-            emb[g.graph_id], caches[g.graph_id] = gin_forward(
-                g, params, with_cache=True)
+            out = gin_forward(g, params, with_cache=with_grad)
+            emb[g.graph_id], caches[g.graph_id] = \
+                out if with_grad else (out, None)
     bsets = [emb[g.graph_id] for g in graphs]
-    lsets = [emb[g.graph_id] for g in landmark_graphs]
-    k = set_kernel_matrix(bsets, lsets, gamma)
-    diffs = k @ factor - center
+    if mmd_state is None:
+        pooled = np.stack([mean_pool(s) for s in bsets])
+    else:
+        _, factor, gamma = mmd_state
+        lsets = [emb[g.graph_id] for g in landmark_graphs]
+        k, pullback = set_kernel_matrix(bsets, lsets, gamma,
+                                        with_pullback=True)
+        pooled = k @ factor
+    if not with_grad:
+        return pooled, None, None
+
+    n = len(graphs)
+    diffs = pooled - center
     loss = float(np.mean(np.sum(diffs * diffs, axis=1)))
-    dk = (2.0 / n) * diffs @ factor.T
-    da, db = set_kernel_grads(bsets, lsets, gamma, dk)
-    acc = {gid: np.zeros_like(emb[gid].vectors) for gid in uniq}
-    for g, d in zip(graphs, da):
+    if mmd_state is None:
+        d_emb = [np.tile((2.0 / (n * s.size)) * d, (s.size, 1))
+                 for s, d in zip(bsets, diffs)]
+    else:
+        da, db = pullback((2.0 / n) * diffs @ factor.T)
+        d_emb = da + db
+    acc = {gid: np.zeros_like(s.vectors) for gid, s in emb.items()}
+    for g, d in zip(everyone, d_emb):
         acc[g.graph_id] += d
-    for g, d in zip(landmark_graphs, db):
-        acc[g.graph_id] += d
+    grads = GradSet.zeros_like(params)
     for gid, g in uniq.items():
         gin_backward(g, params, caches[gid], acc[gid], grads)
-    return loss, grads
+    return pooled, loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +206,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
     batch_size = min(config.batch_size, n)
     is_mmd = config.pooling == "mmd"
 
-    landmark_graphs, nmap, rank = [], None, None
+    landmark_graphs, nmap, rank, state = [], None, None, None
     if is_mmd:
         k = min(config.nystrom_k, n)
         land_idx = np.sort(rng.choice(n, size=k, replace=False))
@@ -244,10 +214,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
         nmap = _refresh_map(graphs, landmark_graphs, params, rng, rank=None)
         rank = nmap.rank
         state = (landmark_graphs, nmap.factor, nmap.config.gamma)
-        pooled = pooled_batch(graphs, params, state)
-    else:
-        pooled = pooled_batch(graphs, params)
-    center = init_center(pooled)
+    center = batch_objective(graphs, params, state)[0].mean(axis=0)
 
     def fail(msg: str) -> TrainedCandidate:
         return TrainedCandidate(config=config, params=None, center=None,
@@ -275,8 +242,8 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
             batch_losses = []
             for start in range(0, n, batch_size):
                 batch = [graphs[i] for i in order[start:start + batch_size]]
-                data_loss, grads = batch_gradients(batch, params, center,
-                                                   state)
+                _, data_loss, grads = batch_objective(batch, params, state,
+                                                      center)
                 loss = data_loss + 0.5 * config.weight_decay * params.sq_norm()
                 if not math.isfinite(loss):
                     return fail(f"non-finite loss in epoch {epoch}")
@@ -303,11 +270,6 @@ def score_graphs(db: GraphDatabase, candidate: TrainedCandidate) -> np.ndarray:
     else:
         pooled = mmd_pool_batch(sets, candidate.nystrom)
     return np.linalg.norm(pooled - candidate.center, axis=1)
-
-
-def score_graph(graph, candidate: TrainedCandidate) -> float:
-    db = GraphDatabase(graphs=(graph,))
-    return float(score_graphs(db, candidate)[0])
 
 
 # ---------------------------------------------------------------------------

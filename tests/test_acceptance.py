@@ -21,8 +21,7 @@ from glad.pooling import (KernelConfig, mean_pool, median_heuristic,
                           mmd_pool_batch, mmd_squared, nystrom_fit,
                           set_kernel, set_kernel_matrix)
 from glad.selection import hits
-from glad.trainer import (ModelConfig, batch_gradients, batch_loss,
-                          init_center, pooled_batch, run_grid)
+from glad.trainer import ModelConfig, batch_objective, run_grid
 
 # Reduced grid for the synthetic benchmark runs: 12 candidates spanning
 # both poolings, two seeds each.
@@ -155,16 +154,16 @@ def test_criterion_4_gradient_check():
 
         worst = 0.0
         for state in (None, mmd_state):
-            center = init_center(pooled_batch(graphs, params, state)) + 0.1
-            _, grads = batch_gradients(graphs, params, center, state)
+            center = batch_objective(graphs, params, state)[0].mean(axis=0) + 0.1
+            _, _, grads = batch_objective(graphs, params, state, center)
             full = GradSet.zeros_like(params)
             for (f1, f2), (g1, g2), (w1, w2) in zip(
                     full.layers, grads.layers, params.layers):
                 f1 += g1 + wd * w1
                 f2 += g2 + wd * w2
             fd = finite_diff_grad(
-                lambda p: batch_loss(graphs, p, center, wd, state),
-                params, h=1e-5, indices=idx)
+                lambda p: batch_objective(graphs, p, state, center)[1]
+                + 0.5 * wd * p.sq_norm(), params, h=1e-5, indices=idx)
             af = full.flatten()[idx]
             ff = fd.flatten()[idx]
             rel = np.abs(af - ff) / np.maximum(np.abs(ff), 1e-8)

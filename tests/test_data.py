@@ -31,6 +31,9 @@ class TestGraph:
         with pytest.raises(ValueError, match="rows"):
             Graph(graph_id=0, node_count=2, edges=(),
                   node_labels=np.array([1, 2, 3]))
+        with pytest.raises(ValueError, match="unique"):
+            GraphDatabase(graphs=(Graph(graph_id=0, node_count=2, edges=()),
+                                  Graph(graph_id=0, node_count=3, edges=())))
 
     def test_adjacency_symmetric_weighted(self):
         g = tri()

@@ -1,11 +1,10 @@
-"""Parameter containers, SGD, finite differences, checkpoints."""
+"""Parameter containers, SGD, finite differences."""
 
 import numpy as np
 import pytest
 
-from glad.errors import FormatError
-from glad.numkit import (CHECKPOINT_MAGIC, GradSet, ParamSet, finite_diff_grad,
-                         init_params, load_params, save_params, sgd_step)
+from glad.numkit import (GradSet, ParamSet, finite_diff_grad, init_params,
+                         sgd_step)
 
 
 class TestInitParams:
@@ -101,48 +100,6 @@ class TestFiniteDiff:
         before = p.flatten()
         finite_diff_grad(lambda q: float(q.layers[0][0].sum()), p)
         np.testing.assert_array_equal(p.flatten(), before)
-
-
-class TestCheckpoints:
-    def test_round_trip_exact(self, tmp_path):
-        p = init_params(3, 4, 2, seed=9)
-        path = tmp_path / "w.txt"
-        save_params(p, path)
-        q = load_params(path)
-        assert q.d_in == 3 and q.d_hidden == 4 and q.n_layers == 2
-        assert q.epsilons == p.epsilons
-        for (x1, x2), (y1, y2) in zip(p.layers, q.layers):
-            np.testing.assert_array_equal(x1, y1)
-            np.testing.assert_array_equal(x2, y2)
-
-    def test_magic_first_line(self, tmp_path):
-        path = tmp_path / "w.txt"
-        save_params(init_params(2, 2, 1, seed=0), path)
-        assert path.read_text().splitlines()[0] == CHECKPOINT_MAGIC
-        assert CHECKPOINT_MAGIC == "GLAMPARAMS1"
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "w.txt"
-        path.write_text("NOPE\n1 1 1\n0.0\n")
-        with pytest.raises(FormatError, match="magic"):
-            load_params(path)
-
-    def test_truncated(self, tmp_path):
-        path = tmp_path / "w.txt"
-        save_params(init_params(2, 2, 1, seed=0), path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(FormatError, match="truncated"):
-            load_params(path)
-
-    def test_wrong_entry_count(self, tmp_path):
-        path = tmp_path / "w.txt"
-        save_params(init_params(2, 2, 1, seed=0), path)
-        lines = path.read_text().splitlines()
-        lines[3] = "1.0 2.0"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="entries"):
-            load_params(path)
 
 
 class TestDescent:

@@ -379,3 +379,23 @@ labels = 2
         bad.write_text("wrong,header\n1,2\n")
         assert cli.main(["evaluate", "--scores", str(bad), "--flags",
                          str(bad), "--out", str(tmp_path / "e.txt")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+        data = tmp_path / "data"
+        assert cli.main(["generate", "--out", str(data), "--n-train", "6",
+                         "--n-test", "6", "--nodes", "10", "--labels", "2",
+                         "--anomaly-rate", "0.2"]) == 0
+        grid = tmp_path / "both.txt"
+        grid.write_text("[mmd]\nnystrom_k = 4\nnystrom_mult = 2.0\n")
+        assert cli.main(["train", "--data", str(data), "--grid", str(grid),
+                         "--out", str(tmp_path / "pool")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(grid) in err
+
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nout_dir = {tmp_path / 'out'}\n\n"
+                       f"[grid]\nfile = {grid}\n\n[data]\nn_train = 6\n"
+                       f"n_test = 6\nanomaly_rate = 0.2\nnodes = 10\n")
+        assert cli.main(["pipeline", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(grid) in err

@@ -11,9 +11,9 @@ from glad.errors import FormatError
 from glad.numkit import GradSet, finite_diff_grad, init_params
 from glad.pooling import KernelConfig, mean_pool, median_heuristic, nystrom_fit
 from glad.trainer import (DEFAULT_GRID, CandidatePool, ModelConfig,
-                          batch_gradients, batch_loss, expand_grid,
-                          init_center, load_pool, nystrom_size, run_grid,
-                          save_pool, score_graphs, svdd_loss, train_candidate)
+                          batch_objective, expand_grid, load_pool,
+                          nystrom_size, run_grid, save_pool, score_graphs,
+                          train_candidate)
 
 
 @pytest.fixture(scope="module")
@@ -37,17 +37,18 @@ def bench():
 
 
 class TestObjective:
-    def test_svdd_loss_hand_value(self):
-        pooled = np.array([[0.0, 0.0], [2.0, 0.0]])
-        center = np.array([1.0, 0.0])
-        params = init_params(2, 2, 1, seed=0)
-        # data term: mean(1, 1) = 1
-        want = 1.0 + 0.5 * 0.01 * params.sq_norm()
-        assert svdd_loss(pooled, center, params, 0.01) == pytest.approx(want)
-
-    def test_init_center_is_mean(self):
-        pooled = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])
-        np.testing.assert_allclose(init_center(pooled), [3.0, 2.0])
+    def test_mean_pooled_rows_and_loss(self, toy_db):
+        graphs = list(toy_db.graphs)
+        params = init_params(toy_db.d_in, 5, 2, seed=4)
+        rows = np.stack([mean_pool(gin_forward(g, params)) for g in graphs])
+        pooled, loss, grads = batch_objective(graphs, params)
+        np.testing.assert_array_equal(pooled, rows)
+        assert loss is None and grads is None
+        center = rows.mean(axis=0) + 0.1
+        pooled, loss, _ = batch_objective(graphs, params, center=center)
+        np.testing.assert_array_equal(pooled, rows)
+        want = sum(float((r - center) @ (r - center)) for r in rows) / len(rows)
+        assert loss == pytest.approx(want, rel=1e-12)
 
     def _full_grad(self, grads, params, wd):
         full = GradSet.zeros_like(params)
@@ -60,13 +61,14 @@ class TestObjective:
     def test_mean_gradients_match_finite_differences(self, toy_db):
         graphs = list(toy_db.graphs)
         params = init_params(toy_db.d_in, 5, 2, seed=4)
-        center = init_center(np.stack(
-            [mean_pool(gin_forward(g, params)) for g in graphs])) + 0.1
+        center = np.stack([mean_pool(gin_forward(g, params))
+                           for g in graphs]).mean(axis=0) + 0.1
         wd = 1e-3
-        _, grads = batch_gradients(graphs, params, center)
+        _, _, grads = batch_objective(graphs, params, center=center)
         full = self._full_grad(grads, params, wd)
         fd = finite_diff_grad(
-            lambda p: batch_loss(graphs, p, center, wd), params, h=1e-5)
+            lambda p: batch_objective(graphs, p, center=center)[1]
+            + 0.5 * wd * p.sq_norm(), params, h=1e-5)
         af, ff = full.flatten(), fd.flatten()
         rel = np.abs(af - ff) / np.maximum(np.abs(ff), 1e-8)
         assert float(rel.max()) <= 1e-4
@@ -79,14 +81,13 @@ class TestObjective:
         gamma = median_heuristic(sets)
         nmap = nystrom_fit(sets[:2], KernelConfig(gamma=gamma))
         state = (graphs[:2], nmap.factor, gamma)
-        from glad.trainer import pooled_batch
-        center = init_center(pooled_batch(graphs, params, state)) + 0.05
+        center = batch_objective(graphs, params, state)[0].mean(axis=0) + 0.05
         wd = 1e-3
-        _, grads = batch_gradients(graphs, params, center, state)
+        _, _, grads = batch_objective(graphs, params, state, center)
         full = self._full_grad(grads, params, wd)
         fd = finite_diff_grad(
-            lambda p: batch_loss(graphs, p, center, wd, state),
-            params, h=1e-5)
+            lambda p: batch_objective(graphs, p, state, center)[1]
+            + 0.5 * wd * p.sq_norm(), params, h=1e-5)
         af, ff = full.flatten(), fd.flatten()
         rel = np.abs(af - ff) / np.maximum(np.abs(ff), 1e-8)
         assert float(rel.max()) <= 1e-4
