@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from glad.data import derive_features, generate_mixhop
+from glad.data import Graph, derive_features, generate_mixhop
 from glad.encoder import gin_forward
 from glad.errors import FormatError
-from glad.numkit import GradSet, finite_diff_grad, init_params
+from glad.numkit import GradSet, ParamSet, finite_diff_grad, init_params
 from glad.pooling import KernelConfig, mean_pool, median_heuristic, nystrom_fit
 from glad.trainer import (DEFAULT_GRID, CandidatePool, ModelConfig,
                           batch_objective, expand_grid, load_pool,
@@ -37,18 +37,50 @@ def bench():
 
 
 class TestObjective:
-    def test_mean_pooled_rows_and_loss(self, toy_db):
+    @staticmethod
+    def _point_graphs(points):
+        """Single-node graphs whose embeddings under ``_identity_params``
+        are the given non-negative points."""
+        return [Graph(graph_id=i, node_count=1, edges=(),
+                      features=np.array([p], dtype=float))
+                for i, p in enumerate(points)]
+
+    @staticmethod
+    def _identity_params():
+        return ParamSet(layers=[(np.eye(2), np.eye(2))], epsilons=[0.0],
+                        d_in=2, d_hidden=2)
+
+    def test_svdd_loss_hand_value(self, toy_db):
+        graphs = self._point_graphs([[0.0, 0.0], [2.0, 0.0]])
+        pooled, loss, _ = batch_objective(graphs, self._identity_params(),
+                                          center=np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(pooled, [[0.0, 0.0], [2.0, 0.0]])
+        # data term: mean(1, 1) = 1; the ridge term is left to the optimizer
+        assert loss == pytest.approx(1.0)
+
+        graphs = list(toy_db.graphs)
+        params = init_params(toy_db.d_in, 5, 2, seed=4)
+        rows = np.stack([mean_pool(gin_forward(g, params)) for g in graphs])
+        center = rows.mean(axis=0) + 0.1
+        pooled, loss, _ = batch_objective(graphs, params, center=center)
+        np.testing.assert_array_equal(pooled, rows)
+        want = sum(float((r - center) @ (r - center)) for r in rows) / len(rows)
+        assert loss == pytest.approx(want, rel=1e-12)
+
+    def test_init_center_is_mean(self, toy_db):
+        # train_candidate's center is the mean of the initial pooled rows
+        graphs = self._point_graphs([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])
+        pooled, loss, grads = batch_objective(graphs, self._identity_params())
+        assert loss is None and grads is None
+        np.testing.assert_allclose(pooled.mean(axis=0), [3.0, 2.0])
+
         graphs = list(toy_db.graphs)
         params = init_params(toy_db.d_in, 5, 2, seed=4)
         rows = np.stack([mean_pool(gin_forward(g, params)) for g in graphs])
         pooled, loss, grads = batch_objective(graphs, params)
         np.testing.assert_array_equal(pooled, rows)
         assert loss is None and grads is None
-        center = rows.mean(axis=0) + 0.1
-        pooled, loss, _ = batch_objective(graphs, params, center=center)
-        np.testing.assert_array_equal(pooled, rows)
-        want = sum(float((r - center) @ (r - center)) for r in rows) / len(rows)
-        assert loss == pytest.approx(want, rel=1e-12)
+        np.testing.assert_array_equal(pooled.mean(axis=0), rows.mean(axis=0))
 
     def _full_grad(self, grads, params, wd):
         full = GradSet.zeros_like(params)
