@@ -9,6 +9,7 @@ candidate pool), ``select`` (label-free model selection over a pool),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -75,37 +76,36 @@ def _cmd_select(args) -> int:
 
 
 def _read_csv_column(path, value_name: str, cast):
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != f"graph_id,{value_name}":
-        raise FormatError(f"{path}:1: expected header 'graph_id,{value_name}'")
-    out = {}
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
+    def parse(s):
+        parts = s.split(",")
         if len(parts) != 2:
-            raise FormatError(f"{path}:{ln}: expected two columns")
-        gid = parts[0].strip()
+            raise ValueError("expected two columns")
+        return parts[0].strip(), cast(parts[1].strip())
+
+    rows = gdata.table_rows(path, f"{value_name} row", parse, header=True)
+    ln, head = next(rows, (1, ""))
+    if head != f"graph_id,{value_name}":
+        raise FormatError(f"{path}:{ln}: expected header 'graph_id,{value_name}'")
+    out = {}
+    for ln, (gid, value) in rows:
         if gid in out:
             raise FormatError(f"{path}:{ln}: duplicate graph id {gid}")
-        try:
-            out[gid] = cast(parts[1].strip())
-        except ValueError:
-            raise FormatError(f"{path}:{ln}: bad {value_name} "
-                              f"{parts[1]!r}") from None
+        out[gid] = value
     if not out:
         raise FormatError(f"{path}: no data rows")
     return out
 
 
+def _finite_score(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value {s}")
+    return v
+
+
 def _cmd_evaluate(args) -> int:
-    scores = _read_csv_column(args.scores, "score", float)
-    def parse_flag(s):
-        v = int(s)
-        if v not in (0, 1):
-            raise ValueError(s)
-        return bool(v)
-    flags = _read_csv_column(args.flags, "flag", parse_flag)
+    scores = _read_csv_column(args.scores, "score", _finite_score)
+    flags = _read_csv_column(args.flags, "flag", gdata.parse_flag)
     if set(scores) != set(flags):
         raise FormatError("scores and flags cover different graph ids")
     gids = list(scores)

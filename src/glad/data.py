@@ -167,8 +167,31 @@ def dataset_name(directory) -> str:
     return hits[0].name[:-len("_A.txt")]
 
 
-def _read_lines(path: Path) -> list:
-    return path.read_text().splitlines()
+def table_rows(path, what: str, parse, header: bool = False):
+    """Yield ``(line_number, parse(stripped line))`` for each non-blank
+    line of a text table; with ``header`` the first such line is yielded
+    unparsed.  A ``ValueError`` from ``parse`` becomes a FormatError
+    ``"<path>:<line>: bad <what>: <reason>"``.
+    """
+    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        s = raw.strip()
+        if not s:
+            continue
+        if not header:
+            try:
+                s = parse(s)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{ln}: bad {what}: {exc}") from None
+        header = False
+        yield ln, s
+
+
+def parse_flag(s: str) -> bool:
+    """Parse an anomaly flag, which must be 0 or 1."""
+    v = int(s)
+    if v not in (0, 1):
+        raise ValueError(f"must be 0 or 1, got {v}")
+    return bool(v)
 
 
 def load_tu_dataset(directory, name: str | None = None) -> GraphDatabase:
@@ -179,7 +202,8 @@ def load_tu_dataset(directory, name: str | None = None) -> GraphDatabase:
     ``<name>_graph_indicator.txt`` (graph id per node line).  Optional
     files add node labels, node attributes, per-graph class labels and
     per-graph anomaly flags.  An optional third column in the edge file
-    carries weights.
+    carries weights.  A graph's nodes keep their file order whether or
+    not the indicator lists each graph contiguously.
 
     Raises
     ------
@@ -198,127 +222,80 @@ def load_tu_dataset(directory, name: str | None = None) -> GraphDatabase:
         if not p.is_file():
             raise LoadError(f"missing mandatory file {p}")
 
-    indicator = []
-    for ln, raw in enumerate(_read_lines(ind_path), start=1):
-        s = raw.strip()
-        if not s:
-            continue
-        try:
-            gid = int(s)
-        except ValueError:
-            raise FormatError(f"{ind_path.name}:{ln}: bad graph id {s!r}") from None
+    def graph_id(s):
+        gid = int(s)
         if gid < 1:
-            raise FormatError(f"{ind_path.name}:{ln}: graph id {gid} < 1")
-        indicator.append(gid)
+            raise ValueError(f"{gid} < 1")
+        return gid
+
+    indicator = [gid for _, gid in table_rows(ind_path, "graph id", graph_id)]
     if not indicator:
-        raise FormatError(f"{ind_path.name}: no nodes")
+        raise FormatError(f"{ind_path}: no nodes")
     n_total = len(indicator)
     n_graphs = max(indicator)
 
-    # Global node id -> (graph index, local node id), in file order.
-    local_id = np.zeros(n_total, dtype=np.int64)
-    counts = np.zeros(n_graphs, dtype=np.int64)
-    for i, gid in enumerate(indicator):
-        local_id[i] = counts[gid - 1]
-        counts[gid - 1] += 1
+    # Group global node ids by graph; the stable sort keeps file order.
+    ind = np.array(indicator)
+    counts = np.bincount(ind, minlength=n_graphs + 1)[1:]
     if np.any(counts == 0):
         empty = int(np.flatnonzero(counts == 0)[0]) + 1
-        raise FormatError(f"{ind_path.name}: graph {empty} has no nodes")
+        raise FormatError(f"{ind_path}: graph {empty} has no nodes")
+    order = np.argsort(ind, kind="stable")
+    ends = np.cumsum(counts)
+    members = np.split(order, ends[:-1])
+    local = np.empty(n_total, dtype=np.int64)
+    local[order] = np.arange(n_total) - np.repeat(ends - counts, counts)
+    local_id = local.tolist()
 
-    per_graph_edges = [[] for _ in range(n_graphs)]
-    for ln, raw in enumerate(_read_lines(a_path), start=1):
-        s = raw.strip()
-        if not s:
-            continue
-        parts = [p.strip() for p in s.split(",")]
+    def edge(s):
+        parts = s.split(",")
         if len(parts) not in (2, 3):
-            raise FormatError(f"{a_path.name}:{ln}: expected 'i, j[, w]', got {raw!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError:
-            raise FormatError(f"{a_path.name}:{ln}: bad edge entry {raw!r}") from None
+            raise ValueError(f"expected 'i, j[, w]', got {s!r}")
+        i, j = int(parts[0]), int(parts[1])
+        w = float(parts[2]) if len(parts) == 3 else 1.0
         if not (1 <= i <= n_total and 1 <= j <= n_total):
-            raise FormatError(f"{a_path.name}:{ln}: node id out of range in {raw!r}")
+            raise ValueError(f"node id out of range in {s!r}")
         if i == j:
-            raise FormatError(f"{a_path.name}:{ln}: self loop on node {i}")
+            raise ValueError(f"self loop on node {i}")
         gi, gj = indicator[i - 1], indicator[j - 1]
         if gi != gj:
-            raise FormatError(f"{a_path.name}:{ln}: edge joins graphs {gi} and {gj}")
-        per_graph_edges[gi - 1].append((int(local_id[i - 1]),
-                                        int(local_id[j - 1]), w))
+            raise ValueError(f"edge joins graphs {gi} and {gj}")
+        return gi, (local_id[i - 1], local_id[j - 1], w)
 
-    def read_per_node(path: Path, what: str, parse):
-        rows = []
-        for ln, raw in enumerate(_read_lines(path), start=1):
-            s = raw.strip()
-            if not s:
-                continue
-            try:
-                rows.append(parse(s))
-            except ValueError:
-                raise FormatError(f"{path.name}:{ln}: bad {what} {raw!r}") from None
-        if len(rows) != n_total:
-            raise FormatError(f"{path.name}: {len(rows)} rows for {n_total} nodes")
-        return rows
+    per_graph_edges = [[] for _ in range(n_graphs)]
+    for _, (gid, e) in table_rows(a_path, "edge", edge):
+        per_graph_edges[gid - 1].append(e)
 
-    labels_path = directory / f"{name}_node_labels.txt"
-    node_labels = None
-    if labels_path.is_file():
-        node_labels = np.array(read_per_node(labels_path, "node label", int),
-                               dtype=np.int64)
+    def optional(suffix, what, parse, n_rows, noun, dtype):
+        path = directory / f"{name}_{suffix}.txt"
+        if not path.is_file():
+            return None
+        rows = [row for _, row in table_rows(path, what, parse)]
+        if len(rows) != n_rows:
+            raise FormatError(f"{path}: {len(rows)} rows for {n_rows} {noun}")
+        try:
+            return np.array(rows, dtype=dtype)
+        except ValueError:  # attribute rows of differing widths
+            raise FormatError(f"{path}: ragged {what}s") from None
 
-    attrs_path = directory / f"{name}_node_attributes.txt"
-    node_attrs = None
-    if attrs_path.is_file():
-        rows = read_per_node(attrs_path, "attribute row",
-                             lambda s: [float(p) for p in s.split(",")])
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise FormatError(f"{attrs_path.name}: ragged attribute rows "
-                              f"(widths {sorted(widths)})")
-        node_attrs = np.array(rows, dtype=np.float64)
+    node_labels = optional("node_labels", "node label", int,
+                           n_total, "nodes", np.int64)
+    node_attrs = optional("node_attributes", "attribute row",
+                          lambda s: [float(p) for p in s.split(",")],
+                          n_total, "nodes", np.float64)
+    class_labels = optional("graph_labels", "graph label", int,
+                            n_graphs, "graphs", np.int64)
+    flags = optional("anomaly_flags", "anomaly flag", parse_flag,
+                     n_graphs, "graphs", bool)
 
-    def read_per_graph(path: Path, what: str, parse):
-        rows = []
-        for ln, raw in enumerate(_read_lines(path), start=1):
-            s = raw.strip()
-            if not s:
-                continue
-            try:
-                rows.append(parse(s))
-            except ValueError:
-                raise FormatError(f"{path.name}:{ln}: bad {what} {raw!r}") from None
-        if len(rows) != n_graphs:
-            raise FormatError(f"{path.name}: {len(rows)} rows for {n_graphs} graphs")
-        return rows
-
-    gl_path = directory / f"{name}_graph_labels.txt"
-    class_labels = None
-    if gl_path.is_file():
-        class_labels = np.array(read_per_graph(gl_path, "graph label", int),
-                                dtype=np.int64)
-
-    flags_path = directory / f"{name}_anomaly_flags.txt"
-    flags = None
-    if flags_path.is_file():
-        vals = read_per_graph(flags_path, "anomaly flag", int)
-        bad = [v for v in vals if v not in (0, 1)]
-        if bad:
-            raise FormatError(f"{flags_path.name}: flags must be 0 or 1, got {bad[0]}")
-        flags = np.array(vals, dtype=bool)
-
-    graphs = []
-    for k in range(n_graphs):
-        mask = np.array([gid == k + 1 for gid in indicator])
-        graphs.append(Graph(
-            graph_id=k,
-            node_count=int(counts[k]),
-            edges=_normalized_edges(per_graph_edges[k]),
-            node_labels=node_labels[mask] if node_labels is not None else None,
-            node_attributes=node_attrs[mask] if node_attrs is not None else None,
-        ))
-    return GraphDatabase(graphs=tuple(graphs), class_labels=class_labels,
+    graphs = tuple(Graph(
+        graph_id=k,
+        node_count=int(counts[k]),
+        edges=_normalized_edges(per_graph_edges[k]),
+        node_labels=None if node_labels is None else node_labels[idx],
+        node_attributes=None if node_attrs is None else node_attrs[idx],
+    ) for k, idx in enumerate(members))
+    return GraphDatabase(graphs=graphs, class_labels=class_labels,
                          anomaly_flags=flags)
 
 

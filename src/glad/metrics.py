@@ -15,20 +15,12 @@ EXACT_WILCOXON_MAX_N = 12
 
 
 def midrank(x) -> np.ndarray:
-    """Ranks 1..n with tied values sharing their average rank."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(n)
-    sx = x[order]
-    i = 0
-    while i < n:
-        j = i
-        while j < n and sx[j] == sx[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
-        i = j
-    return ranks
+    """Ranks 1..n with tied values sharing their average rank; NaNs rank
+    last and tie with each other."""
+    _, inverse, counts = np.unique(np.asarray(x, dtype=float),
+                                   return_inverse=True, return_counts=True)
+    # A group of c ties ending at sorted position e shares rank e - (c-1)/2.
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def roc_auc(scores, flags) -> float:

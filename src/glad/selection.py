@@ -9,7 +9,7 @@ ensemble anomaly ranking.  Two rank-correlation baselines are included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,16 +92,11 @@ def hits(w: np.ndarray, tol: float = HITS_TOL,
     return h, a, max_iter, residual
 
 
-def _argmax_lowest(values: np.ndarray) -> int:
-    """Index of the maximum; ties resolved to the lowest index."""
-    return int(np.argmax(values))
-
-
 def hits_select(pool: CandidatePool) -> SelectionResult:
-    """Pick the model with the largest hub weight; report its raw scores."""
-    w = normalize_rows(pool.scores)
-    h, a, iters, residual = hits(w)
-    best = _argmax_lowest(h)
+    """Pick the model with the largest hub weight (the lowest index on
+    ties); report its raw scores."""
+    h, a, iters, residual = hits(normalize_rows(pool.scores))
+    best = int(np.argmax(h))
     return SelectionResult(method="hits",
                            final_scores=pool.scores[best].copy(),
                            graph_ids=list(pool.graph_ids),
@@ -114,13 +109,10 @@ def hits_select(pool: CandidatePool) -> SelectionResult:
 def hits_ens(pool: CandidatePool) -> SelectionResult:
     """Use the authority vector itself as the anomaly ranking (larger
     authority = ranked anomalous by reliable models)."""
-    w = normalize_rows(pool.scores)
-    h, a, iters, residual = hits(w)
-    return SelectionResult(method="hits-ens",
-                           final_scores=a.copy(),
-                           graph_ids=list(pool.graph_ids),
-                           reliability=h, authority=a,
-                           iterations=iters, residual=residual)
+    picked = hits_select(pool)
+    return replace(picked, method="hits-ens",
+                   final_scores=picked.authority.copy(),
+                   selected_model=None, selected_index=None)
 
 
 def spearman(x, y) -> float:
@@ -172,7 +164,7 @@ def mc_select(pool: CandidatePool) -> SelectionResult:
             reliability[i] = float(vals.mean())
     if not np.any(np.isfinite(reliability)):
         raise MethodError("no model pair admits a rank correlation")
-    best = _argmax_lowest(reliability)
+    best = int(np.argmax(reliability))
     return SelectionResult(method="mc",
                            final_scores=pool.scores[best].copy(),
                            graph_ids=list(pool.graph_ids),
@@ -207,7 +199,7 @@ def udr_select(pool: CandidatePool) -> SelectionResult:
                           "several seeds")
     if not np.any(np.isfinite(reliability)):
         raise MethodError("no sibling pair admits a rank correlation")
-    best = _argmax_lowest(reliability)
+    best = int(np.argmax(reliability))
     return SelectionResult(method="udr",
                            final_scores=pool.scores[best].copy(),
                            graph_ids=list(pool.graph_ids),

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import GraphDatabase
+from .data import GraphDatabase, table_rows
 from .encoder import gin_backward, gin_forward
 from .errors import DegenerateInputError, FormatError
 from .numkit import GradSet, ParamSet, init_params, sgd_step
@@ -401,7 +401,7 @@ def load_pool(directory) -> CandidatePool:
     """Read a pool written by :func:`save_pool`.
 
     Raises FormatError on header mismatches, unknown or duplicated model
-    ids, or malformed numbers; messages carry line numbers.
+    ids, or malformed or non-finite numbers; messages carry line numbers.
     """
     directory = Path(directory)
     cfg_path = directory / "pool_configs.csv"
@@ -410,66 +410,61 @@ def load_pool(directory) -> CandidatePool:
         if not p.is_file():
             raise FormatError(f"missing pool file {p}")
 
-    cfg_lines = cfg_path.read_text().splitlines()
-    want_head = "model_id," + ",".join(CONFIG_FIELDS)
-    if not cfg_lines or cfg_lines[0] != want_head:
-        raise FormatError(f"{cfg_path.name}:1: bad header")
-    configs = {}
-    order = []
-    for ln, line in enumerate(cfg_lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
+    def config_row(s):
+        parts = s.split(",")
         if len(parts) != 1 + len(CONFIG_FIELDS):
-            raise FormatError(f"{cfg_path.name}:{ln}: expected "
-                              f"{1 + len(CONFIG_FIELDS)} columns")
-        mid = parts[0]
-        if mid in configs:
-            raise FormatError(f"{cfg_path.name}:{ln}: duplicate model id {mid}")
-        try:
-            cfg = ModelConfig(
-                pooling=parts[1], layers=int(parts[2]),
-                weight_decay=float(parts[3]), lr=float(parts[4]),
-                seed=int(parts[5]),
-                nystrom_k=None if parts[6] == "" else int(parts[6]),
-                epochs=int(parts[7]), batch_size=int(parts[8]),
-                d_hidden=int(parts[9]))
-        except ValueError as exc:
-            raise FormatError(f"{cfg_path.name}:{ln}: {exc}") from None
-        configs[mid] = cfg
-        order.append(mid)
+            raise ValueError(f"expected {1 + len(CONFIG_FIELDS)} columns")
+        return parts[0], ModelConfig(
+            pooling=parts[1], layers=int(parts[2]),
+            weight_decay=float(parts[3]), lr=float(parts[4]),
+            seed=int(parts[5]),
+            nystrom_k=None if parts[6] == "" else int(parts[6]),
+            epochs=int(parts[7]), batch_size=int(parts[8]),
+            d_hidden=int(parts[9]))
 
-    score_lines = score_path.read_text().splitlines()
-    if not score_lines or not score_lines[0].startswith("model_id,"):
-        raise FormatError(f"{score_path.name}:1: bad header")
-    graph_ids = score_lines[0].split(",")[1:]
-    if len(graph_ids) != len(set(graph_ids)) or not graph_ids:
-        raise FormatError(f"{score_path.name}:1: graph ids must be unique")
-    rows = {}
-    for ln, line in enumerate(score_lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
+    rows = table_rows(cfg_path, "config row", config_row, header=True)
+    ln, head = next(rows, (1, ""))
+    if head != "model_id," + ",".join(CONFIG_FIELDS):
+        raise FormatError(f"{cfg_path}:{ln}: bad header")
+    configs = {}
+    for ln, (mid, cfg) in rows:
+        if mid in configs:
+            raise FormatError(f"{cfg_path}:{ln}: duplicate model id {mid}")
+        configs[mid] = cfg
+
+    def score_row(s):
+        parts = s.split(",")
         if len(parts) != 1 + len(graph_ids):
-            raise FormatError(f"{score_path.name}:{ln}: expected "
-                              f"{1 + len(graph_ids)} columns")
-        mid = parts[0]
-        if mid not in configs:
-            raise FormatError(f"{score_path.name}:{ln}: unknown model id {mid}")
-        if mid in rows:
-            raise FormatError(f"{score_path.name}:{ln}: duplicate model id {mid}")
-        try:
-            rows[mid] = np.array([float(x) for x in parts[1:]])
-        except ValueError:
-            raise FormatError(f"{score_path.name}:{ln}: bad score value") from None
-    missing = [m for m in order if m not in rows]
+            raise ValueError(f"expected {1 + len(graph_ids)} columns")
+        if parts[0] not in configs:
+            raise ValueError(f"unknown model id {parts[0]}")
+        row = np.array([float(x) for x in parts[1:]])
+        bad = np.flatnonzero(~np.isfinite(row))
+        if bad.size:
+            raise ValueError(f"non-finite score {parts[1 + bad[0]]} "
+                             f"for graph {graph_ids[bad[0]]}")
+        return parts[0], row
+
+    rows = table_rows(score_path, "score row", score_row, header=True)
+    ln, head = next(rows, (1, ""))
+    if not head.startswith("model_id,"):
+        raise FormatError(f"{score_path}:{ln}: bad header")
+    graph_ids = head.split(",")[1:]  # read by score_row on the rows below
+    if len(graph_ids) != len(set(graph_ids)) or not graph_ids:
+        raise FormatError(f"{score_path}:{ln}: graph ids must be unique")
+    scores = {}
+    for ln, (mid, row) in rows:
+        if mid in scores:
+            raise FormatError(f"{score_path}:{ln}: duplicate model id {mid}")
+        scores[mid] = row
+    missing = [m for m in configs if m not in scores]
     if missing:
-        raise FormatError(f"{score_path.name}: no scores for {missing[0]}")
+        raise FormatError(f"{score_path}: no scores for {missing[0]}")
     try:
         gids = [int(g) for g in graph_ids]
     except ValueError:
         gids = list(graph_ids)
-    return CandidatePool(model_ids=order,
-                         configs=[configs[m] for m in order],
-                         scores=np.stack([rows[m] for m in order]),
+    return CandidatePool(model_ids=list(configs),
+                         configs=list(configs.values()),
+                         scores=np.stack([scores[m] for m in configs]),
                          graph_ids=gids)

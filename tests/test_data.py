@@ -134,6 +134,26 @@ class TestTuFormat:
         db = load_tu_dataset(tmp_path)
         assert db.graphs[0].edges == ((0, 1, 0.25),)
 
+    def test_interleaved_indicator_keeps_file_order(self, tmp_path):
+        # nodes 1..6 belong to graphs 1, 2, 1, 2, 1, 2
+        (tmp_path / "i_graph_indicator.txt").write_text("1\n2\n1\n2\n1\n2\n")
+        (tmp_path / "i_A.txt").write_text("5, 1\n1, 5\n2, 4, 0.5\n4, 2, 0.5\n")
+        (tmp_path / "i_node_labels.txt").write_text("10\n20\n11\n21\n12\n22\n")
+        (tmp_path / "i_node_attributes.txt").write_text(
+            "".join(f"{v}.5, -{v}\n" for v in range(1, 7)))
+        db = load_tu_dataset(tmp_path, "i")
+        g1, g2 = db.graphs
+        assert (g1.node_count, g2.node_count) == (3, 3)
+        # global nodes 1, 3, 5 are graph 1's local 0, 1, 2; 2, 4, 6 graph 2's
+        assert g1.edges == ((0, 2, 1.0),)
+        assert g2.edges == ((0, 1, 0.5),)
+        np.testing.assert_array_equal(g1.node_labels, [10, 11, 12])
+        np.testing.assert_array_equal(g2.node_labels, [20, 21, 22])
+        np.testing.assert_array_equal(g1.node_attributes,
+                                      [[1.5, -1], [3.5, -3], [5.5, -5]])
+        np.testing.assert_array_equal(g2.node_attributes,
+                                      [[2.5, -2], [4.5, -4], [6.5, -6]])
+
     def test_bad_flag_value(self, tmp_path):
         (tmp_path / "f_A.txt").write_text("1, 2\n")
         (tmp_path / "f_graph_indicator.txt").write_text("1\n1\n")

@@ -56,6 +56,7 @@ class TestMidrank:
                                       [3.0, 1.0, 2.0])
         np.testing.assert_array_equal(midrank([5.0, 5.0, 5.0]),
                                       [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(midrank([1.0, np.nan]), [1.0, 2.0])
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(0)

@@ -381,6 +381,14 @@ labels = 2
                          str(bad), "--out", str(tmp_path / "e.txt")]) == 2
         assert "error:" in capsys.readouterr().err
 
+        nan = tmp_path / "nan.csv"
+        nan.write_text("graph_id,score\n1,0.5\n2,nan\n")
+        flags = tmp_path / "flags.csv"
+        flags.write_text("graph_id,flag\n1,0\n2,1\n")
+        assert cli.main(["evaluate", "--scores", str(nan), "--flags",
+                         str(flags), "--out", str(tmp_path / "e.txt")]) == 2
+        assert f"{nan}:3:" in capsys.readouterr().err
+
         data = tmp_path / "data"
         assert cli.main(["generate", "--out", str(data), "--n-train", "6",
                          "--n-test", "6", "--nodes", "10", "--labels", "2",

@@ -328,6 +328,11 @@ class TestPoolFiles:
         scores.write_text(good.replace("2.5", "abc"))
         with pytest.raises(FormatError, match="bad score"):
             load_pool(tmp_path)
+        for value in ("nan", "inf", "-inf"):
+            scores.write_text(good.replace("2.5", value))
+            with pytest.raises(FormatError,
+                               match=f"pool_scores.csv:3: bad score.*{value}"):
+                load_pool(tmp_path)
         scores.write_text("\n".join(good.splitlines()[:2]) + "\n")
         with pytest.raises(FormatError, match="no scores for m001"):
             load_pool(tmp_path)
