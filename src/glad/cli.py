@@ -178,7 +178,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GladError as exc:
+    except (GladError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

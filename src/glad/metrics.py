@@ -52,7 +52,7 @@ def wilcoxon_one_sided(x, y):
     Returns ``(w_plus, p_value)`` where ``w_plus`` is the positive-rank
     sum of the differences ``y - x``.  Zero differences are discarded;
     if all differences are zero the p-value is 1.  The null distribution
-    is enumerated exactly for up to 12 nonzero differences, otherwise a
+    is counted exactly for up to 12 nonzero differences, otherwise a
     normal approximation with tie and continuity corrections is used.
     Requires at least 5 pairs.
     """
@@ -71,18 +71,14 @@ def wilcoxon_one_sided(x, y):
     w_plus = float(np.sum(ranks[d > 0.0]))
 
     if n <= EXACT_WILCOXON_MAX_N:
-        # Exact null: every sign assignment over the observed ranks.
-        total = 0
-        hits = 0
-        for mask in range(1 << n):
-            s = 0.0
-            for k in range(n):
-                if mask >> k & 1:
-                    s += ranks[k]
-            total += 1
-            if s >= w_plus - 1e-12:
-                hits += 1
-        return w_plus, hits / total
+        # Exact null: count the sign assignments whose positive-rank sum
+        # reaches w_plus, by subset sums over the doubled (integer) ranks.
+        doubled = np.rint(2.0 * ranks).astype(np.int64)
+        ways = np.zeros(int(doubled.sum()) + 1, dtype=np.int64)
+        ways[0] = 1
+        for r in doubled:
+            ways[r:] = ways[r:] + ways[:-r]
+        return w_plus, int(ways[int(round(2.0 * w_plus)):].sum()) / (1 << n)
 
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0

@@ -20,7 +20,7 @@ from . import data as gdata
 from . import selection as gsel
 from . import trainer as gtrain
 from .errors import FormatError, GladError, MethodError
-from .metrics import roc_auc, wilcoxon_one_sided
+from .metrics import roc_auc
 
 STAGE_TRAIN_GRAPHS = 0
 STAGE_TEST_INLIERS = 1
@@ -338,6 +338,9 @@ def run_pipeline(cfg: PipelineConfig):
             notices.append(f"selection {method} skipped: {exc}")
             continue
         selections[method] = result
+        if result.residual > gsel.HITS_TOL:
+            notices.append(f"selection {method} did not converge "
+                           f"(residual {result.residual:.3e})")
         tag = method.replace("-", "_")
         gsel.write_selection(result, out / f"selected_{tag}.csv",
                              out / f"selection_meta_{tag}.txt")
@@ -348,27 +351,3 @@ def run_pipeline(cfg: PipelineConfig):
                  elapsed=time.monotonic() - t0)
     return report, pool, selections
 
-
-def summarize_runs(reports, baseline: str = "pool_mean") -> dict:
-    """Paired one-sided significance of each method beating the pool
-    average across repeated runs: method -> (wins, runs, p_value).
-
-    ``p_value`` is None when fewer than five runs are available.
-    """
-    if not reports:
-        raise ValueError("no reports to summarize")
-    methods = sorted(set().union(*(r.method_auc for r in reports)))
-    base = np.array([r.pool_mean_auc for r in reports], dtype=float)
-    out = {}
-    for m in methods:
-        vals = np.array([r.method_auc.get(m, np.nan) for r in reports])
-        ok = ~np.isnan(vals)
-        wins = int(np.sum(vals[ok] >= base[ok]))
-        p = None
-        if int(np.sum(ok)) >= 5:
-            try:
-                _, p = wilcoxon_one_sided(base[ok], vals[ok])
-            except MethodError:
-                p = None
-        out[m] = (wins, int(np.sum(ok)), p)
-    return out

@@ -92,18 +92,24 @@ def hits(w: np.ndarray, tol: float = HITS_TOL,
     return h, a, max_iter, residual
 
 
-def hits_select(pool: CandidatePool) -> SelectionResult:
-    """Pick the model with the largest hub weight (the lowest index on
-    ties); report its raw scores."""
-    h, a, iters, residual = hits(normalize_rows(pool.scores))
-    best = int(np.argmax(h))
-    return SelectionResult(method="hits",
+def _pick(pool: CandidatePool, method: str, reliability: np.ndarray,
+          **extra) -> SelectionResult:
+    """Single-model result for the model with the largest reliability
+    (the lowest index on ties); it reports that model's raw scores."""
+    best = int(np.argmax(reliability))
+    return SelectionResult(method=method,
                            final_scores=pool.scores[best].copy(),
                            graph_ids=list(pool.graph_ids),
-                           reliability=h, authority=a,
+                           reliability=reliability,
                            selected_model=pool.model_ids[best],
-                           selected_index=best,
-                           iterations=iters, residual=residual)
+                           selected_index=best, **extra)
+
+
+def hits_select(pool: CandidatePool) -> SelectionResult:
+    """Pick the model with the largest hub weight."""
+    h, a, iters, residual = hits(normalize_rows(pool.scores))
+    return _pick(pool, "hits", h, authority=a, iterations=iters,
+                 residual=residual)
 
 
 def hits_ens(pool: CandidatePool) -> SelectionResult:
@@ -115,97 +121,76 @@ def hits_ens(pool: CandidatePool) -> SelectionResult:
                    selected_model=None, selected_index=None)
 
 
+def _pairwise_spearman(scores: np.ndarray) -> np.ndarray:
+    """All pairwise rank correlations as one product of standardized
+    midrank rows; the diagonal and entries touching a constant row are
+    NaN.  The matrix is exactly symmetric (``z @ z.T`` is one BLAS
+    rank-k update)."""
+    z = np.stack([midrank(row) for row in scores])
+    z -= z.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+    constant = norms == 0.0
+    norms[constant] = 1.0
+    z /= norms[:, None]
+    corr = z @ z.T
+    np.fill_diagonal(corr, np.nan)
+    corr[constant, :] = np.nan
+    corr[:, constant] = np.nan
+    return corr
+
+
 def spearman(x, y) -> float:
     """Rank correlation (midranks + Pearson); errors on constant input."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("need two equal-length vectors of size >= 2")
-    rx = midrank(x)
-    ry = midrank(y)
-    sx = rx.std()
-    sy = ry.std()
-    if sx == 0.0 or sy == 0.0:
+    r = _pairwise_spearman(np.stack([x, y]))[0, 1]
+    if np.isnan(r):
         raise DegenerateInputError("rank correlation undefined for "
                                    "constant input")
-    return float(np.mean((rx - rx.mean()) * (ry - ry.mean())) / (sx * sy))
+    return float(r)
 
 
-def _pairwise_spearman(scores: np.ndarray) -> np.ndarray:
-    """All pairwise rank correlations; entries touching a constant row
-    are NaN, diagonal is NaN."""
-    m = scores.shape[0]
-    ranks = np.stack([midrank(row) for row in scores])
-    stds = ranks.std(axis=1)
-    out = np.full((m, m), np.nan)
-    centered = ranks - ranks.mean(axis=1, keepdims=True)
-    for i in range(m):
-        if stds[i] == 0.0:
-            continue
-        for j in range(i + 1, m):
-            if stds[j] == 0.0:
-                continue
-            r = float(np.mean(centered[i] * centered[j]) / (stds[i] * stds[j]))
-            out[i, j] = out[j, i] = r
+def _row_stat(corr: np.ndarray, stat) -> np.ndarray:
+    """``stat`` (``np.nanmean`` or ``np.nanmedian``) of each row's
+    non-NaN entries; -inf for a row with none."""
+    some = ~np.all(np.isnan(corr), axis=1)
+    out = np.full(corr.shape[0], -np.inf)
+    out[some] = stat(corr[some], axis=1)
     return out
 
 
 def mc_select(pool: CandidatePool) -> SelectionResult:
     """Model consistency: reliability of a model is its mean rank
     correlation with every other model; the most agreeable model wins."""
-    m = pool.scores.shape[0]
-    if m < 2:
+    if pool.scores.shape[0] < 2:
         raise MethodError("consistency selection needs at least two models")
-    corr = _pairwise_spearman(pool.scores)
-    reliability = np.full(m, -np.inf)
-    for i in range(m):
-        vals = corr[i][~np.isnan(corr[i])]
-        if vals.size:
-            reliability[i] = float(vals.mean())
+    reliability = _row_stat(_pairwise_spearman(pool.scores), np.nanmean)
     if not np.any(np.isfinite(reliability)):
         raise MethodError("no model pair admits a rank correlation")
-    best = int(np.argmax(reliability))
-    return SelectionResult(method="mc",
-                           final_scores=pool.scores[best].copy(),
-                           graph_ids=list(pool.graph_ids),
-                           reliability=reliability,
-                           selected_model=pool.model_ids[best],
-                           selected_index=best)
+    return _pick(pool, "mc", reliability)
 
 
 def udr_select(pool: CandidatePool) -> SelectionResult:
     """Seed-variation reliability: a model is scored by the median rank
     correlation with its siblings (same hyperparameters, different
     seed).  Models without siblings are ineligible."""
-    m = pool.scores.shape[0]
-    keys = [cfg.hyper_key() for cfg in pool.configs]
-    seeds = [cfg.seed for cfg in pool.configs]
-    corr = _pairwise_spearman(pool.scores)
-    reliability = np.full(m, -np.inf)
-    any_siblings = False
-    for i in range(m):
-        sib = [j for j in range(m)
-               if j != i and keys[j] == keys[i] and seeds[j] != seeds[i]]
-        if not sib:
-            continue
-        any_siblings = True
-        vals = np.array([corr[i, j] for j in sib])
-        vals = vals[~np.isnan(vals)]
-        if vals.size:
-            reliability[i] = float(np.median(vals))
-    if not any_siblings:
+    groups = {}
+    group = np.array([groups.setdefault(cfg.hyper_key(), len(groups))
+                      for cfg in pool.configs])
+    seed = np.array([cfg.seed for cfg in pool.configs])
+    sibling = ((group[:, None] == group[None, :])
+               & (seed[:, None] != seed[None, :]))
+    if not sibling.any():
         raise MethodError("seed-variation selection needs some "
                           "hyperparameter setting trained under "
                           "several seeds")
+    corr = np.where(sibling, _pairwise_spearman(pool.scores), np.nan)
+    reliability = _row_stat(corr, np.nanmedian)
     if not np.any(np.isfinite(reliability)):
         raise MethodError("no sibling pair admits a rank correlation")
-    best = int(np.argmax(reliability))
-    return SelectionResult(method="udr",
-                           final_scores=pool.scores[best].copy(),
-                           graph_ids=list(pool.graph_ids),
-                           reliability=reliability,
-                           selected_model=pool.model_ids[best],
-                           selected_index=best)
+    return _pick(pool, "udr", reliability)
 
 
 _DISPATCH = {"hits": hits_select, "hits-ens": hits_ens,

@@ -110,6 +110,8 @@ class CandidatePool:
                              f"{len(self.graph_ids)} graphs")
         if len(self.configs) != len(self.model_ids):
             raise ValueError("one config per model id required")
+        if not np.all(np.isfinite(self.scores)):
+            raise ValueError("pool scores must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +337,21 @@ def _train_and_score(args):
     cand = train_candidate(train_db, config, base_seed=base_seed)
     if cand.failed:
         return None, cand.diagnostic
-    return score_graphs(test_db, cand), ""
+    scores = score_graphs(test_db, cand)
+    if not np.all(np.isfinite(scores)):
+        return None, "non-finite test scores"
+    return scores, ""
 
 
 def run_grid(train_db: GraphDatabase, test_db: GraphDatabase, configs,
              workers: int = 1, base_seed: int = 0) -> CandidatePool:
     """Train every config and score the test set.
 
-    Candidates whose training diverges are dropped and recorded in
-    ``pool.dropped``.  Model ids follow grid order and stay stable in
-    the presence of drops.  With ``workers > 1`` candidates train in
-    separate processes; results are identical to the serial path.
+    Candidates whose training diverges or whose test scores are not
+    finite are dropped and recorded in ``pool.dropped``.  Model ids
+    follow grid order and stay stable in the presence of drops.  With
+    ``workers > 1`` candidates train in separate processes; results are
+    identical to the serial path.
     """
     tasks = [(train_db, test_db, cfg, base_seed) for cfg in configs]
     if workers > 1:

@@ -1,16 +1,19 @@
 """Orchestration: benchmark generation, config files, full runs, CLI."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from glad import cli
+from glad import selection as gsel
 from glad.data import Graph, GraphDatabase, load_tu_dataset
 from glad.errors import FormatError
-from glad.pipeline import (BenchmarkParams, EvalReport, PipelineConfig,
+from glad.pipeline import (BenchmarkParams, PipelineConfig,
                            evaluate_pool, generate_benchmark,
                            parse_grid_file, parse_pipeline_config,
                            pick_feature_kind, run_pipeline, stage_seed,
-                           summarize_runs, write_report)
+                           write_report)
 from glad.trainer import CandidatePool, ModelConfig
 
 TINY_BENCH = BenchmarkParams(n_train=8, n_test=8, anomaly_rate=0.25,
@@ -259,6 +262,7 @@ class TestRunPipeline:
             assert 0.0 <= auc <= 1.0
         text = (out / "report.txt").read_text()
         assert "models_kept = 3" in text
+        assert "did not converge" not in text
 
     def test_same_seed_runs_are_byte_identical(self, tmp_path):
         run_pipeline(self.cfg(tmp_path / "a", seed=5))
@@ -278,28 +282,20 @@ class TestRunPipeline:
         assert any("udr skipped" in n for n in report.notices)
         assert not (tmp_path / "run" / "selected_udr.csv").exists()
 
-
-class TestSummarizeRuns:
-    def rep(self, aucs, pool_mean):
-        return EvalReport(method_auc=aucs, model_auc=None,
-                          pool_mean_auc=pool_mean, pool_best_auc=None,
-                          n_models=1, n_dropped=0)
-
-    def test_wins_and_significance(self):
-        reports = [self.rep({"hits": 0.9}, 0.5 + 0.01 * i)
-                   for i in range(5)]
-        out = summarize_runs(reports)
-        wins, runs, p = out["hits"]
-        assert (wins, runs) == (5, 5)
-        assert p == pytest.approx(1.0 / 32.0)
-
-    def test_missing_method_and_few_runs(self):
-        reports = [self.rep({"hits": 0.9}, 0.5),
-                   self.rep({}, 0.5)]
-        out = summarize_runs(reports)
-        assert out["hits"] == (1, 1, None)
-        with pytest.raises(ValueError):
-            summarize_runs([])
+    def test_hits_non_convergence_is_a_notice(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gsel, "hits",
+                            functools.partial(gsel.hits, max_iter=1))
+        report, _, selections = run_pipeline(self.cfg(tmp_path / "run"))
+        text = (tmp_path / "run" / "report.txt").read_text()
+        for method in ("hits", "hits-ens"):
+            residual = selections[method].residual
+            assert residual > gsel.HITS_TOL
+            note = (f"selection {method} did not converge "
+                    f"(residual {residual:.3e})")
+            assert note in report.notices
+            assert f"notice: {note}\n" in text
+        assert not any("selection mc" in n or "selection udr" in n
+                       for n in report.notices)
 
 
 class TestCli:
@@ -407,3 +403,18 @@ labels = 2
         assert cli.main(["pipeline", "--config", str(ini)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(grid) in err
+
+        # Missing input files name the path instead of a traceback.
+        gone = tmp_path / "missing.txt"
+        good = tmp_path / "good.csv"
+        good.write_text("graph_id,score\n1,0.5\n2,0.7\n")
+        assert cli.main(["evaluate", "--scores", str(good), "--flags",
+                         str(gone), "--out", str(tmp_path / "e.txt")]) == 2
+        assert str(gone) in capsys.readouterr().err
+        assert cli.main(["train", "--data", str(data), "--grid", str(gone),
+                         "--out", str(tmp_path / "pool")]) == 2
+        assert str(gone) in capsys.readouterr().err
+        ini.write_text(ini.read_text().replace(str(grid), str(gone)))
+        assert cli.main(["pipeline", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(gone) in err

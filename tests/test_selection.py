@@ -269,3 +269,56 @@ class TestInvariances:
                                                    consensus))
         for method, vals in agreements.items():
             assert np.mean(vals) >= 0.9, method
+
+
+def pair_loop_reliability(scores, siblings, reduce):
+    """Reference: ``reduce`` over each model's defined rank correlations
+    with its ``siblings(i, j)``, one ``spearman`` call per pair."""
+    m = scores.shape[0]
+    out = np.full(m, -np.inf)
+    for i in range(m):
+        vals = []
+        for j in range(m):
+            if j == i or not siblings(i, j):
+                continue
+            try:
+                vals.append(spearman(scores[i], scores[j]))
+            except DegenerateInputError:
+                pass
+        if vals:
+            out[i] = reduce(vals)
+    return out
+
+
+class TestRankMethodOracle:
+    def test_random_pools_match_pair_loops(self):
+        # 12 x 40 pools: sibling groups of three and two seeds in shuffled
+        # order, rows with heavy ties, and one constant row.
+        rng = np.random.default_rng(21)
+        sizes = [3, 3, 2, 2, 2]
+        for _ in range(6):
+            lrs = [10.0 ** -(g + 1) for g, k in enumerate(sizes)
+                   for _ in range(k)]
+            seeds = [s for k in sizes for s in range(k)]
+            order = rng.permutation(len(lrs))
+            lrs = [lrs[i] for i in order]
+            seeds = [seeds[i] for i in order]
+            scores = rng.random((12, 40))
+            scores[::3] = np.round(scores[::3], 1)
+            scores[rng.integers(12)] = 0.5
+            pool = make_pool(scores, seeds=seeds, lrs=lrs)
+
+            want_mc = pair_loop_reliability(scores, lambda i, j: True,
+                                            np.mean)
+            want_udr = pair_loop_reliability(
+                scores,
+                lambda i, j: lrs[i] == lrs[j] and seeds[i] != seeds[j],
+                np.median)
+            for fn, want in ((mc_select, want_mc), (udr_select, want_udr)):
+                got = fn(pool)
+                np.testing.assert_array_equal(np.isinf(got.reliability),
+                                              np.isinf(want))
+                fin = np.isfinite(want)
+                np.testing.assert_allclose(got.reliability[fin], want[fin],
+                                           rtol=0.0, atol=1e-12)
+                assert got.selected_index == int(np.argmax(want))

@@ -1,11 +1,13 @@
 """One-class objective, gradients, training loop, grids, pool files."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from glad.data import Graph, derive_features, generate_mixhop
+from glad.data import (Graph, GraphDatabase, derive_features,
+                       generate_mixhop)
 from glad.encoder import gin_forward
 from glad.errors import FormatError
 from glad.numkit import GradSet, ParamSet, finite_diff_grad, init_params
@@ -271,6 +273,23 @@ class TestRunGrid:
         assert pool.model_ids == ["m000", "m002"]
         assert len(pool.dropped) == 1 and pool.dropped[0][0] == "m001"
 
+    def test_non_finite_test_scores_dropped(self, bench):
+        train, test = bench
+        # Features this large overflow the mean readout's center distance
+        # at scoring time; the MMD readout's kernel maps them to finite
+        # values.
+        huge = GraphDatabase(
+            graphs=tuple(replace(g, features=g.features * 1e200)
+                         for g in test.graphs),
+            anomaly_flags=test.anomaly_flags, split_tag="test")
+        configs = expand_grid(SMALL_GRID, len(train))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pool = run_grid(train, huge, configs, base_seed=3)
+        assert pool.model_ids == ["m002"]
+        assert pool.dropped == [("m000", "non-finite test scores"),
+                                ("m001", "non-finite test scores")]
+        assert np.all(np.isfinite(pool.scores))
+
     def test_workers_match_serial(self, bench):
         train, test = bench
         configs = expand_grid(SMALL_GRID, len(train))
@@ -287,6 +306,15 @@ class TestPoolFiles:
         scores = np.array([[0.1234567891234, 1.0], [2.5, 0.25]])
         return CandidatePool(model_ids=["m000", "m001"], configs=configs,
                              scores=scores, graph_ids=[10, 11])
+
+    def test_non_finite_scores_rejected(self):
+        pool = self.make_pool()
+        for bad in (np.nan, np.inf):
+            scores = pool.scores.copy()
+            scores[1, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                CandidatePool(model_ids=pool.model_ids, configs=pool.configs,
+                              scores=scores, graph_ids=pool.graph_ids)
 
     def test_round_trip(self, tmp_path):
         pool = self.make_pool()
