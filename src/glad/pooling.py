@@ -84,31 +84,44 @@ def set_kernel_matrix(sets_a, sets_b, gamma: float,
     """All set-kernel values between two lists of embedding sets.
 
     Entry (a, b) is the mean of ``exp(-gamma * ||x - y||^2)`` over all
-    node pairs x in set a, y in set b.
+    node pairs x in set a, y in set b.  The node-pair kernel is built in
+    place on ``xa @ xb.T`` as ``exp(min(2 gamma x.y - gamma ||x||^2 -
+    gamma ||y||^2, 0))``; the clip keeps rounding from pushing a squared
+    distance below zero.  Block sums reduce columns per set b first,
+    then rows per set a.  Every set must have at least one row.
 
     With ``with_pullback`` returns ``(k, pullback)``.  ``pullback(coeffs)``
     gives the gradients of ``sum(coeffs * k)`` w.r.t. the node vectors of
     both lists as ``(grads_a, grads_b)``, lists of arrays shaped like each
-    set's vectors; it reuses the node-pair kernel computed here.  When a
-    set object appears on both sides the caller must add the two
-    contributions.
+    set's vectors; it reuses the node-pair kernel computed here and may
+    be called any number of times.  When a set object appears on both
+    sides the caller must add the two contributions.
     """
     xa, sa, oa = _stack(sets_a)
     xb, sb, ob = _stack(sets_b)
-    e = np.exp(-gamma * _sq_dists(xa, xb))
-    # Sum within blocks: reduce rows per set a, then columns per set b.
-    rows = np.add.reduceat(e, oa[:-1], axis=0)
-    blocks = np.add.reduceat(rows, ob[:-1], axis=1)
+    for s in (*sets_a, *sets_b):
+        if s.size == 0:
+            raise ValueError(f"embedding set of graph {s.graph_id} has no rows")
+    e = xa @ xb.T
+    e *= 2.0 * gamma
+    e -= gamma * np.sum(xa * xa, axis=1)[:, None]
+    e -= gamma * np.sum(xb * xb, axis=1)[None, :]
+    np.minimum(e, 0.0, out=e)
+    np.exp(e, out=e)
+    cols = np.add.reduceat(e, ob[:-1], axis=1)
     norm = sa[:, None] * sb[None, :]
-    k = blocks / norm
+    k = np.add.reduceat(cols, oa[:-1], axis=0) / norm
     if not with_pullback:
         return k
 
     def pullback(coeffs):
-        # Per-node-pair coefficient: upstream / (n_a * m_b), spread to nodes.
-        g = np.repeat(np.repeat(coeffs / norm, sa, axis=0), sb, axis=1)
+        # Per-node-pair coefficient upstream / (n_a * m_b), spread over
+        # rows, then over columns into a fresh buffer: e is never written.
+        crow = np.repeat(coeffs / norm, sa, axis=0)
+        g = np.repeat(crow, sb, axis=1)
         g *= e
-        da = -2.0 * gamma * (xa * g.sum(axis=1)[:, None] - g @ xb)
+        row_sums = np.sum(crow * cols, axis=1)
+        da = -2.0 * gamma * (xa * row_sums[:, None] - g @ xb)
         db = -2.0 * gamma * (xb * g.sum(axis=0)[:, None] - g.T @ xa)
         return np.split(da, oa[1:-1]), np.split(db, ob[1:-1])
 

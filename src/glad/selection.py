@@ -210,9 +210,9 @@ def write_selection(result: SelectionResult, out_path,
     (method, selected model, iteration count, convergence residual)."""
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["graph_id,score"]
-    for gid, s in zip(result.graph_ids, result.final_scores):
-        lines.append(f"{gid},{format(float(s), '.9g')}")
+    lines = ["graph_id,score"] + [
+        "%s,%.9g" % pair
+        for pair in zip(result.graph_ids, result.final_scores.tolist())]
     out_path.write_text("\n".join(lines) + "\n")
     if meta_path is None:
         meta_path = out_path.parent / "selection_meta.txt"

@@ -118,7 +118,15 @@ class CandidatePool:
 # Objective
 # ---------------------------------------------------------------------------
 
-def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
+def _embed(graphs, params: ParamSet, with_cache: bool = True) -> dict:
+    """``{graph_id: (EmbeddingSet, caches)}`` for each graph; caches are
+    None without ``with_cache``."""
+    out = {g.graph_id: gin_forward(g, params, with_cache) for g in graphs}
+    return out if with_cache else {gid: (s, None) for gid, s in out.items()}
+
+
+def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None,
+                    embedded=None):
     """Pooled vectors for a batch at the given parameters and, given a
     center, the data-term loss and its gradient.
 
@@ -126,7 +134,9 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
     distribution readout: landmark node embeddings are recomputed at
     ``params`` while the eigen factor and bandwidth stay frozen.  With
     ``mmd_state=None`` the mean readout is used.  Each graph id is
-    embedded once, batch graphs first.
+    embedded once, batch graphs first, unless ``embedded`` (from
+    :func:`_embed` at ``params``, with caches when a center is given)
+    already holds it.
 
     Returns ``(pooled, data_loss, grads)``; the last two are None without
     a center.  ``data_loss`` is the mean squared center distance and
@@ -138,13 +148,10 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
     landmark_graphs = [] if mmd_state is None else list(mmd_state[0])
     everyone = list(graphs) + landmark_graphs
     with_grad = center is not None
-    uniq, emb, caches = {}, {}, {}
-    for g in everyone:
-        if g.graph_id not in uniq:
-            uniq[g.graph_id] = g
-            out = gin_forward(g, params, with_cache=with_grad)
-            emb[g.graph_id], caches[g.graph_id] = \
-                out if with_grad else (out, None)
+    uniq = {g.graph_id: g for g in everyone}
+    if embedded is None:
+        embedded = _embed(uniq.values(), params, with_cache=with_grad)
+    emb = {gid: embedded[gid][0] for gid in uniq}
     bsets = [emb[g.graph_id] for g in graphs]
     if mmd_state is None:
         pooled = np.stack([mean_pool(s) for s in bsets])
@@ -171,7 +178,7 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
         acc[g.graph_id] += d
     grads = GradSet.zeros_like(params)
     for gid, g in uniq.items():
-        gin_backward(g, params, caches[gid], acc[gid], grads)
+        gin_backward(g, params, embedded[gid][1], acc[gid], grads)
     return pooled, loss, grads
 
 
@@ -179,12 +186,11 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
 # Training
 # ---------------------------------------------------------------------------
 
-def _refresh_map(graphs, landmark_graphs, params, rng, rank):
-    """Recompute bandwidth and eigen factor at the current parameters."""
-    sets = [gin_forward(g, params) for g in graphs]
-    by_id = {s.graph_id: s for s in sets}
-    gamma = median_heuristic(sets, rng=rng)
-    lsets = [by_id[g.graph_id] for g in landmark_graphs]
+def _refresh_map(embedded, landmark_graphs, rng, rank):
+    """Bandwidth and eigen factor from the embeddings of every training
+    graph, as :func:`_embed` returns them."""
+    gamma = median_heuristic([s for s, _ in embedded.values()], rng=rng)
+    lsets = [embedded[g.graph_id][0] for g in landmark_graphs]
     return nystrom_fit(lsets, KernelConfig(gamma=gamma), rank=rank)
 
 
@@ -196,7 +202,10 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
     from ``init_params`` seeded with ``config.seed``; landmark choice,
     batch order and bandwidth sampling use a stream derived from
     ``(base_seed, config.seed)``.  The center is the mean pooled
-    embedding under the initial weights and never moves.
+    embedding under the initial weights and never moves.  The MMD
+    readout embeds every training graph once per epoch; that pass feeds
+    the bandwidth, the Nystrom refit, the epoch's first batch and, at
+    initialization, the center.
     """
     if train_db.d_in is None:
         raise ValueError("training database has no derived features")
@@ -208,15 +217,17 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
     batch_size = min(config.batch_size, n)
     is_mmd = config.pooling == "mmd"
 
-    landmark_graphs, nmap, rank, state = [], None, None, None
+    landmark_graphs, nmap, rank, state, embedded = [], None, None, None, None
     if is_mmd:
         k = min(config.nystrom_k, n)
         land_idx = np.sort(rng.choice(n, size=k, replace=False))
         landmark_graphs = [graphs[i] for i in land_idx]
-        nmap = _refresh_map(graphs, landmark_graphs, params, rng, rank=None)
+        embedded = _embed(graphs, params)
+        nmap = _refresh_map(embedded, landmark_graphs, rng, rank=None)
         rank = nmap.rank
         state = (landmark_graphs, nmap.factor, nmap.config.gamma)
-    center = batch_objective(graphs, params, state)[0].mean(axis=0)
+    center = batch_objective(graphs, params, state,
+                             embedded=embedded)[0].mean(axis=0)
 
     def fail(msg: str) -> TrainedCandidate:
         return TrainedCandidate(config=config, params=None, center=None,
@@ -232,9 +243,9 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
         # overflow warnings it produces on the way.
         with np.errstate(over="ignore", invalid="ignore"):
             if is_mmd and epoch > 0:
+                embedded = _embed(graphs, params)
                 try:
-                    nmap = _refresh_map(graphs, landmark_graphs, params,
-                                        rng, rank)
+                    nmap = _refresh_map(embedded, landmark_graphs, rng, rank)
                 except (DegenerateInputError, ValueError,
                         np.linalg.LinAlgError) as exc:
                     return fail(f"refresh failed in epoch {epoch}: {exc}")
@@ -245,7 +256,8 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
             for start in range(0, n, batch_size):
                 batch = [graphs[i] for i in order[start:start + batch_size]]
                 _, data_loss, grads = batch_objective(batch, params, state,
-                                                      center)
+                                                      center, embedded)
+                embedded = None  # stale once the step below moves params
                 loss = data_loss + 0.5 * config.weight_decay * params.sq_norm()
                 if not math.isfinite(loss):
                     return fail(f"non-finite loss in epoch {epoch}")
@@ -257,7 +269,8 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
     if is_mmd:
         # Scoring snapshot: factor and bandwidth consistent with the
         # final weights, landmark embeddings stored inside the map.
-        nmap = _refresh_map(graphs, landmark_graphs, params, rng, rank)
+        nmap = _refresh_map(_embed(graphs, params, with_cache=False),
+                            landmark_graphs, rng, rank)
     return TrainedCandidate(config=config, params=params, center=center,
                             nystrom=nmap, final_loss=final_loss)
 
@@ -397,9 +410,9 @@ def save_pool(pool: CandidatePool, directory) -> None:
     (directory / "pool_configs.csv").write_text("\n".join(cfg_lines) + "\n")
 
     head = "model_id," + ",".join(str(g) for g in pool.graph_ids)
-    score_lines = [head]
-    for mid, row in zip(pool.model_ids, pool.scores):
-        score_lines.append(mid + "," + ",".join(format(x, ".9g") for x in row))
+    row_fmt = "%s" + ",%.9g" * len(pool.graph_ids)
+    score_lines = [head] + [row_fmt % (mid, *row.tolist())
+                            for mid, row in zip(pool.model_ids, pool.scores)]
     (directory / "pool_scores.csv").write_text("\n".join(score_lines) + "\n")
 
 

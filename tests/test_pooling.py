@@ -71,6 +71,15 @@ class TestKernels:
                 assert k[i, j] == pytest.approx(brute_set_kernel(a, b, 0.4),
                                                 abs=1e-12)
 
+    def test_empty_set_rejected(self):
+        rng = np.random.default_rng(14)
+        sets = make_sets(rng, 3, 4)
+        empty = EmbeddingSet(graph_id=77, vectors=np.zeros((0, 4)))
+        for a, b in (([empty] + sets, sets), (sets + [empty], sets),
+                     (sets, [empty] + sets), (sets, sets + [empty])):
+            with pytest.raises(ValueError, match="graph 77 has no rows"):
+                set_kernel_matrix(a, b, 0.5, with_pullback=True)
+
 
 class TestComplementarity:
     def test_mmd_separates_equal_mean_different_spread(self):
@@ -191,9 +200,8 @@ class TestKernelGrads:
         sets_a = make_sets(rng, 2, 3, min_n=2, max_n=4)
         sets_b = make_sets(rng, 3, 3, min_n=2, max_n=4)
         gamma = 0.8
-        coeffs = rng.standard_normal((2, 3))
 
-        def objective(va, vb):
+        def objective(va, vb, coeffs):
             aa = [EmbeddingSet(graph_id=s.graph_id, vectors=v)
                   for s, v in zip(sets_a, va)]
             bb = [EmbeddingSet(graph_id=s.graph_id, vectors=v)
@@ -202,21 +210,27 @@ class TestKernelGrads:
 
         k, pullback = set_kernel_matrix(sets_a, sets_b, gamma,
                                         with_pullback=True)
+        k_before = k.copy()
         assert np.array_equal(k, set_kernel_matrix(sets_a, sets_b, gamma))
-        ga, gb = pullback(coeffs)
         h = 1e-6
-        for side, sets, grads in (("a", sets_a, ga), ("b", sets_b, gb)):
-            for k, s in enumerate(sets):
-                for pos in np.ndindex(*s.vectors.shape):
-                    va = [x.vectors.copy() for x in sets_a]
-                    vb = [x.vectors.copy() for x in sets_b]
-                    tgt = va if side == "a" else vb
-                    tgt[k][pos] += h
-                    up = objective(va, vb)
-                    tgt[k][pos] -= 2 * h
-                    down = objective(va, vb)
-                    fd = (up - down) / (2 * h)
-                    assert grads[k][pos] == pytest.approx(fd, abs=5e-6)
+        # Two calls with different coefficients: the first must leave
+        # nothing behind that the second reads.
+        for coeffs in (rng.standard_normal((2, 3)),
+                       rng.standard_normal((2, 3))):
+            ga, gb = pullback(coeffs)
+            for side, sets, grads in (("a", sets_a, ga), ("b", sets_b, gb)):
+                for i, s in enumerate(sets):
+                    for pos in np.ndindex(*s.vectors.shape):
+                        va = [x.vectors.copy() for x in sets_a]
+                        vb = [x.vectors.copy() for x in sets_b]
+                        tgt = va if side == "a" else vb
+                        tgt[i][pos] += h
+                        up = objective(va, vb, coeffs)
+                        tgt[i][pos] -= 2 * h
+                        down = objective(va, vb, coeffs)
+                        fd = (up - down) / (2 * h)
+                        assert grads[i][pos] == pytest.approx(fd, abs=5e-6)
+        np.testing.assert_array_equal(k, k_before)
 
 
 class TestGramProperties:

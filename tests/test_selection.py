@@ -214,6 +214,20 @@ class TestWriteSelection:
         assert meta == ["method = hits", "selected_model = m003",
                         "iterations = 12", "residual = 3.456e-10"]
 
+    def test_scores_match_per_element_format(self, tmp_path):
+        scores = np.array([0.0, 5e-324, 1e300, -1e300, -0.1234567891234])
+        res = SelectionResult(method="mc", final_scores=scores,
+                              graph_ids=[3, 1, 4, 15, 9],
+                              reliability=np.array([1.0]))
+        out = tmp_path / "s.csv"
+        write_selection(res, out)
+        want = ["graph_id,score"] + [f"{g},{format(float(x), '.9g')}"
+                                     for g, x in zip(res.graph_ids, scores)]
+        assert out.read_text() == "\n".join(want) + "\n"
+        back = [float(line.split(",")[1])
+                for line in out.read_text().splitlines()[1:]]
+        np.testing.assert_allclose(back, scores, rtol=1e-8)
+
     def test_ensemble_meta_uses_dash(self, tmp_path):
         res = SelectionResult(method="hits-ens",
                               final_scores=np.array([1.0]),

@@ -13,7 +13,7 @@ from glad.errors import FormatError
 from glad.numkit import GradSet, ParamSet, finite_diff_grad, init_params
 from glad.pooling import KernelConfig, mean_pool, median_heuristic, nystrom_fit
 from glad.trainer import (DEFAULT_GRID, CandidatePool, ModelConfig,
-                          batch_objective, expand_grid, load_pool,
+                          _embed, batch_objective, expand_grid, load_pool,
                           nystrom_size, run_grid, save_pool, score_graphs,
                           train_candidate)
 
@@ -117,7 +117,13 @@ class TestObjective:
         state = (graphs[:2], nmap.factor, gamma)
         center = batch_objective(graphs, params, state)[0].mean(axis=0) + 0.05
         wd = 1e-3
-        _, _, grads = batch_objective(graphs, params, state, center)
+        _, loss, grads = batch_objective(graphs, params, state, center)
+        # Embeddings handed in from one training-set pass give the same
+        # loss and gradient bit for bit.
+        _, loss2, grads2 = batch_objective(graphs, params, state, center,
+                                           _embed(graphs, params))
+        assert loss2 == loss
+        np.testing.assert_array_equal(grads2.flatten(), grads.flatten())
         full = self._full_grad(grads, params, wd)
         fd = finite_diff_grad(
             lambda p: batch_objective(graphs, p, state, center)[1]
@@ -185,6 +191,27 @@ class TestTrainCandidate:
         assert cand.center.shape == (cand.nystrom.rank,)
         assert math.isfinite(cand.final_loss)
         assert score_graphs(test, cand).shape == (20,)
+
+    def test_mmd_embeds_each_graph_once_per_epoch(self, bench, monkeypatch):
+        # One batch per epoch: the pass that refits bandwidth and factor
+        # also serves the batch (and, at initialization, the center), so
+        # each epoch embeds every graph once, plus once for the final
+        # scoring snapshot.
+        train, _ = bench
+        calls = []
+
+        def counting(graph, params, with_cache=False):
+            calls.append(graph.graph_id)
+            return gin_forward(graph, params, with_cache=with_cache)
+
+        monkeypatch.setattr("glad.trainer.gin_forward", counting)
+        epochs = 3
+        cfg = ModelConfig(pooling="mmd", layers=1, lr=0.01, seed=0,
+                          nystrom_k=6, epochs=epochs, batch_size=len(train),
+                          d_hidden=8)
+        assert not train_candidate(train, cfg).failed
+        assert len(calls) == (epochs + 1) * len(train)
+        assert sorted(calls) == sorted(train.graph_ids * (epochs + 1))
 
     def test_divergence_marks_failed(self, bench):
         train, _ = bench
@@ -330,6 +357,22 @@ class TestPoolFiles:
         lines = (tmp_path / "pool_scores.csv").read_text().splitlines()
         assert lines[0] == "model_id,10,11"
         assert lines[1].split(",")[1] == "0.123456789"
+
+    def test_score_format_matches_per_element_format(self, tmp_path):
+        pool = self.make_pool()
+        scores = np.array([[0.0, 5e-324, 1e300, -2.5e-7],
+                           [-0.0, -1e300, -0.1234567891234, 123456789012.0]])
+        pool = CandidatePool(model_ids=pool.model_ids, configs=pool.configs,
+                             scores=scores, graph_ids=[10, 11, 12, 13])
+        save_pool(pool, tmp_path)
+        want = ["model_id,10,11,12,13"] + [
+            mid + "," + ",".join(format(x, ".9g") for x in row)
+            for mid, row in zip(pool.model_ids, scores)]
+        text = (tmp_path / "pool_scores.csv").read_text()
+        assert text == "\n".join(want) + "\n"
+        back = load_pool(tmp_path)
+        np.testing.assert_allclose(back.scores, scores, rtol=1e-8)
+        assert back.scores[0, 1] == 5e-324
 
     def test_config_header(self, tmp_path):
         save_pool(self.make_pool(), tmp_path)
