@@ -11,12 +11,11 @@ from .encoder import EmbeddingSet, gin_backward, gin_forward
 from .errors import (DegenerateInputError, FormatError, GladError, LoadError,
                      MethodError, SplitError)
 from .metrics import midrank, roc_auc, wilcoxon_one_sided
-from .numkit import GradSet, ParamSet, finite_diff_grad, init_params, sgd_step
+from .numkit import GradSet, ParamSet, init_params, sgd_step
 from .pipeline import (BenchmarkParams, EvalReport, PipelineConfig,
                        generate_benchmark, parse_grid_file,
                        parse_pipeline_config, run_pipeline)
-from .pooling import (KernelConfig, NystromMap, mean_pool, median_heuristic,
-                      mmd_pool, mmd_squared, nystrom_fit, set_kernel)
+from .pooling import NystromMap, mean_pool, median_heuristic, nystrom_fit
 from .selection import (SelectionResult, hits, hits_ens, hits_select,
                         mc_select, normalize_rows, select, spearman,
                         udr_select)

@@ -24,11 +24,14 @@ from .metrics import roc_auc
 
 
 def _cmd_generate(args) -> int:
-    params = gpipe.BenchmarkParams(
-        n_train=args.n_train, n_test=args.n_test,
-        anomaly_rate=args.anomaly_rate, nodes=args.nodes, ba_m=args.ba_m,
-        labels=args.labels, homophily_in=args.homophily_in,
-        homophily_out=args.homophily_out)
+    try:
+        params = gpipe.BenchmarkParams(
+            n_train=args.n_train, n_test=args.n_test,
+            anomaly_rate=args.anomaly_rate, nodes=args.nodes, ba_m=args.ba_m,
+            labels=args.labels, homophily_in=args.homophily_in,
+            homophily_out=args.homophily_out)
+    except ValueError as exc:
+        raise FormatError(f"bad generate option: {exc}") from None
     train_db, test_db = gpipe.generate_benchmark(params, args.seed)
     out = Path(args.out)
     gdata.write_tu_dataset(train_db, out / "train", "synthetic")
@@ -107,7 +110,10 @@ def _cmd_evaluate(args) -> int:
     scores = _read_csv_column(args.scores, "score", _finite_score)
     flags = _read_csv_column(args.flags, "flag", gdata.parse_flag)
     if set(scores) != set(flags):
-        raise FormatError("scores and flags cover different graph ids")
+        gid = sorted(set(scores) ^ set(flags))[0]
+        raise FormatError(f"{args.scores} and {args.flags} cover different "
+                          f"graph ids: {gid} is only in "
+                          f"{args.scores if gid in scores else args.flags}")
     gids = list(scores)
     auc = roc_auc(np.array([scores[g] for g in gids]),
                   np.array([flags[g] for g in gids]))

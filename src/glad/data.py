@@ -8,7 +8,7 @@ graphs plus database-level annotations (class labels, anomaly flags).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -86,10 +86,6 @@ class Graph:
             d[u] += 1
             d[v] += 1
         return d
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     @property
     def d_in(self) -> int | None:
@@ -522,15 +518,3 @@ def generate_mixhop(n_graphs: int, nodes_per_graph: int, ba_m: int,
                             edges=_normalized_edges(edges),
                             node_labels=labels))
     return GraphDatabase(graphs=tuple(graphs))
-
-
-def same_label_edge_fraction(db: GraphDatabase) -> float:
-    """Fraction of edges joining equally labelled endpoints, over all graphs."""
-    same = total = 0
-    for g in db.graphs:
-        for u, v, _ in g.edges:
-            total += 1
-            same += int(g.node_labels[u] == g.node_labels[v])
-    if total == 0:
-        raise ValueError("no edges")
-    return same / total

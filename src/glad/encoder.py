@@ -1,7 +1,7 @@
 """Node embedding via isomorphism-network message passing.
 
-Each layer aggregates ``(1 + eps) * h_v + sum_u w_uv * h_u`` over the
-weighted neighborhood and pushes the result through a bias-free
+Each layer is GIN-0: it aggregates ``h + A @ h`` (A the weighted
+adjacency, zero diagonal) and pushes the result through a bias-free
 two-layer MLP (ReLU after the first linear map, none after the second).
 Only the last layer's node embeddings are exposed.
 """
@@ -28,11 +28,6 @@ class EmbeddingSet:
         return self.vectors.shape[0]
 
 
-def neighbor_messages(graph: Graph, h: np.ndarray, eps: float) -> np.ndarray:
-    """Pre-MLP aggregation ``(1 + eps) * h + A @ h`` (A weighted, no diag)."""
-    return (1.0 + eps) * h + graph.adjacency @ h
-
-
 def gin_forward(graph: Graph, params: ParamSet,
                 with_cache: bool = False):
     """Embed one graph's nodes.
@@ -48,8 +43,8 @@ def gin_forward(graph: Graph, params: ParamSet,
                          f"{graph.features.shape[1]} != d_in {params.d_in}")
     h = graph.features
     caches = []
-    for (w1, w2), eps in zip(params.layers, params.epsilons):
-        z = neighbor_messages(graph, h, eps)
+    for w1, w2 in params.layers:
+        z = h + graph.adjacency @ h
         m = z @ w1
         mask = m > 0
         a = np.where(mask, m, 0.0)
@@ -61,12 +56,11 @@ def gin_forward(graph: Graph, params: ParamSet,
 
 
 def gin_backward(graph: Graph, params: ParamSet, caches,
-                 d_out: np.ndarray, grads: GradSet) -> np.ndarray:
+                 d_out: np.ndarray, grads: GradSet) -> None:
     """Backpropagate ``d_out`` (gradient w.r.t. the final node embeddings)
     through the encoder, accumulating weight gradients into ``grads``.
-
-    Returns the gradient w.r.t. the input features (rarely needed; the
-    caller usually discards it).
+    Propagation stops at layer 0's weights: no gradient w.r.t. the input
+    features is formed.
     """
     dh = d_out
     for l in range(params.n_layers - 1, -1, -1):
@@ -74,10 +68,9 @@ def gin_backward(graph: Graph, params: ParamSet, caches,
         z, a, mask = caches[l]
         g1, g2 = grads.layers[l]
         g2 += a.T @ dh
-        da = dh @ w2.T
-        dm = np.where(mask, da, 0.0)
+        dm = np.where(mask, dh @ w2.T, 0.0)
         g1 += z.T @ dm
-        dz = dm @ w1.T
-        # Aggregation is linear; A is symmetric so A^T = A.
-        dh = (1.0 + params.epsilons[l]) * dz + graph.adjacency @ dz
-    return dh
+        if l:
+            dz = dm @ w1.T
+            # Aggregation is linear; A is symmetric so A^T = A.
+            dh = dz + graph.adjacency @ dz

@@ -6,7 +6,7 @@ class GladError(Exception):
 
 
 class FormatError(GladError):
-    """A file or stream violates the expected on-disk format."""
+    """A file, stream or option value violates the expected format."""
 
 
 class LoadError(GladError):

@@ -56,7 +56,22 @@ class BenchmarkParams:
         if not 0 < self.anomaly_rate < 1:
             raise ValueError(f"anomaly_rate {self.anomaly_rate} outside (0, 1)")
         if min(self.n_train, self.n_test) < 1:
-            raise ValueError("need at least one train and one test graph")
+            raise ValueError(f"need n_train, n_test >= 1, got n_train "
+                             f"{self.n_train}, n_test {self.n_test}")
+        if self.n_anomalies >= self.n_test:
+            raise ValueError("anomaly_rate leaves no inliers in the test set")
+        if not 1 <= self.ba_m < self.nodes or self.labels < 1:
+            raise ValueError(f"need nodes > ba_m >= 1 and labels >= 1, got "
+                             f"nodes {self.nodes}, ba_m {self.ba_m}, "
+                             f"labels {self.labels}")
+        for name in ("homophily_in", "homophily_out"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} {getattr(self, name)} outside [0, 1]")
+
+    @property
+    def n_anomalies(self) -> int:
+        """Anomalous test graphs: the rate's share of n_test, at least one."""
+        return max(1, int(round(self.anomaly_rate * self.n_test)))
 
 
 @dataclass(eq=False)
@@ -80,9 +95,7 @@ def generate_benchmark(params: BenchmarkParams, master_seed: int):
     Returns ``(train_db, test_db)``.
     """
     p = params
-    n_anom = max(1, int(round(p.anomaly_rate * p.n_test)))
-    if n_anom >= p.n_test:
-        raise ValueError("anomaly_rate leaves no inliers in the test set")
+    n_anom = p.n_anomalies
     n_test_in = p.n_test - n_anom
 
     train = gdata.generate_mixhop(
@@ -192,17 +205,38 @@ class PipelineConfig:
 
 
 def parse_pipeline_config(path) -> PipelineConfig:
-    """Read an INI-style pipeline configuration file."""
+    """Read an INI-style pipeline configuration file.
+
+    A malformed file or value raises FormatError naming the file and the
+    key.  Integers (counts, seeds, class ids) must be non-negative.
+    """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(str(path))
+    except configparser.Error as exc:  # names the file and the line
+        raise FormatError(" ".join(str(exc).split())) from None
     if not read:
         raise FormatError(f"cannot read pipeline config {path}")
     if "run" not in cp or "out_dir" not in cp["run"]:
         raise FormatError(f"{path}: [run] section with out_dir is required")
-    run = cp["run"]
-    kwargs = dict(out_dir=Path(run["out_dir"]),
-                  master_seed=run.getint("master_seed", 0),
-                  workers=run.getint("workers", 1))
+
+    def value(section, key, default, low=0):
+        """``[section] key`` cast to the type of ``default``."""
+        raw = cp.get(section, key, fallback=None)
+        if raw is None:
+            return default
+        try:
+            v = type(default)(raw)
+        except ValueError:
+            v = None
+        if v is None or (type(v) is int and v < low):
+            raise FormatError(f"{path}: bad value for [{section}] {key}: "
+                              f"{raw!r}")
+        return v
+
+    kwargs = dict(out_dir=Path(cp["run"]["out_dir"]),
+                  master_seed=value("run", "master_seed", 0),
+                  workers=value("run", "workers", 1))
     if "selection" in cp and "methods" in cp["selection"]:
         methods = tuple(m.strip() for m in
                         cp["selection"]["methods"].split(",") if m.strip())
@@ -217,25 +251,25 @@ def parse_pipeline_config(path) -> PipelineConfig:
     source = d.get("source", "generate")
     kwargs["source"] = source
     if source == "generate":
-        kwargs["bench"] = BenchmarkParams(
-            n_train=int(d.get("n_train", 100)),
-            n_test=int(d.get("n_test", 100)),
-            anomaly_rate=float(d.get("anomaly_rate", 0.05)),
-            nodes=int(d.get("nodes", 50)),
-            ba_m=int(d.get("ba_m", 2)),
-            labels=int(d.get("labels", 5)),
-            homophily_in=float(d.get("homophily_in", 0.7)),
-            homophily_out=float(d.get("homophily_out", 0.3)))
+        shape = {k: value("data", k, v)
+                 for k, v in vars(BenchmarkParams()).items()}
+        try:
+            kwargs["bench"] = BenchmarkParams(**shape)
+        except ValueError as exc:
+            raise FormatError(f"{path}: [data] {exc}") from None
     elif source == "tu":
         if "directory" not in d:
             raise FormatError(f"{path}: tu source needs data.directory")
-        kwargs["tu_directory"] = Path(d["directory"])
-        kwargs["feature_kind"] = d.get("feature_kind")
-        kwargs["degree_cap"] = int(d.get("degree_cap",
-                                         gdata.DEFAULT_DEGREE_CAP))
-        kwargs["inlier_class"] = int(d.get("inlier_class", 0))
-        kwargs["train_fraction"] = float(d.get("train_fraction", 0.7))
-        kwargs["anomaly_rate"] = float(d.get("anomaly_rate", 0.05))
+        kind = d.get("feature_kind")
+        if kind is not None and kind not in gdata.FEATURE_KINDS:
+            raise FormatError(f"{path}: bad value for [data] feature_kind: "
+                              f"{kind!r}, expected one of {gdata.FEATURE_KINDS}")
+        kwargs.update(tu_directory=Path(d["directory"]), feature_kind=kind,
+                      degree_cap=value("data", "degree_cap",
+                                       gdata.DEFAULT_DEGREE_CAP, low=1),
+                      inlier_class=value("data", "inlier_class", 0),
+                      train_fraction=value("data", "train_fraction", 0.7),
+                      anomaly_rate=value("data", "anomaly_rate", 0.05))
     else:
         raise FormatError(f"{path}: unknown data source {source!r}")
     return PipelineConfig(**kwargs)
@@ -350,4 +384,3 @@ def run_pipeline(cfg: PipelineConfig):
     write_report(report, pool, selections, out / "report.txt",
                  elapsed=time.monotonic() - t0)
     return report, pool, selections
-

@@ -15,27 +15,8 @@ import numpy as np
 from .encoder import EmbeddingSet
 from .errors import DegenerateInputError
 
-DEFAULT_EIGEN_CUTOFF = 1e-8
+EIGEN_CUTOFF = 1e-8
 DEFAULT_SAMPLE_CAP = 100_000
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Resolved Gaussian kernel settings.
-
-    ``gamma`` is the exponent coefficient in ``exp(-gamma * ||x - y||^2)``.
-    ``eigen_cutoff`` discards landmark-matrix eigenvalues below
-    ``eigen_cutoff * lambda_max`` when building a Nystrom map.
-    """
-
-    gamma: float
-    eigen_cutoff: float = DEFAULT_EIGEN_CUTOFF
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not 0 <= self.eigen_cutoff < 1:
-            raise ValueError(f"eigen_cutoff {self.eigen_cutoff} outside [0, 1)")
 
 
 @dataclass(eq=False)
@@ -44,16 +25,13 @@ class NystromMap:
 
     ``factor`` has one column per retained eigenpair; mapping a set's
     kernel row against the landmarks through ``factor`` yields coordinates
-    whose inner products approximate the set kernel.
+    whose inner products approximate the set kernel.  ``gamma`` is the
+    exponent coefficient in ``exp(-gamma * ||x - y||^2)``.
     """
 
     landmarks: list
     factor: np.ndarray
-    config: KernelConfig
-
-    @property
-    def n_landmarks(self) -> int:
-        return len(self.landmarks)
+    gamma: float
 
     @property
     def rank(self) -> int:
@@ -128,21 +106,6 @@ def set_kernel_matrix(sets_a, sets_b, gamma: float,
     return k, pullback
 
 
-def set_kernel(s_i: EmbeddingSet, s_j: EmbeddingSet, gamma: float) -> float:
-    """Mean pairwise Gaussian kernel between two embedding sets."""
-    return float(set_kernel_matrix([s_i], [s_j], gamma)[0, 0])
-
-
-def mmd_squared(s_i: EmbeddingSet, s_j: EmbeddingSet, gamma: float) -> float:
-    """Biased squared maximum mean discrepancy between two sets.
-
-    Equals ``k(i,i) + k(j,j) - 2 k(i,j)`` with the mean-pairwise set
-    kernel; zero when both sets hold identical vectors.
-    """
-    k = set_kernel_matrix([s_i, s_j], [s_i, s_j], gamma)
-    return float(k[0, 0] + k[1, 1] - 2.0 * k[0, 1])
-
-
 def median_heuristic(sets, sample_cap: int = DEFAULT_SAMPLE_CAP,
                      rng=None) -> float:
     """Bandwidth rule: ``gamma = 1 / median(squared pairwise distances)``
@@ -175,22 +138,24 @@ def median_heuristic(sets, sample_cap: int = DEFAULT_SAMPLE_CAP,
     return 1.0 / med
 
 
-def nystrom_fit(landmarks, config: KernelConfig,
+def nystrom_fit(landmarks, gamma: float,
                 rank: int | None = None) -> NystromMap:
-    """Eigendecompose the landmark set-kernel matrix and keep the
-    well-conditioned part.
+    """Eigendecompose the landmark set-kernel matrix at bandwidth
+    ``gamma`` and keep the well-conditioned part.
 
-    With ``rank=None`` all eigenvalues above ``eigen_cutoff * lambda_max``
+    With ``rank=None`` all eigenvalues above ``EIGEN_CUTOFF * lambda_max``
     (and above zero) are retained.  With a fixed ``rank`` the top that
     many admissible eigenpairs are kept and the factor is zero-padded if
     fewer exist, so the output width never changes between refits.
     """
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
     if not landmarks:
         raise ValueError("need at least one landmark set")
-    k = set_kernel_matrix(landmarks, landmarks, config.gamma)
+    k = set_kernel_matrix(landmarks, landmarks, gamma)
     evals, evecs = np.linalg.eigh(k)
     evals, evecs = evals[::-1], evecs[:, ::-1]
-    floor = max(config.eigen_cutoff * max(evals[0], 0.0), 0.0)
+    floor = EIGEN_CUTOFF * max(evals[0], 0.0)
     keep = evals > floor
     if not np.any(keep):
         raise DegenerateInputError("landmark kernel matrix has no admissible "
@@ -205,16 +170,11 @@ def nystrom_fit(landmarks, config: KernelConfig,
     factor = (vecs * signs) / np.sqrt(vals)
     if rank is not None and n_keep < rank:
         factor = np.hstack([factor, np.zeros((len(landmarks), rank - n_keep))])
-    return NystromMap(landmarks=list(landmarks), factor=factor, config=config)
-
-
-def mmd_pool(s: EmbeddingSet, nmap: NystromMap) -> np.ndarray:
-    """Nystrom coordinates of one embedding set: its kernel row against
-    the landmarks pushed through the eigen factor."""
-    return mmd_pool_batch([s], nmap)[0]
+    return NystromMap(landmarks=list(landmarks), factor=factor, gamma=gamma)
 
 
 def mmd_pool_batch(sets, nmap: NystromMap) -> np.ndarray:
-    """Nystrom coordinates for many sets at once: (len(sets), rank)."""
-    krows = set_kernel_matrix(sets, nmap.landmarks, nmap.config.gamma)
+    """Nystrom coordinates of each set, (len(sets), rank): its kernel
+    row against the landmarks pushed through the eigen factor."""
+    krows = set_kernel_matrix(sets, nmap.landmarks, nmap.gamma)
     return krows @ nmap.factor

@@ -21,8 +21,8 @@ from .data import GraphDatabase, table_rows
 from .encoder import gin_backward, gin_forward
 from .errors import DegenerateInputError, FormatError
 from .numkit import GradSet, ParamSet, init_params, sgd_step
-from .pooling import (KernelConfig, NystromMap, mean_pool, median_heuristic,
-                      mmd_pool_batch, nystrom_fit, set_kernel_matrix)
+from .pooling import (NystromMap, mean_pool, median_heuristic, mmd_pool_batch,
+                      nystrom_fit, set_kernel_matrix)
 
 POOLINGS = ("mean", "mmd")
 
@@ -191,7 +191,7 @@ def _refresh_map(embedded, landmark_graphs, rng, rank):
     graph, as :func:`_embed` returns them."""
     gamma = median_heuristic([s for s, _ in embedded.values()], rng=rng)
     lsets = [embedded[g.graph_id][0] for g in landmark_graphs]
-    return nystrom_fit(lsets, KernelConfig(gamma=gamma), rank=rank)
+    return nystrom_fit(lsets, gamma, rank=rank)
 
 
 def train_candidate(train_db: GraphDatabase, config: ModelConfig,
@@ -225,7 +225,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
         embedded = _embed(graphs, params)
         nmap = _refresh_map(embedded, landmark_graphs, rng, rank=None)
         rank = nmap.rank
-        state = (landmark_graphs, nmap.factor, nmap.config.gamma)
+        state = (landmark_graphs, nmap.factor, nmap.gamma)
     center = batch_objective(graphs, params, state,
                              embedded=embedded)[0].mean(axis=0)
 
@@ -249,7 +249,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
                 except (DegenerateInputError, ValueError,
                         np.linalg.LinAlgError) as exc:
                     return fail(f"refresh failed in epoch {epoch}: {exc}")
-            state = (landmark_graphs, nmap.factor, nmap.config.gamma) \
+            state = (landmark_graphs, nmap.factor, nmap.gamma) \
                 if is_mmd else None
             order = rng.permutation(n)
             batch_losses = []

@@ -10,16 +10,15 @@ import time
 
 import numpy as np
 import pytest
-from conftest import record
+from conftest import finite_diff_grad, flatten, mmd_squared, record
 
 from glad.data import Graph, GraphDatabase, derive_features, generate_mixhop
 from glad.encoder import EmbeddingSet, gin_forward
 from glad.metrics import midrank, roc_auc, wilcoxon_one_sided
-from glad.numkit import GradSet, finite_diff_grad, init_params
+from glad.numkit import GradSet, init_params
 from glad.pipeline import BenchmarkParams, PipelineConfig, run_pipeline
-from glad.pooling import (KernelConfig, mean_pool, median_heuristic,
-                          mmd_pool_batch, mmd_squared, nystrom_fit,
-                          set_kernel, set_kernel_matrix)
+from glad.pooling import (mean_pool, median_heuristic, mmd_pool_batch,
+                          nystrom_fit, set_kernel_matrix)
 from glad.selection import hits
 from glad.trainer import ModelConfig, batch_objective, run_grid
 
@@ -99,7 +98,8 @@ def test_criterion_2_mmd_brute_force():
                 return total / (s.size * t.size)
 
             worst = max(worst,
-                        abs(set_kernel(a, b, gamma) - brute(a, b)),
+                        abs(set_kernel_matrix([a], [b], gamma)[0, 0]
+                            - brute(a, b)),
                         abs(mmd_squared(a, b, gamma)
                             - (brute(a, a) + brute(b, b) - 2 * brute(a, b))))
         ok = worst <= 1e-10
@@ -116,14 +116,13 @@ def test_criterion_3_nystrom_reconstruction():
         sets = [EmbeddingSet(graph_id=i, vectors=rng.standard_normal(
             (int(rng.integers(2, 7)), 3))) for i in range(12)]
         gamma = median_heuristic(sets)
-        config = KernelConfig(gamma=gamma)
         k_full = set_kernel_matrix(sets, sets, gamma)
 
-        h_full = mmd_pool_batch(sets, nystrom_fit(sets, config))
+        h_full = mmd_pool_batch(sets, nystrom_fit(sets, gamma))
         err_full = float(np.max(np.abs(k_full - h_full @ h_full.T)))
 
         landmarks = sets[:5]
-        h_sub = mmd_pool_batch(sets, nystrom_fit(landmarks, config))
+        h_sub = mmd_pool_batch(sets, nystrom_fit(landmarks, gamma))
         k_gb = set_kernel_matrix(sets, landmarks, gamma)
         k_bb = set_kernel_matrix(landmarks, landmarks, gamma)
         dense = k_gb @ np.linalg.pinv(k_bb) @ k_gb.T
@@ -144,12 +143,12 @@ def test_criterion_4_gradient_check():
         graphs = list(db.graphs)
         params = init_params(db.d_in, 8, 2, seed=4)
         rng = np.random.default_rng(404)
-        idx = rng.choice(params.n_params, size=100, replace=False)
+        idx = rng.choice(flatten(params).size, size=100, replace=False)
         wd = 1e-3
 
         sets = [gin_forward(g, params) for g in graphs]
         gamma = median_heuristic(sets)
-        nmap = nystrom_fit(sets[:2], KernelConfig(gamma=gamma))
+        nmap = nystrom_fit(sets[:2], gamma)
         mmd_state = (graphs[:2], nmap.factor, gamma)
 
         worst = 0.0
@@ -164,8 +163,8 @@ def test_criterion_4_gradient_check():
             fd = finite_diff_grad(
                 lambda p: batch_objective(graphs, p, state, center)[1]
                 + 0.5 * wd * p.sq_norm(), params, h=1e-5, indices=idx)
-            af = full.flatten()[idx]
-            ff = fd.flatten()[idx]
+            af = flatten(full)[idx]
+            ff = flatten(fd)[idx]
             rel = np.abs(af - ff) / np.maximum(np.abs(ff), 1e-8)
             worst = max(worst, float(rel.max()))
         ok = worst <= 1e-4

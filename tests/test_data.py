@@ -5,7 +5,7 @@ import pytest
 
 from glad.data import (DEFAULT_DEGREE_CAP, Graph, GraphDatabase, dataset_name,
                        derive_features, generate_mixhop, load_tu_dataset,
-                       make_split, same_label_edge_fraction, write_tu_dataset)
+                       make_split, write_tu_dataset)
 from glad.errors import FormatError, LoadError, SplitError
 
 
@@ -46,7 +46,7 @@ class TestGraph:
     def test_degrees_unweighted(self):
         g = tri()
         np.testing.assert_array_equal(g.degrees, [2, 2, 3, 1])
-        assert g.edge_count == 4
+        assert len(g.edges) == 4
 
 
 class TestTuFormat:
@@ -268,22 +268,24 @@ class TestGenerateMixhop:
     def test_edge_count_exact(self):
         db = generate_mixhop(5, 50, 2, 0.7, 5, seed=0)
         for g in db.graphs:
-            assert g.edge_count == 2 * (50 - 2)
+            assert len(g.edges) == 2 * (50 - 2)
         db = generate_mixhop(3, 30, 3, 0.5, 4, seed=1)
         for g in db.graphs:
-            assert g.edge_count == 3 * (30 - 3)
+            assert len(g.edges) == 3 * (30 - 3)
 
     def test_homophily_monotone(self):
         fracs = []
         for h in (0.1, 0.5, 0.9):
             db = generate_mixhop(20, 40, 2, h, 5, seed=42)
-            fracs.append(same_label_edge_fraction(db))
+            same = [g.node_labels[u] == g.node_labels[v]
+                    for g in db.graphs for u, v, _ in g.edges]
+            fracs.append(np.mean(same))
         assert fracs[0] < fracs[1] < fracs[2]
 
     def test_single_label_gives_connected_ba(self):
         db = generate_mixhop(1, 30, 2, 1.0, 1, seed=5)
         g = db.graphs[0]
-        assert g.edge_count == 2 * 28
+        assert len(g.edges) == 2 * 28
         # BFS connectivity
         adj = g.adjacency > 0
         seen = {0}

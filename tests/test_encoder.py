@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from conftest import finite_diff_grad, flatten
 
 from glad.data import Graph, GraphDatabase, derive_features, generate_mixhop
-from glad.encoder import gin_backward, gin_forward, neighbor_messages
-from glad.numkit import GradSet, ParamSet, finite_diff_grad, init_params
+from glad.encoder import gin_backward, gin_forward
+from glad.numkit import GradSet, ParamSet, init_params
 
 
 def path_graph(weights=(1.0, 1.0), features=None):
@@ -21,8 +22,7 @@ class TestForward:
         g = Graph(graph_id=0, node_count=2, edges=((0, 1, 2.0),), features=x)
         w1 = np.array([[1.0, -1.0], [0.5, 1.0]])
         w2 = np.array([[2.0, 0.0], [1.0, 1.0]])
-        params = ParamSet(layers=[(w1, w2)], epsilons=[0.0], d_in=2,
-                          d_hidden=2)
+        params = ParamSet(layers=[(w1, w2)], d_in=2, d_hidden=2)
         # messages: node0 = x0 + 2*x1 = (1, 2); node1 = x1 + 2*x0 = (2, 1)
         msg = np.array([[1.0, 2.0], [2.0, 1.0]])
         hidden = np.maximum(msg @ w1, 0.0)
@@ -31,14 +31,14 @@ class TestForward:
         np.testing.assert_allclose(out.vectors, expected, atol=1e-12)
         assert out.graph_id == 0
 
-    def test_neighbor_messages_epsilon(self):
+    def test_gin0_hand_values(self):
         x = np.array([[1.0], [2.0], [4.0]])
         g = path_graph(weights=(1.0, 3.0), features=x)
-        msg = neighbor_messages(g, x, eps=0.5)
-        # node1 sees node0 (w=1) and node2 (w=3)
-        np.testing.assert_allclose(msg[:, 0],
-                                   [1.5 * 1 + 2, 1.5 * 2 + 1 + 12,
-                                    1.5 * 4 + 6])
+        params = ParamSet(layers=[(np.eye(1), np.eye(1))], d_in=1,
+                          d_hidden=1)
+        # h + A h; node1 sees node0 (w=1) and node2 (w=3)
+        np.testing.assert_array_equal(gin_forward(g, params).vectors[:, 0],
+                                      [1 + 2, 2 + 1 + 12, 4 + 6])
 
     def test_isolated_node_keeps_own_features(self):
         x = np.array([[3.0, 1.0]])
@@ -100,7 +100,7 @@ class TestBackward:
         _, caches = gin_forward(g, params, with_cache=True)
         gin_backward(g, params, caches, r, grads)
         fd = finite_diff_grad(loss, params, h=1e-6)
-        np.testing.assert_allclose(grads.flatten(), fd.flatten(),
+        np.testing.assert_allclose(flatten(grads), flatten(fd),
                                    rtol=1e-5, atol=1e-7)
 
     def test_accumulates_across_graphs(self):
@@ -117,7 +117,7 @@ class TestBackward:
             gin_backward(g, params, caches, d, solo)
             singles.append(solo)
         np.testing.assert_allclose(
-            both.flatten(), singles[0].flatten() + singles[1].flatten())
+            flatten(both), flatten(singles[0]) + flatten(singles[1]))
 
 
 class TestLocality:

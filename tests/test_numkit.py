@@ -1,21 +1,20 @@
-"""Parameter containers, SGD, finite differences."""
+"""Parameter containers, SGD, and the finite-difference test oracle."""
 
 import numpy as np
 import pytest
+from conftest import finite_diff_grad, flatten
 
-from glad.numkit import (GradSet, ParamSet, finite_diff_grad, init_params,
-                         sgd_step)
+from glad.numkit import GradSet, ParamSet, init_params, sgd_step
 
 
 class TestInitParams:
-    def test_shapes_and_epsilons(self):
+    def test_shapes(self):
         p = init_params(d_in=3, d_hidden=5, n_layers=2, seed=0)
         assert p.layers[0][0].shape == (3, 5)
         assert p.layers[0][1].shape == (5, 5)
         assert p.layers[1][0].shape == (5, 5)
         assert p.n_layers == 2
-        assert p.epsilons == [0.0, 0.0]
-        assert p.n_params == 15 + 25 + 25 + 25
+        assert flatten(p).size == 15 + 25 + 25 + 25
 
     def test_glorot_bounds(self):
         p = init_params(d_in=4, d_hidden=6, n_layers=1, seed=1)
@@ -33,12 +32,11 @@ class TestInitParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             init_params(0, 4, 1, seed=0)
-        with pytest.raises(ValueError):
-            ParamSet(layers=[(np.zeros((2, 3)), np.zeros((3, 3)))],
-                     epsilons=[0.0, 0.0], d_in=2, d_hidden=3)
+        with pytest.raises(ValueError, match="at least one layer"):
+            ParamSet(layers=[], d_in=2, d_hidden=3)
         with pytest.raises(ValueError, match="w1 shape"):
             ParamSet(layers=[(np.zeros((9, 3)), np.zeros((3, 3)))],
-                     epsilons=[0.0], d_in=2, d_hidden=3)
+                     d_in=2, d_hidden=3)
 
 
 class TestSgdStep:
@@ -88,18 +86,18 @@ class TestFiniteDiff:
 
         idx = [0, 3]
         fd = finite_diff_grad(loss, p, indices=idx)
-        flat = fd.flatten()
-        expect = 2.0 * p.flatten()
+        flat = flatten(fd)
+        expect = 2.0 * flatten(p)
         for i in idx:
             assert abs(flat[i] - expect[i]) < 1e-8
-        untouched = [i for i in range(p.n_params) if i not in idx]
+        untouched = [i for i in range(flat.size) if i not in idx]
         assert np.all(flat[untouched] == 0.0)
 
     def test_does_not_mutate(self):
         p = init_params(2, 2, 1, seed=5)
-        before = p.flatten()
+        before = flatten(p)
         finite_diff_grad(lambda q: float(q.layers[0][0].sum()), p)
-        np.testing.assert_array_equal(p.flatten(), before)
+        np.testing.assert_array_equal(flatten(p), before)
 
 
 class TestDescent:

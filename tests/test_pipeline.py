@@ -72,6 +72,15 @@ class TestGenerateBenchmark:
             generate_benchmark(BenchmarkParams(n_test=2, anomaly_rate=0.9),
                                0)
 
+    @pytest.mark.parametrize("kwargs,msg", [
+        (dict(nodes=2, ba_m=2), "ba_m"), (dict(ba_m=0), "ba_m"),
+        (dict(labels=0), "labels"), (dict(n_test=0), "n_test"),
+        (dict(homophily_out=1.5), "homophily_out"),
+    ])
+    def test_shape_validated_at_construction(self, kwargs, msg):
+        with pytest.raises(ValueError, match=msg):
+            BenchmarkParams(**kwargs)
+
 
 class TestGridFile:
     def test_round_trip(self, tmp_path):
@@ -174,6 +183,10 @@ anomaly_rate = 0.2
         ("[run]\nout_dir = x\n\n[data]\nsource = tu\n", "directory"),
         ("[run]\nout_dir = x\n\n[selection]\nmethods = best\n",
          "unknown selection"),
+        ("[run]\nout_dir = x\nmaster_seed = -1\n", "master_seed"),
+        ("[run]\nout_dir = x\n\n[data]\nsource = tu\ndirectory = d\n"
+         "degree_cap = 0\n", "degree_cap"),
+        ("[run]\nout_dir = x\n\n[data]\nnodes = 2\n", "ba_m"),
     ])
     def test_errors(self, tmp_path, body, msg):
         path = tmp_path / "run.ini"
@@ -418,3 +431,35 @@ labels = 2
         assert cli.main(["pipeline", "--config", str(ini)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(gone) in err
+
+        # Malformed pipeline configs name the file instead of a traceback.
+        run = f"[run]\nout_dir = {tmp_path / 'out'}\n"
+        for body in (run + "\n[data]\nn_train = abc\n",
+                     run + "workers = two\n",
+                     run + "\n[data]\nanomaly_rate = 2\n",
+                     "n_train = 3\n" + run,
+                     run + "\n[run]\nworkers = 2\n",
+                     run + f"\n[data]\nsource = tu\ndirectory = {data}\n"
+                           "feature_kind = bogus\n"):
+            ini.write_text(body)
+            assert cli.main(["pipeline", "--config", str(ini)]) == 2, body
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and str(ini) in err, body
+
+        for flag, bad in (("--ba-m", "0"), ("--anomaly-rate", "1.5"),
+                          ("--n-train", "0")):
+            assert cli.main(["generate", "--out", str(tmp_path / "g"),
+                             flag, bad]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and flag[2:].replace("-", "_") \
+                in err
+        assert not (tmp_path / "g").exists()
+
+        # Scores and flags over different ids: both files and one id named.
+        other = tmp_path / "other_flags.csv"
+        other.write_text("graph_id,flag\n1,0\n3,1\n")
+        assert cli.main(["evaluate", "--scores", str(good), "--flags",
+                         str(other), "--out", str(tmp_path / "e.txt")]) == 2
+        err = capsys.readouterr().err
+        assert str(good) in err and str(other) in err
+        assert "2 is only in " + str(good) in err

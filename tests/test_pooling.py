@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from conftest import mmd_squared
 
 from glad.encoder import EmbeddingSet
-from glad.pooling import (KernelConfig, mean_pool, median_heuristic,
-                          mmd_pool, mmd_pool_batch, mmd_squared, nystrom_fit,
-                          set_kernel, set_kernel_matrix)
+from glad.pooling import (mean_pool, median_heuristic, mmd_pool_batch,
+                          nystrom_fit, set_kernel_matrix)
 
 
 def make_sets(rng, count, dim, min_n=1, max_n=10):
@@ -32,7 +32,7 @@ class TestKernels:
             dim = int(rng.integers(2, 9))
             a, b = make_sets(rng, 2, dim)
             gamma = float(rng.uniform(0.1, 2.0))
-            assert set_kernel(a, b, gamma) == pytest.approx(
+            assert set_kernel_matrix([a], [b], gamma)[0, 0] == pytest.approx(
                 brute_set_kernel(a, b, gamma), abs=1e-10)
 
     def test_mmd_squared_matches_brute_force(self):
@@ -135,29 +135,26 @@ class TestNystrom:
     def test_factor_whitens_landmark_kernel(self):
         rng = np.random.default_rng(7)
         land = make_sets(rng, 6, 3)
-        cfg = KernelConfig(gamma=0.5)
-        nmap = nystrom_fit(land, cfg)
-        k = set_kernel_matrix(land, land, cfg.gamma)
+        nmap = nystrom_fit(land, 0.5)
+        k = set_kernel_matrix(land, land, 0.5)
         ident = nmap.factor.T @ k @ nmap.factor
         np.testing.assert_allclose(ident, np.eye(nmap.rank), atol=1e-8)
 
     def test_full_landmarks_reconstruct_gram(self):
         rng = np.random.default_rng(8)
         sets = make_sets(rng, 10, 4)
-        cfg = KernelConfig(gamma=0.3)
-        k = set_kernel_matrix(sets, sets, cfg.gamma)
-        h = mmd_pool_batch(sets, nystrom_fit(sets, cfg))
+        k = set_kernel_matrix(sets, sets, 0.3)
+        h = mmd_pool_batch(sets, nystrom_fit(sets, 0.3))
         assert np.max(np.abs(k - h @ h.T)) <= 1e-6
 
     def test_subset_matches_dense_reconstruction(self):
         rng = np.random.default_rng(9)
         sets = make_sets(rng, 12, 4)
         land = sets[:5]
-        cfg = KernelConfig(gamma=0.4)
-        nmap = nystrom_fit(land, cfg)
+        nmap = nystrom_fit(land, 0.4)
         h = mmd_pool_batch(sets, nmap)
-        kgb = set_kernel_matrix(sets, land, cfg.gamma)
-        kbb = set_kernel_matrix(land, land, cfg.gamma)
+        kgb = set_kernel_matrix(sets, land, 0.4)
+        kbb = set_kernel_matrix(land, land, 0.4)
         dense = kgb @ np.linalg.pinv(kbb) @ kgb.T
         assert np.max(np.abs(h @ h.T - dense)) <= 1e-8
 
@@ -167,31 +164,31 @@ class TestNystrom:
         dup = EmbeddingSet(graph_id=1, vectors=a.vectors.copy())
         other = make_sets(rng, 1, 3)[0]
         # duplicate landmark: kernel matrix rank 2 at most
-        nmap = nystrom_fit([a, dup, other], KernelConfig(gamma=0.5), rank=3)
+        nmap = nystrom_fit([a, dup, other], 0.5, rank=3)
         assert nmap.factor.shape == (3, 3)
         assert np.all(nmap.factor[:, 2] == 0.0)
 
     def test_deterministic_orientation(self):
         rng = np.random.default_rng(11)
         land = make_sets(rng, 5, 3)
-        cfg = KernelConfig(gamma=0.6)
-        f1 = nystrom_fit(land, cfg).factor
-        f2 = nystrom_fit(land, cfg).factor
+        f1 = nystrom_fit(land, 0.6).factor
+        f2 = nystrom_fit(land, 0.6).factor
         np.testing.assert_array_equal(f1, f2)
 
     def test_pool_single_matches_batch(self):
         rng = np.random.default_rng(12)
         sets = make_sets(rng, 4, 3)
-        nmap = nystrom_fit(sets[:2], KernelConfig(gamma=0.5))
+        nmap = nystrom_fit(sets[:2], 0.5)
         batch = mmd_pool_batch(sets, nmap)
         for i, s in enumerate(sets):
-            np.testing.assert_allclose(mmd_pool(s, nmap), batch[i])
+            np.testing.assert_allclose(mmd_pool_batch([s], nmap)[0], batch[i])
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="gamma"):
-            KernelConfig(gamma=0.0)
-        with pytest.raises(ValueError, match="eigen_cutoff"):
-            KernelConfig(gamma=1.0, eigen_cutoff=1.5)
+        rng = np.random.default_rng(15)
+        land = make_sets(rng, 3, 2)
+        for gamma in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                nystrom_fit(land, gamma)
 
 
 class TestKernelGrads:
@@ -245,11 +242,11 @@ class TestGramProperties:
     def test_mmd_pool_row_permutation_invariant(self):
         rng = np.random.default_rng(22)
         sets = make_sets(rng, 4, 3, min_n=3, max_n=6)
-        nmap = nystrom_fit(sets, KernelConfig(gamma=0.5))
+        nmap = nystrom_fit(sets, 0.5)
         target = sets[1]
-        base = mmd_pool(target, nmap)
+        base = mmd_pool_batch([target], nmap)[0]
         perm = rng.permutation(target.size)
         shuffled = EmbeddingSet(graph_id=target.graph_id,
                                 vectors=target.vectors[perm])
-        np.testing.assert_allclose(mmd_pool(shuffled, nmap), base,
+        np.testing.assert_allclose(mmd_pool_batch([shuffled], nmap)[0], base,
                                    atol=1e-12)
