@@ -7,7 +7,7 @@ plus label-free model selection over hyperparameter pools.
 
 from .data import (Graph, GraphDatabase, derive_features, generate_mixhop,
                    load_tu_dataset, make_split, write_tu_dataset)
-from .encoder import EmbeddingSet, gin_backward, gin_forward
+from .encoder import EmbeddingSet, backprop_block, embed_block
 from .errors import (DegenerateInputError, FormatError, GladError, LoadError,
                      MethodError, SplitError)
 from .metrics import midrank, roc_auc, wilcoxon_one_sided
@@ -15,7 +15,7 @@ from .numkit import GradSet, ParamSet, init_params, sgd_step
 from .pipeline import (BenchmarkParams, EvalReport, PipelineConfig,
                        generate_benchmark, parse_grid_file,
                        parse_pipeline_config, run_pipeline)
-from .pooling import NystromMap, mean_pool, median_heuristic, nystrom_fit
+from .pooling import NystromMap, median_heuristic, nystrom_fit
 from .selection import (SelectionResult, hits, hits_ens, hits_select,
                         mc_select, normalize_rows, select, spearman,
                         udr_select)

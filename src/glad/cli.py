@@ -183,6 +183,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise FormatError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (GladError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
-"""Graph-level readouts over node embedding sets.
+"""Distribution-aware readout over node embedding sets.
 
-Two routes: a plain mean over node vectors, and a distribution-aware
-readout built from a Gaussian kernel between embedding sets (mean of all
-pairwise node kernels), compressed to finite coordinates with a Nystrom
-approximation anchored on landmark graphs.
+A Gaussian kernel between embedding sets (mean of all pairwise node
+kernels), its bandwidth rule, and a Nystrom approximation anchored on
+landmark graphs that compresses it to finite coordinates.  The plain
+mean readout is a per-block sum in :mod:`glad.trainer`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EmbeddingSet
+from . import encoder
 from .errors import DegenerateInputError
 
 EIGEN_CUTOFF = 1e-8
@@ -38,11 +38,6 @@ class NystromMap:
         return self.factor.shape[1]
 
 
-def mean_pool(s: EmbeddingSet) -> np.ndarray:
-    """Average of the node embedding vectors."""
-    return s.vectors.mean(axis=0)
-
-
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, clipped at zero."""
     xx = np.sum(x * x, axis=1)[:, None]
@@ -62,46 +57,72 @@ def set_kernel_matrix(sets_a, sets_b, gamma: float,
     """All set-kernel values between two lists of embedding sets.
 
     Entry (a, b) is the mean of ``exp(-gamma * ||x - y||^2)`` over all
-    node pairs x in set a, y in set b.  The node-pair kernel is built in
-    place on ``xa @ xb.T`` as ``exp(min(2 gamma x.y - gamma ||x||^2 -
-    gamma ||y||^2, 0))``; the clip keeps rounding from pushing a squared
-    distance below zero.  Block sums reduce columns per set b first,
-    then rows per set a.  Every set must have at least one row.
+    node pairs x in set a, y in set b.  ``sets_a`` is processed in blocks
+    of consecutive sets (:func:`glad.encoder.blocks`).  A block's
+    node-pair kernel is one product of augmented operands, ``[2 gamma x,
+    -gamma ||x||^2, 1] @ [y, 1, -gamma ||y||^2]^T``, clipped at 0 (so
+    rounding cannot push a squared distance below zero) and exponentiated
+    in place.  Block sums reduce columns per set b first, then rows per
+    set a.  Every set must have at least one row.
 
     With ``with_pullback`` returns ``(k, pullback)``.  ``pullback(coeffs)``
     gives the gradients of ``sum(coeffs * k)`` w.r.t. the node vectors of
     both lists as ``(grads_a, grads_b)``, lists of arrays shaped like each
-    set's vectors; it reuses the node-pair kernel computed here and may
+    set's vectors; it reuses the node-pair kernel computed here, runs
+    block by block, sums the ``sets_b`` gradients in block order and may
     be called any number of times.  When a set object appears on both
     sides the caller must add the two contributions.
     """
-    xa, sa, oa = _stack(sets_a)
-    xb, sb, ob = _stack(sets_b)
     for s in (*sets_a, *sets_b):
         if s.size == 0:
             raise ValueError(f"embedding set of graph {s.graph_id} has no rows")
-    e = xa @ xb.T
-    e *= 2.0 * gamma
-    e -= gamma * np.sum(xa * xa, axis=1)[:, None]
-    e -= gamma * np.sum(xb * xb, axis=1)[None, :]
-    np.minimum(e, 0.0, out=e)
-    np.exp(e, out=e)
-    cols = np.add.reduceat(e, ob[:-1], axis=1)
+    sa = np.array([s.size for s in sets_a], dtype=np.int64)
+    xb, sb, ob = _stack(sets_b)
+    d = xb.shape[1]
+    bm = np.empty((xb.shape[0], d + 2))
+    bm[:, :d] = xb
+    bm[:, d] = 1.0
+    bm[:, d + 1] = -gamma * np.sum(xb * xb, axis=1)
+    spans = encoder.blocks(sa)
+    # The pullback keeps every block's node-pair kernel: one buffer for
+    # all of them allocates (and page-faults) once per call.
+    ra = np.concatenate([[0], np.cumsum(sa)])
+    e_all = np.empty((ra[-1], xb.shape[0])) if with_pullback else None
+    parts, ks = [], []
+    for lo, hi in spans:
+        xa, _, oa = _stack(sets_a[lo:hi])
+        am = np.empty((xa.shape[0], d + 2))
+        np.multiply(xa, 2.0 * gamma, out=am[:, :d])
+        am[:, d] = -gamma * np.sum(xa * xa, axis=1)
+        am[:, d + 1] = 1.0
+        e = np.matmul(am, bm.T, out=None if e_all is None
+                      else e_all[ra[lo]:ra[hi]])
+        np.minimum(e, 0.0, out=e)
+        np.exp(e, out=e)
+        cols = np.add.reduceat(e, ob[:-1], axis=1)
+        ks.append(np.add.reduceat(cols, oa[:-1], axis=0))
+        if with_pullback:
+            parts.append((xa, oa, e, cols))
     norm = sa[:, None] * sb[None, :]
-    k = np.add.reduceat(cols, oa[:-1], axis=0) / norm
+    k = np.concatenate(ks) / norm
     if not with_pullback:
         return k
 
     def pullback(coeffs):
         # Per-node-pair coefficient upstream / (n_a * m_b), spread over
         # rows, then over columns into a fresh buffer: e is never written.
-        crow = np.repeat(coeffs / norm, sa, axis=0)
-        g = np.repeat(crow, sb, axis=1)
-        g *= e
-        row_sums = np.sum(crow * cols, axis=1)
-        da = -2.0 * gamma * (xa * row_sums[:, None] - g @ xb)
-        db = -2.0 * gamma * (xb * g.sum(axis=0)[:, None] - g.T @ xa)
-        return np.split(da, oa[1:-1]), np.split(db, ob[1:-1])
+        c = coeffs / norm
+        grads_a, db = [], np.zeros_like(xb)
+        for (lo, hi), (xa, oa, e, cols) in zip(spans, parts):
+            crow = np.repeat(c[lo:hi], sa[lo:hi], axis=0)
+            g = np.repeat(crow, sb, axis=1)
+            g *= e
+            row_sums = np.sum(crow * cols, axis=1)
+            da = -2.0 * gamma * (xa * row_sums[:, None] - g @ xb)
+            grads_a.extend(np.split(da, oa[1:-1]))
+            db += xb * g.sum(axis=0)[:, None] - g.T @ xa
+        db *= -2.0 * gamma
+        return grads_a, np.split(db, ob[1:-1])
 
     return k, pullback
 
@@ -113,8 +134,9 @@ def median_heuristic(sets, sample_cap: int = DEFAULT_SAMPLE_CAP,
 
     All distinct pairs are used when their count is at most
     ``sample_cap``; otherwise ``sample_cap`` pairs are sampled with
-    ``rng`` (a fresh deterministic generator when omitted).  Falls back
-    to ``gamma = 1`` when the median vanishes.
+    ``rng`` (a fresh deterministic generator when omitted) and their
+    distances computed ``BLOCK_ROWS`` pairs at a time.  Falls back to
+    ``gamma = 1`` when the median vanishes.
     """
     x, _, _ = _stack(sets)
     n = x.shape[0]
@@ -130,8 +152,11 @@ def median_heuristic(sets, sample_cap: int = DEFAULT_SAMPLE_CAP,
         i = rng.integers(0, n, size=sample_cap)
         j = rng.integers(0, n - 1, size=sample_cap)
         j = np.where(j >= i, j + 1, j)  # distinct partner
-        diff = x[i] - x[j]
-        vals = np.sum(diff * diff, axis=1)
+        vals = np.empty(sample_cap)
+        step = encoder.BLOCK_ROWS
+        for lo in range(0, sample_cap, step):
+            diff = x[i[lo:lo + step]] - x[j[lo:lo + step]]
+            vals[lo:lo + step] = np.sum(diff * diff, axis=1)
     med = float(np.median(vals))
     if med <= 0.0:
         return 1.0

@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import GraphDatabase, table_rows
-from .encoder import gin_backward, gin_forward
+from .encoder import EmbeddingSet, backprop_block, blocks, embed_block
 from .errors import DegenerateInputError, FormatError
 from .numkit import GradSet, ParamSet, init_params, sgd_step
-from .pooling import (NystromMap, mean_pool, median_heuristic, mmd_pool_batch,
+from .pooling import (NystromMap, median_heuristic, mmd_pool_batch,
                       nystrom_fit, set_kernel_matrix)
 
 POOLINGS = ("mean", "mmd")
@@ -66,6 +66,8 @@ class ModelConfig:
             raise ValueError("layers, epochs, batch_size, d_hidden must be >= 1")
         if self.lr <= 0 or self.weight_decay < 0:
             raise ValueError("need lr > 0 and weight_decay >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def hyper_key(self):
         """Everything except the seed; candidates sharing it are siblings."""
@@ -118,11 +120,25 @@ class CandidatePool:
 # Objective
 # ---------------------------------------------------------------------------
 
-def _embed(graphs, params: ParamSet, with_cache: bool = True) -> dict:
-    """``{graph_id: (EmbeddingSet, caches)}`` for each graph; caches are
-    None without ``with_cache``."""
-    out = {g.graph_id: gin_forward(g, params, with_cache) for g in graphs}
-    return out if with_cache else {gid: (s, None) for gid, s in out.items()}
+def _embed(graphs, params: ParamSet, with_cache: bool = True) -> list:
+    """Embed ``graphs`` block by block (:func:`glad.encoder.blocks`) at
+    ``params``: a list of ``(block_graphs, h, cache)`` with ``h`` the
+    zero-padded node embeddings; ``cache`` is None without
+    ``with_cache``."""
+    graphs = list(graphs)
+    out = []
+    for lo, hi in blocks([g.node_count for g in graphs]):
+        h = embed_block(graphs[lo:hi], params, with_cache)
+        out.append((graphs[lo:hi], *(h if with_cache else (h, None))))
+    return out
+
+
+def _sets(embedded) -> dict:
+    """``{graph_id: EmbeddingSet}`` for each embedded graph, in block
+    order; the vectors are views into the block stacks."""
+    return {g.graph_id: EmbeddingSet(graph_id=g.graph_id,
+                                     vectors=h[b, :g.node_count])
+            for blk, h, _ in embedded for b, g in enumerate(blk)}
 
 
 def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None,
@@ -133,10 +149,11 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None,
     ``mmd_state = (landmark_graphs, factor, gamma)`` selects the
     distribution readout: landmark node embeddings are recomputed at
     ``params`` while the eigen factor and bandwidth stay frozen.  With
-    ``mmd_state=None`` the mean readout is used.  Each graph id is
-    embedded once, batch graphs first, unless ``embedded`` (from
-    :func:`_embed` at ``params``, with caches when a center is given)
-    already holds it.
+    ``mmd_state=None`` the mean readout is used.  Graphs are embedded in
+    blocks, each graph id once, batch graphs first.  The distribution
+    readout takes ``embedded`` (from :func:`_embed` at ``params``, with
+    caches when a center is given, holding every batch and landmark
+    graph) in place of that pass.
 
     Returns ``(pooled, data_loss, grads)``; the last two are None without
     a center.  ``data_loss`` is the mean squared center distance and
@@ -145,41 +162,59 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None,
     flows through every node embedding the kernel matrix touches,
     landmark graphs included.
     """
-    landmark_graphs = [] if mmd_state is None else list(mmd_state[0])
-    everyone = list(graphs) + landmark_graphs
     with_grad = center is not None
-    uniq = {g.graph_id: g for g in everyone}
-    if embedded is None:
-        embedded = _embed(uniq.values(), params, with_cache=with_grad)
-    emb = {gid: embedded[gid][0] for gid in uniq}
-    bsets = [emb[g.graph_id] for g in graphs]
+    graphs = list(graphs)
+    n = len(graphs)
+    grads = GradSet.zeros_like(params) if with_grad else None
     if mmd_state is None:
-        pooled = np.stack([mean_pool(s) for s in bsets])
+        if embedded is not None:
+            raise ValueError("embedded applies to the distribution readout")
+        # A graph's gradient needs only its own pooled row, so each block
+        # is pulled back before the next one is embedded.
+        pooled = []
+        for lo, hi in blocks([g.node_count for g in graphs]):
+            blk = graphs[lo:hi]
+            sizes = np.array([g.node_count for g in blk])
+            h, cache = embed_block(blk, params, with_cache=True)
+            pooled.append(h.sum(axis=1) / sizes[:, None])
+            if with_grad:
+                # d loss / d node row: the graph's coefficient on each of
+                # its rows; padded rows carry it too, but their ReLU mask
+                # drops it.
+                coef = (2.0 / (n * sizes))[:, None] * (pooled[-1] - center)
+                backprop_block(params, cache,
+                               np.broadcast_to(coef[:, None, :], h.shape),
+                               grads)
+        pooled = np.concatenate(pooled)
     else:
-        _, factor, gamma = mmd_state
-        lsets = [emb[g.graph_id] for g in landmark_graphs]
+        landmark_graphs, factor, gamma = mmd_state
+        if embedded is None:
+            uniq = {g.graph_id: g for g in [*graphs, *landmark_graphs]}
+            embedded = _embed(uniq.values(), params, with_cache=with_grad)
+        sets = _sets(embedded)
+        bsets = [sets[g.graph_id] for g in graphs]
+        lsets = [sets[g.graph_id] for g in landmark_graphs]
+        if not with_grad:
+            return set_kernel_matrix(bsets, lsets, gamma) @ factor, None, None
         k, pullback = set_kernel_matrix(bsets, lsets, gamma,
                                         with_pullback=True)
         pooled = k @ factor
+        da, db = pullback((2.0 / n) * (pooled - center) @ factor.T)
+        where = {g.graph_id: (i, b) for i, (blk, _, _) in enumerate(embedded)
+                 for b, g in enumerate(blk)}
+        d_out = [None] * len(embedded)
+        for g, d in zip([*graphs, *landmark_graphs], da + db):
+            i, b = where[g.graph_id]
+            if d_out[i] is None:
+                d_out[i] = np.zeros_like(embedded[i][1])
+            d_out[i][b, :g.node_count] += d
+        for (_, _, cache), d in zip(embedded, d_out):
+            if d is not None:
+                backprop_block(params, cache, d, grads)
     if not with_grad:
         return pooled, None, None
-
-    n = len(graphs)
     diffs = pooled - center
-    loss = float(np.mean(np.sum(diffs * diffs, axis=1)))
-    if mmd_state is None:
-        d_emb = [np.tile((2.0 / (n * s.size)) * d, (s.size, 1))
-                 for s, d in zip(bsets, diffs)]
-    else:
-        da, db = pullback((2.0 / n) * diffs @ factor.T)
-        d_emb = da + db
-    acc = {gid: np.zeros_like(s.vectors) for gid, s in emb.items()}
-    for g, d in zip(everyone, d_emb):
-        acc[g.graph_id] += d
-    grads = GradSet.zeros_like(params)
-    for gid, g in uniq.items():
-        gin_backward(g, params, embedded[gid][1], acc[gid], grads)
-    return pooled, loss, grads
+    return pooled, float(np.mean(np.sum(diffs * diffs, axis=1))), grads
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +224,10 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None,
 def _refresh_map(embedded, landmark_graphs, rng, rank):
     """Bandwidth and eigen factor from the embeddings of every training
     graph, as :func:`_embed` returns them."""
-    gamma = median_heuristic([s for s, _ in embedded.values()], rng=rng)
-    lsets = [embedded[g.graph_id][0] for g in landmark_graphs]
-    return nystrom_fit(lsets, gamma, rank=rank)
+    sets = _sets(embedded)
+    gamma = median_heuristic(list(sets.values()), rng=rng)
+    return nystrom_fit([sets[g.graph_id] for g in landmark_graphs], gamma,
+                       rank=rank)
 
 
 def train_candidate(train_db: GraphDatabase, config: ModelConfig,
@@ -279,11 +315,12 @@ def score_graphs(db: GraphDatabase, candidate: TrainedCandidate) -> np.ndarray:
     """Anomaly scores: pooled distance to the candidate's center."""
     if candidate.failed:
         raise ValueError("cannot score with a failed candidate")
-    sets = [gin_forward(g, candidate.params) for g in db.graphs]
     if candidate.config.pooling == "mean":
-        pooled = np.stack([mean_pool(s) for s in sets])
+        pooled = batch_objective(db.graphs, candidate.params)[0]
     else:
-        pooled = mmd_pool_batch(sets, candidate.nystrom)
+        embedded = _embed(db.graphs, candidate.params, with_cache=False)
+        pooled = mmd_pool_batch(list(_sets(embedded).values()),
+                                candidate.nystrom)
     return np.linalg.norm(pooled - candidate.center, axis=1)
 
 
@@ -345,8 +382,7 @@ def expand_grid(spec: dict, n_train: int) -> list:
     return configs
 
 
-def _train_and_score(args):
-    train_db, test_db, config, base_seed = args
+def _train_and_score(train_db, test_db, config, base_seed):
     cand = train_candidate(train_db, config, base_seed=base_seed)
     if cand.failed:
         return None, cand.diagnostic
@@ -356,6 +392,19 @@ def _train_and_score(args):
     return scores, ""
 
 
+_worker_inputs = None  # (train_db, test_db, base_seed) in a run_grid worker
+
+
+def _init_worker(train_db, test_db, base_seed):
+    global _worker_inputs
+    _worker_inputs = (train_db, test_db, base_seed)
+
+
+def _train_and_score_in_worker(config):
+    train_db, test_db, base_seed = _worker_inputs
+    return _train_and_score(train_db, test_db, config, base_seed)
+
+
 def run_grid(train_db: GraphDatabase, test_db: GraphDatabase, configs,
              workers: int = 1, base_seed: int = 0) -> CandidatePool:
     """Train every config and score the test set.
@@ -363,15 +412,20 @@ def run_grid(train_db: GraphDatabase, test_db: GraphDatabase, configs,
     Candidates whose training diverges or whose test scores are not
     finite are dropped and recorded in ``pool.dropped``.  Model ids
     follow grid order and stay stable in the presence of drops.  With
-    ``workers > 1`` candidates train in separate processes; results are
-    identical to the serial path.
+    ``workers > 1`` candidates train in separate processes, which receive
+    both databases once at start-up and then one config per task;
+    results are identical to the serial path.
     """
-    tasks = [(train_db, test_db, cfg, base_seed) for cfg in configs]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_train_and_score, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_init_worker,
+                                 initargs=(train_db, test_db,
+                                           base_seed)) as pool:
+            results = list(pool.map(_train_and_score_in_worker, configs,
+                                    chunksize=1))
     else:
-        results = [_train_and_score(t) for t in tasks]
+        results = [_train_and_score(train_db, test_db, cfg, base_seed)
+                   for cfg in configs]
 
     model_ids, kept_configs, rows, dropped = [], [], [], []
     for idx, (cfg, (scores, diag)) in enumerate(zip(configs, results)):

@@ -3,11 +3,13 @@
 Bookkeeping for the acceptance suite: every acceptance test records a
 verdict so the run ends with one pass/fail line per criterion, even when
 a test aborts half way.  Oracles used by several test files: a parameter
-flattener, central finite differences and squared MMD.
+flattener, central finite differences, the one-graph embedding, the mean
+readout and squared MMD.
 """
 
 import numpy as np
 
+from glad.encoder import EmbeddingSet, embed_block
 from glad.numkit import GradSet, ParamSet
 from glad.pooling import set_kernel_matrix
 
@@ -61,6 +63,18 @@ def finite_diff_grad(loss_fn, params: ParamSet, h: float = 1e-5,
         mats[k][pos] = orig
         gmats[k][pos] = (up - down) / (2.0 * h)
     return grads
+
+
+def embed_one(graph, params: ParamSet) -> EmbeddingSet:
+    """Node embeddings of one graph, from a block that holds only it (so
+    no row is padded)."""
+    return EmbeddingSet(graph_id=graph.graph_id,
+                        vectors=embed_block([graph], params)[0])
+
+
+def mean_pool(s: EmbeddingSet) -> np.ndarray:
+    """Average of the node embedding vectors."""
+    return s.vectors.mean(axis=0)
 
 
 def mmd_squared(s_i, s_j, gamma: float) -> float:

@@ -10,15 +10,16 @@ import time
 
 import numpy as np
 import pytest
-from conftest import finite_diff_grad, flatten, mmd_squared, record
+from conftest import (embed_one, finite_diff_grad, flatten, mean_pool,
+                      mmd_squared, record)
 
 from glad.data import Graph, GraphDatabase, derive_features, generate_mixhop
-from glad.encoder import EmbeddingSet, gin_forward
+from glad.encoder import EmbeddingSet
 from glad.metrics import midrank, roc_auc, wilcoxon_one_sided
 from glad.numkit import GradSet, init_params
 from glad.pipeline import BenchmarkParams, PipelineConfig, run_pipeline
-from glad.pooling import (mean_pool, median_heuristic, mmd_pool_batch,
-                          nystrom_fit, set_kernel_matrix)
+from glad.pooling import (median_heuristic, mmd_pool_batch, nystrom_fit,
+                          set_kernel_matrix)
 from glad.selection import hits
 from glad.trainer import ModelConfig, batch_objective, run_grid
 
@@ -146,7 +147,7 @@ def test_criterion_4_gradient_check():
         idx = rng.choice(flatten(params).size, size=100, replace=False)
         wd = 1e-3
 
-        sets = [gin_forward(g, params) for g in graphs]
+        sets = [embed_one(g, params) for g in graphs]
         gamma = median_heuristic(sets)
         nmap = nystrom_fit(sets[:2], gamma)
         mmd_state = (graphs[:2], nmap.factor, gamma)

@@ -1,11 +1,13 @@
-"""Message-passing encoder: forward values, equivariance, backward."""
+"""Message-passing encoder: forward values, equivariance, backward,
+blocks of stacked graphs."""
 
 import numpy as np
 import pytest
-from conftest import finite_diff_grad, flatten
+from conftest import embed_one, finite_diff_grad, flatten
 
+from glad import encoder
 from glad.data import Graph, GraphDatabase, derive_features, generate_mixhop
-from glad.encoder import gin_backward, gin_forward
+from glad.encoder import backprop_block, blocks, embed_block
 from glad.numkit import GradSet, ParamSet, init_params
 
 
@@ -27,9 +29,9 @@ class TestForward:
         msg = np.array([[1.0, 2.0], [2.0, 1.0]])
         hidden = np.maximum(msg @ w1, 0.0)
         expected = hidden @ w2
-        out = gin_forward(g, params)
-        np.testing.assert_allclose(out.vectors, expected, atol=1e-12)
-        assert out.graph_id == 0
+        out = embed_block([g], params)
+        assert out.shape == (1, 2, 2)
+        np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
     def test_gin0_hand_values(self):
         x = np.array([[1.0], [2.0], [4.0]])
@@ -37,7 +39,7 @@ class TestForward:
         params = ParamSet(layers=[(np.eye(1), np.eye(1))], d_in=1,
                           d_hidden=1)
         # h + A h; node1 sees node0 (w=1) and node2 (w=3)
-        np.testing.assert_array_equal(gin_forward(g, params).vectors[:, 0],
+        np.testing.assert_array_equal(embed_block([g], params)[0, :, 0],
                                       [1 + 2, 2 + 1 + 12, 4 + 6])
 
     def test_isolated_node_keeps_own_features(self):
@@ -46,13 +48,13 @@ class TestForward:
         params = init_params(2, 4, 1, seed=0)
         w1, w2 = params.layers[0]
         expected = np.maximum(x @ w1, 0.0) @ w2
-        np.testing.assert_allclose(gin_forward(g, params).vectors, expected)
+        np.testing.assert_allclose(embed_one(g, params).vectors, expected)
 
     def test_output_is_last_layer_only(self):
         db = generate_mixhop(1, 10, 2, 0.5, 3, seed=0)
         db = derive_features(db, "one_hot_label")
         params = init_params(db.d_in, 7, 3, seed=1)
-        out = gin_forward(db.graphs[0], params)
+        out = embed_one(db.graphs[0], params)
         assert out.vectors.shape == (10, 7)
 
     def test_permutation_equivariance(self):
@@ -69,19 +71,19 @@ class TestForward:
         h = Graph(graph_id=1, node_count=g.node_count, edges=edges,
                   features=g.features[inv])
         params = init_params(db.d_in, 5, 2, seed=4)
-        out_g = gin_forward(g, params).vectors
-        out_h = gin_forward(h, params).vectors
+        out_g = embed_one(g, params).vectors
+        out_h = embed_one(h, params).vectors
         np.testing.assert_allclose(out_h, out_g[inv], atol=1e-10)
 
     def test_errors(self):
         g = Graph(graph_id=0, node_count=1, edges=())
         params = init_params(2, 3, 1, seed=0)
         with pytest.raises(ValueError, match="no derived features"):
-            gin_forward(g, params)
+            embed_block([g], params)
         g2 = Graph(graph_id=0, node_count=1, edges=(),
                    features=np.ones((1, 5)))
         with pytest.raises(ValueError, match="d_in"):
-            gin_forward(g2, params)
+            embed_block([g2], params)
 
 
 class TestBackward:
@@ -94,11 +96,11 @@ class TestBackward:
         r = rng.standard_normal((9, 5))
 
         def loss(p):
-            return float(np.sum(gin_forward(g, p).vectors * r))
+            return float(np.sum(embed_block([g], p)[0] * r))
 
         grads = GradSet.zeros_like(params)
-        _, caches = gin_forward(g, params, with_cache=True)
-        gin_backward(g, params, caches, r, grads)
+        _, cache = embed_block([g], params, with_cache=True)
+        backprop_block(params, cache, r[None], grads)
         fd = finite_diff_grad(loss, params, h=1e-6)
         np.testing.assert_allclose(flatten(grads), flatten(fd),
                                    rtol=1e-5, atol=1e-7)
@@ -107,14 +109,14 @@ class TestBackward:
         db = generate_mixhop(2, 8, 2, 0.6, 3, seed=10)
         db = derive_features(db, "one_hot_label")
         params = init_params(db.d_in, 4, 1, seed=11)
-        d_out = [np.ones((8, 4)), 2.0 * np.ones((8, 4))]
+        d_out = [np.ones((1, 8, 4)), 2.0 * np.ones((1, 8, 4))]
         both = GradSet.zeros_like(params)
         singles = []
         for g, d in zip(db.graphs, d_out):
-            _, caches = gin_forward(g, params, with_cache=True)
-            gin_backward(g, params, caches, d, both)
+            _, cache = embed_block([g], params, with_cache=True)
+            backprop_block(params, cache, d, both)
             solo = GradSet.zeros_like(params)
-            gin_backward(g, params, caches, d, solo)
+            backprop_block(params, cache, d, solo)
             singles.append(solo)
         np.testing.assert_allclose(
             flatten(both), flatten(singles[0]) + flatten(singles[1]))
@@ -133,8 +135,61 @@ class TestLocality:
             bumped = feats.copy()
             bumped[0] += 0.7
             g1 = Graph(graph_id=1, node_count=n, edges=edges, features=bumped)
-            delta = np.abs(gin_forward(g1, params).vectors
-                           - gin_forward(g0, params).vectors)
+            delta = np.abs(embed_one(g1, params).vectors
+                           - embed_one(g0, params).vectors)
             changed = np.any(delta > 1e-12, axis=1)
             assert not changed[n_layers + 1:].any()
             assert changed[0]
+
+
+class TestBlocks:
+    def test_block_rule(self, monkeypatch):
+        monkeypatch.setattr(encoder, "BLOCK_ROWS", 20)
+        # 4 x 5 rows fit; a 6th-row graph widens the block to 4 x 6 > 20
+        assert blocks([5, 5, 5, 5, 6, 2]) == [(0, 4), (4, 6)]
+        # a graph larger than the constant forms a block of its own
+        assert blocks([3, 25, 3, 3]) == [(0, 1), (1, 2), (2, 4)]
+        assert blocks([30]) == [(0, 1)]
+        assert blocks([]) == []
+
+    @staticmethod
+    def _ragged():
+        """Graphs of 1, 7 and 20 nodes with non-one-hot features."""
+        rng = np.random.default_rng(21)
+        graphs = [Graph(graph_id=0, node_count=1, edges=(),
+                        features=rng.uniform(0, 1, (1, 3)))]
+        for gid, n in ((1, 7), (2, 20)):
+            g = derive_features(generate_mixhop(1, n, 2, 0.6, 3, seed=gid),
+                                "one_hot_label",
+                                label_alphabet=[0, 1, 2]).graphs[0]
+            graphs.append(Graph(graph_id=gid, node_count=n, edges=g.edges,
+                                features=g.features
+                                + rng.uniform(0, 0.5, (n, 3))))
+        return graphs
+
+    def test_ragged_block_matches_one_graph_blocks(self):
+        graphs = self._ragged()
+        params = init_params(3, 5, 2, seed=22)
+        h = embed_block(graphs, params)
+        assert h.shape == (3, 20, 5)
+        for b, g in enumerate(graphs):
+            np.testing.assert_allclose(h[b, :g.node_count],
+                                       embed_one(g, params).vectors,
+                                       rtol=0, atol=1e-12)
+            assert np.all(h[b, g.node_count:] == 0.0)
+
+    def test_ragged_block_gradients_match_finite_differences(self):
+        graphs = self._ragged()
+        params = init_params(3, 5, 2, seed=23)
+        r = np.random.default_rng(24).standard_normal((3, 20, 5))
+
+        def loss(p):
+            return float(np.sum(embed_block(graphs, p) * r))
+
+        grads = GradSet.zeros_like(params)
+        _, cache = embed_block(graphs, params, with_cache=True)
+        # r is non-zero on padded rows too: the ReLU mask must drop it
+        backprop_block(params, cache, r, grads)
+        fd = finite_diff_grad(loss, params, h=1e-6)
+        np.testing.assert_allclose(flatten(grads), flatten(fd),
+                                   rtol=1e-5, atol=1e-7)

@@ -447,13 +447,26 @@ labels = 2
             assert err.startswith("error:") and str(ini) in err, body
 
         for flag, bad in (("--ba-m", "0"), ("--anomaly-rate", "1.5"),
-                          ("--n-train", "0")):
+                          ("--n-train", "0"), ("--seed", "-1")):
             assert cli.main(["generate", "--out", str(tmp_path / "g"),
                              flag, bad]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and flag[2:].replace("-", "_") \
                 in err
         assert not (tmp_path / "g").exists()
+
+        # Negative seeds, on the command line or in a grid file.
+        grid.write_text("[mean]\nepochs = 1\n")
+        assert cli.main(["train", "--data", str(data), "--grid", str(grid),
+                         "--out", str(tmp_path / "pool"), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seed" in err
+        grid.write_text("[mean]\nseed = 0, -1\n")
+        assert cli.main(["train", "--data", str(data), "--grid", str(grid),
+                         "--out", str(tmp_path / "pool")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(grid) in err and "seed" in err
+        assert not (tmp_path / "pool").exists()
 
         # Scores and flags over different ids: both files and one id named.
         other = tmp_path / "other_flags.csv"

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import mmd_squared
+from conftest import mean_pool, mmd_squared
 
+from glad import encoder
 from glad.encoder import EmbeddingSet
-from glad.pooling import (mean_pool, median_heuristic, mmd_pool_batch,
-                          nystrom_fit, set_kernel_matrix)
+from glad.pooling import (median_heuristic, mmd_pool_batch, nystrom_fit,
+                          set_kernel_matrix)
 
 
 def make_sets(rng, count, dim, min_n=1, max_n=10):
@@ -130,6 +131,25 @@ class TestMedianHeuristic:
         exhaustive = median_heuristic([s])
         assert g1 == pytest.approx(exhaustive, rel=0.5)
 
+    def test_sampled_blocks_bit_equal_to_oracle(self, monkeypatch):
+        # 1,830 distinct pairs > 1,000 sampled: the pairs come in blocks
+        # of BLOCK_ROWS, and each pair's arithmetic is unchanged.
+        rng = np.random.default_rng(16)
+        sets = make_sets(rng, 9, 5, min_n=4, max_n=12)
+        x = np.concatenate([s.vectors for s in sets])
+        n, cap = x.shape[0], 1000
+        assert n * (n - 1) // 2 > cap
+        draw = np.random.default_rng(17)
+        i = draw.integers(0, n, size=cap)
+        j = draw.integers(0, n - 1, size=cap)
+        j = np.where(j >= i, j + 1, j)
+        diff = x[i] - x[j]
+        want = 1.0 / float(np.median(np.sum(diff * diff, axis=1)))
+        for rows in (7, 800, 5000):
+            monkeypatch.setattr(encoder, "BLOCK_ROWS", rows)
+            assert median_heuristic(sets, sample_cap=cap,
+                                    rng=np.random.default_rng(17)) == want
+
 
 class TestNystrom:
     def test_factor_whitens_landmark_kernel(self):
@@ -228,6 +248,36 @@ class TestKernelGrads:
                         fd = (up - down) / (2 * h)
                         assert grads[i][pos] == pytest.approx(fd, abs=5e-6)
         np.testing.assert_array_equal(k, k_before)
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        # BLOCK_ROWS = 12 splits sets_a (sizes 2..5 and one of 15 rows,
+        # larger than the constant) into several blocks.
+        rng = np.random.default_rng(18)
+        sets_a = make_sets(rng, 7, 3, min_n=2, max_n=5)
+        sets_a.insert(3, EmbeddingSet(graph_id=99,
+                                      vectors=rng.standard_normal((15, 3))))
+        sets_b = make_sets(rng, 4, 3, min_n=1, max_n=6)
+        coeffs = rng.standard_normal((len(sets_a), len(sets_b)))
+        gamma = 0.6
+        k1, pb1 = set_kernel_matrix(sets_a, sets_b, gamma, with_pullback=True)
+        ga1, gb1 = pb1(coeffs)
+        monkeypatch.setattr(encoder, "BLOCK_ROWS", 12)
+        spans = encoder.blocks([s.size for s in sets_a])
+        assert len(spans) >= 3 and (3, 4) in spans
+        k, pb = set_kernel_matrix(sets_a, sets_b, gamma, with_pullback=True)
+        np.testing.assert_allclose(k, k1, rtol=0, atol=1e-12)
+        for i, a in enumerate(sets_a):
+            for j, b in enumerate(sets_b):
+                assert k[i, j] == pytest.approx(brute_set_kernel(a, b, gamma),
+                                                abs=1e-12)
+        ga, gb = pb(coeffs)
+        for got, want in zip(ga + gb, ga1 + gb1):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # Blocks on both sides: sets_a against itself.
+        kaa = set_kernel_matrix(sets_a, sets_a, gamma)
+        for i, j in ((0, 3), (3, 7), (1, 6)):
+            assert (kaa[i, i] + kaa[j, j] - 2.0 * kaa[i, j]) == pytest.approx(
+                mmd_squared(sets_a[i], sets_a[j], gamma), abs=1e-12)
 
 
 class TestGramProperties:

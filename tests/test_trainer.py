@@ -5,14 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import finite_diff_grad, flatten
+from conftest import embed_one, finite_diff_grad, flatten, mean_pool
 
 from glad.data import (Graph, GraphDatabase, derive_features,
                        generate_mixhop)
-from glad.encoder import gin_forward
+from glad.encoder import embed_block
 from glad.errors import FormatError
 from glad.numkit import GradSet, ParamSet, init_params
-from glad.pooling import mean_pool, median_heuristic, nystrom_fit
+from glad.pooling import median_heuristic, nystrom_fit
 from glad.trainer import (DEFAULT_GRID, CandidatePool, ModelConfig,
                           _embed, batch_objective, expand_grid, load_pool,
                           nystrom_size, run_grid, save_pool, score_graphs,
@@ -62,7 +62,7 @@ class TestObjective:
 
         graphs = list(toy_db.graphs)
         params = init_params(toy_db.d_in, 5, 2, seed=4)
-        rows = np.stack([mean_pool(gin_forward(g, params)) for g in graphs])
+        rows = np.stack([mean_pool(embed_one(g, params)) for g in graphs])
         center = rows.mean(axis=0) + 0.1
         pooled, loss, _ = batch_objective(graphs, params, center=center)
         np.testing.assert_array_equal(pooled, rows)
@@ -78,7 +78,7 @@ class TestObjective:
 
         graphs = list(toy_db.graphs)
         params = init_params(toy_db.d_in, 5, 2, seed=4)
-        rows = np.stack([mean_pool(gin_forward(g, params)) for g in graphs])
+        rows = np.stack([mean_pool(embed_one(g, params)) for g in graphs])
         pooled, loss, grads = batch_objective(graphs, params)
         np.testing.assert_array_equal(pooled, rows)
         assert loss is None and grads is None
@@ -95,7 +95,7 @@ class TestObjective:
     def test_mean_gradients_match_finite_differences(self, toy_db):
         graphs = list(toy_db.graphs)
         params = init_params(toy_db.d_in, 5, 2, seed=4)
-        center = np.stack([mean_pool(gin_forward(g, params))
+        center = np.stack([mean_pool(embed_one(g, params))
                            for g in graphs]).mean(axis=0) + 0.1
         wd = 1e-3
         _, _, grads = batch_objective(graphs, params, center=center)
@@ -111,7 +111,7 @@ class TestObjective:
         # landmarks overlap the batch: both gradient routes accumulate
         graphs = list(toy_db.graphs)
         params = init_params(toy_db.d_in, 5, 2, seed=4)
-        sets = [gin_forward(g, params) for g in graphs]
+        sets = [embed_one(g, params) for g in graphs]
         gamma = median_heuristic(sets)
         nmap = nystrom_fit(sets[:2], gamma)
         state = (graphs[:2], nmap.factor, gamma)
@@ -141,6 +141,8 @@ class TestModelConfig:
             ModelConfig(pooling="mmd")
         with pytest.raises(ValueError, match="lr"):
             ModelConfig(pooling="mean", lr=0.0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            ModelConfig(pooling="mean", seed=-1)
 
     def test_hyper_key_ignores_seed(self):
         a = ModelConfig(pooling="mean", seed=0)
@@ -166,7 +168,7 @@ class TestTrainCandidate:
                           epochs=2, d_hidden=8)
         cand = train_candidate(train, cfg)
         init = init_params(train.d_in, 8, 1, seed=2)
-        pooled = np.stack([mean_pool(gin_forward(g, init))
+        pooled = np.stack([mean_pool(embed_one(g, init))
                            for g in train.graphs])
         np.testing.assert_allclose(cand.center, pooled.mean(axis=0))
 
@@ -177,7 +179,7 @@ class TestTrainCandidate:
         cand = train_candidate(train, cfg)
         scores = score_graphs(test, cand)
         for g, s in zip(test.graphs, scores):
-            pooled = mean_pool(gin_forward(g, cand.params))
+            pooled = mean_pool(embed_one(g, cand.params))
             assert s == pytest.approx(np.linalg.norm(pooled - cand.center))
 
     def test_mmd_candidate_shapes(self, bench):
@@ -200,11 +202,11 @@ class TestTrainCandidate:
         train, _ = bench
         calls = []
 
-        def counting(graph, params, with_cache=False):
-            calls.append(graph.graph_id)
-            return gin_forward(graph, params, with_cache=with_cache)
+        def counting(graphs, params, with_cache=False):
+            calls.extend(g.graph_id for g in graphs)
+            return embed_block(graphs, params, with_cache=with_cache)
 
-        monkeypatch.setattr("glad.trainer.gin_forward", counting)
+        monkeypatch.setattr("glad.trainer.embed_block", counting)
         epochs = 3
         cfg = ModelConfig(pooling="mmd", layers=1, lr=0.01, seed=0,
                           nystrom_k=6, epochs=epochs, batch_size=len(train),
