@@ -185,6 +185,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise FormatError(f"--seed must be non-negative, got {args.seed}")
+        if getattr(args, "workers", 1) < 1:
+            raise FormatError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except (GladError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

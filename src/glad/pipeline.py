@@ -208,7 +208,8 @@ def parse_pipeline_config(path) -> PipelineConfig:
     """Read an INI-style pipeline configuration file.
 
     A malformed file or value raises FormatError naming the file and the
-    key.  Integers (counts, seeds, class ids) must be non-negative.
+    key.  Integers (counts, seeds, class ids) must be non-negative;
+    ``workers`` and ``degree_cap`` must be at least 1.
     """
     cp = configparser.ConfigParser()
     try:
@@ -236,7 +237,7 @@ def parse_pipeline_config(path) -> PipelineConfig:
 
     kwargs = dict(out_dir=Path(cp["run"]["out_dir"]),
                   master_seed=value("run", "master_seed", 0),
-                  workers=value("run", "workers", 1))
+                  workers=value("run", "workers", 1, low=1))
     if "selection" in cp and "methods" in cp["selection"]:
         methods = tuple(m.strip() for m in
                         cp["selection"]["methods"].split(",") if m.strip())

@@ -69,9 +69,11 @@ def set_kernel_matrix(sets_a, sets_b, gamma: float,
     gives the gradients of ``sum(coeffs * k)`` w.r.t. the node vectors of
     both lists as ``(grads_a, grads_b)``, lists of arrays shaped like each
     set's vectors; it reuses the node-pair kernel computed here, runs
-    block by block, sums the ``sets_b`` gradients in block order and may
-    be called any number of times.  When a set object appears on both
-    sides the caller must add the two contributions.
+    set by set through ``sets_a``, sums the ``sets_b`` gradients in that
+    order and may be called any number of times.  Every block's node-pair
+    kernel stays alive with the pullback, so a caller bounds memory by
+    passing one block of ``sets_a`` per call.  When a set object appears
+    on both sides the caller must add the two contributions.
     """
     for s in (*sets_a, *sets_b):
         if s.size == 0:
@@ -84,10 +86,6 @@ def set_kernel_matrix(sets_a, sets_b, gamma: float,
     bm[:, d] = 1.0
     bm[:, d + 1] = -gamma * np.sum(xb * xb, axis=1)
     spans = encoder.blocks(sa)
-    # The pullback keeps every block's node-pair kernel: one buffer for
-    # all of them allocates (and page-faults) once per call.
-    ra = np.concatenate([[0], np.cumsum(sa)])
-    e_all = np.empty((ra[-1], xb.shape[0])) if with_pullback else None
     parts, ks = [], []
     for lo, hi in spans:
         xa, _, oa = _stack(sets_a[lo:hi])
@@ -95,8 +93,7 @@ def set_kernel_matrix(sets_a, sets_b, gamma: float,
         np.multiply(xa, 2.0 * gamma, out=am[:, :d])
         am[:, d] = -gamma * np.sum(xa * xa, axis=1)
         am[:, d + 1] = 1.0
-        e = np.matmul(am, bm.T, out=None if e_all is None
-                      else e_all[ra[lo]:ra[hi]])
+        e = am @ bm.T
         np.minimum(e, 0.0, out=e)
         np.exp(e, out=e)
         cols = np.add.reduceat(e, ob[:-1], axis=1)
@@ -108,20 +105,24 @@ def set_kernel_matrix(sets_a, sets_b, gamma: float,
     if not with_pullback:
         return k
 
+    owner = np.repeat(np.arange(len(sets_b)), sb)  # set b of each column
+
     def pullback(coeffs):
-        # Per-node-pair coefficient upstream / (n_a * m_b), spread over
-        # rows, then over columns into a fresh buffer: e is never written.
+        # Per-node-pair coefficient upstream / (n_a * m_b).  One set a at
+        # a time, its rows of e scaled by its coefficients spread over
+        # columns: e is never written and no block-sized temporary is made.
         c = coeffs / norm
-        grads_a, db = [], np.zeros_like(xb)
+        grads_a, gsum, gx = [], np.zeros(len(xb)), np.zeros_like(xb)
         for (lo, hi), (xa, oa, e, cols) in zip(spans, parts):
-            crow = np.repeat(c[lo:hi], sa[lo:hi], axis=0)
-            g = np.repeat(crow, sb, axis=1)
-            g *= e
-            row_sums = np.sum(crow * cols, axis=1)
-            da = -2.0 * gamma * (xa * row_sums[:, None] - g @ xb)
-            grads_a.extend(np.split(da, oa[1:-1]))
-            db += xb * g.sum(axis=0)[:, None] - g.T @ xa
-        db *= -2.0 * gamma
+            for i in range(hi - lo):
+                r = slice(oa[i], oa[i + 1])
+                g = e[r] * c[lo + i, owner]
+                row_sums = cols[r] @ c[lo + i]
+                grads_a.append(-2.0 * gamma
+                               * (xa[r] * row_sums[:, None] - g @ xb))
+                gsum += g.sum(axis=0)
+                gx += g.T @ xa[r]
+        db = -2.0 * gamma * (xb * gsum[:, None] - gx)
         return grads_a, np.split(db, ob[1:-1])
 
     return k, pullback
@@ -155,7 +156,8 @@ def median_heuristic(sets, sample_cap: int = DEFAULT_SAMPLE_CAP,
         vals = np.empty(sample_cap)
         step = encoder.BLOCK_ROWS
         for lo in range(0, sample_cap, step):
-            diff = x[i[lo:lo + step]] - x[j[lo:lo + step]]
+            diff = (np.take(x, i[lo:lo + step], axis=0)
+                    - np.take(x, j[lo:lo + step], axis=0))
             vals[lo:lo + step] = np.sum(diff * diff, axis=1)
     med = float(np.median(vals))
     if med <= 0.0:

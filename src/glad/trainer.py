@@ -196,10 +196,22 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None,
         lsets = [sets[g.graph_id] for g in landmark_graphs]
         if not with_grad:
             return set_kernel_matrix(bsets, lsets, gamma) @ factor, None, None
-        k, pullback = set_kernel_matrix(bsets, lsets, gamma,
-                                        with_pullback=True)
-        pooled = k @ factor
-        da, db = pullback((2.0 / n) * (pooled - center) @ factor.T)
+        # A batch graph's Nystrom row and loss coefficient need only its
+        # own kernel row, so each block is pooled and pulled back while
+        # its node-pair kernel is live; the landmark gradients add up
+        # across blocks in block order.
+        pooled, da, db = [], [], None
+        for lo, hi in blocks([g.node_count for g in graphs]):
+            k, pullback = set_kernel_matrix(bsets[lo:hi], lsets, gamma,
+                                            with_pullback=True)
+            pooled.append(k @ factor)
+            ga, gb = pullback((2.0 / n) * (pooled[-1] - center) @ factor.T)
+            da.extend(ga)
+            db = gb if db is None else [x + y for x, y in zip(db, gb)]
+            # Free this block's node-pair kernel before the next is built,
+            # so the allocator hands the same memory back.
+            del k, pullback
+        pooled = np.concatenate(pooled)
         where = {g.graph_id: (i, b) for i, (blk, _, _) in enumerate(embedded)
                  for b, g in enumerate(blk)}
         d_out = [None] * len(embedded)
@@ -412,10 +424,14 @@ def run_grid(train_db: GraphDatabase, test_db: GraphDatabase, configs,
     Candidates whose training diverges or whose test scores are not
     finite are dropped and recorded in ``pool.dropped``.  Model ids
     follow grid order and stay stable in the presence of drops.  With
-    ``workers > 1`` candidates train in separate processes, which receive
-    both databases once at start-up and then one config per task;
-    results are identical to the serial path.
+    ``workers > 1`` candidates train in ``min(workers, len(configs))``
+    separate processes, which receive both databases once at start-up
+    and then one config per task; results are identical to the serial
+    path.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, len(configs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker,

@@ -184,6 +184,7 @@ anomaly_rate = 0.2
         ("[run]\nout_dir = x\n\n[selection]\nmethods = best\n",
          "unknown selection"),
         ("[run]\nout_dir = x\nmaster_seed = -1\n", "master_seed"),
+        ("[run]\nout_dir = x\nworkers = 0\n", "workers"),
         ("[run]\nout_dir = x\n\n[data]\nsource = tu\ndirectory = d\n"
          "degree_cap = 0\n", "degree_cap"),
         ("[run]\nout_dir = x\n\n[data]\nnodes = 2\n", "ba_m"),
@@ -436,6 +437,7 @@ labels = 2
         run = f"[run]\nout_dir = {tmp_path / 'out'}\n"
         for body in (run + "\n[data]\nn_train = abc\n",
                      run + "workers = two\n",
+                     run + "workers = 0\n",
                      run + "\n[data]\nanomaly_rate = 2\n",
                      "n_train = 3\n" + run,
                      run + "\n[run]\nworkers = 2\n",
@@ -466,6 +468,16 @@ labels = 2
                          "--out", str(tmp_path / "pool")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(grid) in err and "seed" in err
+        assert not (tmp_path / "pool").exists()
+
+        # A worker count below 1 is an error, not a silent serial run.
+        grid.write_text("[mean]\nepochs = 1\n")
+        for bad in ("0", "-3"):
+            assert cli.main(["train", "--data", str(data), "--grid",
+                             str(grid), "--out", str(tmp_path / "pool"),
+                             "--workers", bad]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--workers" in err
         assert not (tmp_path / "pool").exists()
 
         # Scores and flags over different ids: both files and one id named.

@@ -1,6 +1,7 @@
 """One-class objective, gradients, training loop, grids, pool files."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import embed_one, finite_diff_grad, flatten, mean_pool
 
 from glad.data import (Graph, GraphDatabase, derive_features,
                        generate_mixhop)
-from glad.encoder import embed_block
+from glad.encoder import blocks, embed_block
 from glad.errors import FormatError
 from glad.numkit import GradSet, ParamSet, init_params
 from glad.pooling import median_heuristic, nystrom_fit
@@ -131,6 +132,59 @@ class TestObjective:
         af, ff = flatten(full), flatten(fd)
         rel = np.abs(af - ff) / np.maximum(np.abs(ff), 1e-8)
         assert float(rel.max()) <= 1e-4
+
+    @staticmethod
+    def _mmd_setup(graphs, landmark_graphs, d_hidden, layers=2):
+        params = init_params(graphs[0].features.shape[1], d_hidden, layers,
+                             seed=4)
+        sets = [embed_one(g, params) for g in graphs]
+        gamma = median_heuristic(sets)
+        nmap = nystrom_fit([embed_one(g, params) for g in landmark_graphs],
+                           gamma)
+        state = (landmark_graphs, nmap.factor, gamma)
+        center = batch_objective(graphs, params, state)[0].mean(axis=0) + 0.05
+        return params, state, center
+
+    def test_mmd_blocks_match_one_block(self, monkeypatch):
+        # Graphs of 6 to 16 nodes: one block at the default BLOCK_ROWS,
+        # at least three at 40.  Graphs 1 and 5 are in the batch and
+        # landmarks; the last landmark is outside the batch.
+        parts = [generate_mixhop(2, n, 2, 0.6, 3, seed=n, id_offset=n)
+                 for n in (6, 9, 12, 16)]
+        db = derive_features(GraphDatabase(graphs=tuple(
+            g for p in parts for g in p.graphs)), "one_hot_label",
+            label_alphabet=[0, 1, 2])
+        batch = list(db.graphs[:7])
+        landmark_graphs = [batch[1], batch[5], db.graphs[7]]
+        params, state, center = self._mmd_setup(batch, landmark_graphs, 5)
+        sizes = [g.node_count for g in batch]
+        assert len(blocks(sizes)) == 1
+        pooled1, loss1, grads1 = batch_objective(batch, params, state, center)
+        monkeypatch.setattr("glad.encoder.BLOCK_ROWS", 40)
+        assert len(blocks(sizes)) >= 3
+        pooled, loss, grads = batch_objective(batch, params, state, center)
+        np.testing.assert_allclose(pooled, pooled1, rtol=0, atol=1e-12)
+        assert loss == pytest.approx(loss1, rel=0, abs=1e-12)
+        np.testing.assert_allclose(flatten(grads), flatten(grads1), rtol=0,
+                                   atol=1e-12)
+
+    def test_mmd_step_memory_below_whole_batch_kernel(self):
+        # The node-pair kernel of the whole batch against the landmarks
+        # would take 128 * 20 x 16 * 20 doubles (6.25 MiB); pooling and
+        # pulling back one block at a time never holds it.
+        db = derive_features(generate_mixhop(128, 20, 2, 0.6, 3, seed=5),
+                             "one_hot_label", label_alphabet=[0, 1, 2])
+        graphs = list(db.graphs)
+        landmark_graphs = graphs[::8]
+        params, state, center = self._mmd_setup(graphs, landmark_graphs, 16)
+        whole = 128 * 20 * len(landmark_graphs) * 20 * 8
+        tracemalloc.start()
+        try:
+            batch_objective(graphs, params, state, center)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole, (peak, whole)
 
 
 class TestModelConfig:
@@ -325,6 +379,40 @@ class TestRunGrid:
         serial = run_grid(train, test, configs, workers=1, base_seed=3)
         parallel = run_grid(train, test, configs, workers=2, base_seed=3)
         np.testing.assert_array_equal(serial.scores, parallel.scores)
+
+    def test_worker_count_capped_at_config_count(self, bench, monkeypatch):
+        # A recorder stands in for the executor and runs the tasks in this
+        # process, so no worker process is ever started.
+        train, test = bench
+        configs = expand_grid(SMALL_GRID, len(train))
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr("glad.trainer.ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr("glad.trainer._worker_inputs", None)
+        capped = run_grid(train, test, configs, workers=1000, base_seed=3)
+        assert started == [len(configs)]
+        serial = run_grid(train, test, configs, workers=1, base_seed=3)
+        np.testing.assert_array_equal(capped.scores, serial.scores)
+        run_grid(train, test, configs[:1], workers=4, base_seed=3)
+        assert started == [len(configs)]  # one config runs serially
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                run_grid(train, test, configs, workers=bad)
+        assert started == [len(configs)]
 
 
 class TestPoolFiles:
