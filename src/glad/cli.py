@@ -9,6 +9,7 @@ candidate pool), ``select`` (label-free model selection over a pool),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -25,11 +26,9 @@ from .metrics import roc_auc
 
 def _cmd_generate(args) -> int:
     try:
-        params = gpipe.BenchmarkParams(
-            n_train=args.n_train, n_test=args.n_test,
-            anomaly_rate=args.anomaly_rate, nodes=args.nodes, ba_m=args.ba_m,
-            labels=args.labels, homophily_in=args.homophily_in,
-            homophily_out=args.homophily_out)
+        params = gpipe.BenchmarkParams(**{
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(gpipe.BenchmarkParams)})
     except ValueError as exc:
         raise FormatError(f"bad generate option: {exc}") from None
     train_db, test_db = gpipe.generate_benchmark(params, args.seed)
@@ -141,14 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a synthetic benchmark dataset")
     g.add_argument("--out", required=True, help="output directory")
-    g.add_argument("--n-train", type=int, default=100)
-    g.add_argument("--n-test", type=int, default=100)
-    g.add_argument("--anomaly-rate", type=float, default=0.05)
-    g.add_argument("--nodes", type=int, default=50)
-    g.add_argument("--ba-m", type=int, default=2)
-    g.add_argument("--labels", type=int, default=5)
-    g.add_argument("--homophily-in", type=float, default=0.7)
-    g.add_argument("--homophily-out", type=float, default=0.3)
+    for f in dataclasses.fields(gpipe.BenchmarkParams):
+        g.add_argument("--" + f.name.replace("_", "-"),
+                       type=type(f.default), default=f.default)
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=_cmd_generate)
 

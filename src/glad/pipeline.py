@@ -200,8 +200,7 @@ class PipelineConfig:
     inlier_class: int = 0
     train_fraction: float = 0.7
     anomaly_rate: float = 0.05
-    grid_file: Path | None = None
-    grid_spec: dict | None = None
+    grid_spec: dict = field(default_factory=lambda: gtrain.DEFAULT_GRID)
 
 
 def parse_pipeline_config(path) -> PipelineConfig:
@@ -209,7 +208,9 @@ def parse_pipeline_config(path) -> PipelineConfig:
 
     A malformed file or value raises FormatError naming the file and the
     key.  Integers (counts, seeds, class ids) must be non-negative;
-    ``workers`` and ``degree_cap`` must be at least 1.
+    ``workers`` and ``degree_cap`` must be at least 1.  A ``[grid] file``
+    is parsed here (:func:`parse_grid_file`); without one the default
+    grid is used.
     """
     cp = configparser.ConfigParser()
     try:
@@ -246,7 +247,7 @@ def parse_pipeline_config(path) -> PipelineConfig:
             raise FormatError(f"{path}: unknown selection method {bad[0]!r}")
         kwargs["methods"] = methods
     if "grid" in cp and "file" in cp["grid"]:
-        kwargs["grid_file"] = Path(cp["grid"]["file"])
+        kwargs["grid_spec"] = parse_grid_file(cp["grid"]["file"])
 
     d = cp["data"] if "data" in cp else {}
     source = d.get("source", "generate")
@@ -351,14 +352,7 @@ def run_pipeline(cfg: PipelineConfig):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_db, test_db = build_dataset(cfg)
-
-    if cfg.grid_spec is not None:
-        grid = cfg.grid_spec
-    elif cfg.grid_file is not None:
-        grid = parse_grid_file(cfg.grid_file)
-    else:
-        grid = gtrain.DEFAULT_GRID
-    configs = gtrain.expand_grid(grid, len(train_db))
+    configs = gtrain.expand_grid(cfg.grid_spec, len(train_db))
     pool = gtrain.run_grid(train_db, test_db, configs, workers=cfg.workers,
                            base_seed=stage_seed(cfg.master_seed,
                                                 STAGE_TRAINING))

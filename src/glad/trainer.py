@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import GraphDatabase, table_rows
 from .encoder import EmbeddingSet, backprop_block, blocks, embed_block
-from .errors import DegenerateInputError, FormatError
+from .errors import DegenerateInputError, FormatError, GladError
 from .numkit import GradSet, ParamSet, init_params, sgd_step
 from .pooling import (NystromMap, median_heuristic, mmd_pool_batch,
                       nystrom_fit, set_kernel_matrix)
@@ -64,8 +64,11 @@ class ModelConfig:
             raise ValueError("mmd pooling needs a positive nystrom_k")
         if min(self.layers, self.epochs, self.batch_size, self.d_hidden) < 1:
             raise ValueError("layers, epochs, batch_size, d_hidden must be >= 1")
-        if self.lr <= 0 or self.weight_decay < 0:
-            raise ValueError("need lr > 0 and weight_decay >= 0")
+        # NaN fails every comparison, so it is rejected too.
+        if not (0 < self.lr < math.inf
+                and 0 <= self.weight_decay < math.inf):
+            raise ValueError(f"need finite lr > 0 and weight_decay >= 0, got "
+                             f"lr {self.lr}, weight_decay {self.weight_decay}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -120,7 +123,7 @@ class CandidatePool:
 # Objective
 # ---------------------------------------------------------------------------
 
-def _embed(graphs, params: ParamSet, with_cache: bool = True) -> list:
+def _embed(graphs, params: ParamSet, with_cache: bool) -> list:
     """Embed ``graphs`` block by block (:func:`glad.encoder.blocks`) at
     ``params``: a list of ``(block_graphs, h, cache)`` with ``h`` the
     zero-padded node embeddings; ``cache`` is None without
@@ -141,8 +144,7 @@ def _sets(embedded) -> dict:
             for blk, h, _ in embedded for b, g in enumerate(blk)}
 
 
-def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None,
-                    embedded=None):
+def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
     """Pooled vectors for a batch at the given parameters and, given a
     center, the data-term loss and its gradient.
 
@@ -150,10 +152,8 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None,
     distribution readout: landmark node embeddings are recomputed at
     ``params`` while the eigen factor and bandwidth stay frozen.  With
     ``mmd_state=None`` the mean readout is used.  Graphs are embedded in
-    blocks, each graph id once, batch graphs first.  The distribution
-    readout takes ``embedded`` (from :func:`_embed` at ``params``, with
-    caches when a center is given, holding every batch and landmark
-    graph) in place of that pass.
+    blocks, each graph id once, batch graphs first, with backward caches
+    only when a center is given.
 
     Returns ``(pooled, data_loss, grads)``; the last two are None without
     a center.  ``data_loss`` is the mean squared center distance and
@@ -167,8 +167,6 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None,
     n = len(graphs)
     grads = GradSet.zeros_like(params) if with_grad else None
     if mmd_state is None:
-        if embedded is not None:
-            raise ValueError("embedded applies to the distribution readout")
         # A graph's gradient needs only its own pooled row, so each block
         # is pulled back before the next one is embedded.
         pooled = []
@@ -188,9 +186,8 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None,
         pooled = np.concatenate(pooled)
     else:
         landmark_graphs, factor, gamma = mmd_state
-        if embedded is None:
-            uniq = {g.graph_id: g for g in [*graphs, *landmark_graphs]}
-            embedded = _embed(uniq.values(), params, with_cache=with_grad)
+        uniq = {g.graph_id: g for g in [*graphs, *landmark_graphs]}
+        embedded = _embed(uniq.values(), params, with_grad)
         sets = _sets(embedded)
         bsets = [sets[g.graph_id] for g in graphs]
         lsets = [sets[g.graph_id] for g in landmark_graphs]
@@ -233,10 +230,10 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None,
 # Training
 # ---------------------------------------------------------------------------
 
-def _refresh_map(embedded, landmark_graphs, rng, rank):
+def _refresh_map(graphs, params, landmark_graphs, rng, rank):
     """Bandwidth and eigen factor from the embeddings of every training
-    graph, as :func:`_embed` returns them."""
-    sets = _sets(embedded)
+    graph at ``params``, computed here without backward caches."""
+    sets = _sets(_embed(graphs, params, with_cache=False))
     gamma = median_heuristic(list(sets.values()), rng=rng)
     return nystrom_fit([sets[g.graph_id] for g in landmark_graphs], gamma,
                        rank=rank)
@@ -251,9 +248,9 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
     batch order and bandwidth sampling use a stream derived from
     ``(base_seed, config.seed)``.  The center is the mean pooled
     embedding under the initial weights and never moves.  The MMD
-    readout embeds every training graph once per epoch; that pass feeds
-    the bandwidth, the Nystrom refit, the epoch's first batch and, at
-    initialization, the center.
+    readout embeds every training graph once per epoch, without backward
+    caches, to refit the bandwidth and the Nystrom factor; a training
+    step embeds only its batch and the landmarks, with caches.
     """
     if train_db.d_in is None:
         raise ValueError("training database has no derived features")
@@ -265,17 +262,15 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
     batch_size = min(config.batch_size, n)
     is_mmd = config.pooling == "mmd"
 
-    landmark_graphs, nmap, rank, state, embedded = [], None, None, None, None
+    landmark_graphs, nmap, rank, state = [], None, None, None
     if is_mmd:
         k = min(config.nystrom_k, n)
         land_idx = np.sort(rng.choice(n, size=k, replace=False))
         landmark_graphs = [graphs[i] for i in land_idx]
-        embedded = _embed(graphs, params)
-        nmap = _refresh_map(embedded, landmark_graphs, rng, rank=None)
+        nmap = _refresh_map(graphs, params, landmark_graphs, rng, rank=None)
         rank = nmap.rank
         state = (landmark_graphs, nmap.factor, nmap.gamma)
-    center = batch_objective(graphs, params, state,
-                             embedded=embedded)[0].mean(axis=0)
+    center = batch_objective(graphs, params, state)[0].mean(axis=0)
 
     def fail(msg: str) -> TrainedCandidate:
         return TrainedCandidate(config=config, params=None, center=None,
@@ -291,9 +286,9 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
         # overflow warnings it produces on the way.
         with np.errstate(over="ignore", invalid="ignore"):
             if is_mmd and epoch > 0:
-                embedded = _embed(graphs, params)
                 try:
-                    nmap = _refresh_map(embedded, landmark_graphs, rng, rank)
+                    nmap = _refresh_map(graphs, params, landmark_graphs, rng,
+                                        rank)
                 except (DegenerateInputError, ValueError,
                         np.linalg.LinAlgError) as exc:
                     return fail(f"refresh failed in epoch {epoch}: {exc}")
@@ -304,8 +299,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
             for start in range(0, n, batch_size):
                 batch = [graphs[i] for i in order[start:start + batch_size]]
                 _, data_loss, grads = batch_objective(batch, params, state,
-                                                      center, embedded)
-                embedded = None  # stale once the step below moves params
+                                                      center)
                 loss = data_loss + 0.5 * config.weight_decay * params.sq_norm()
                 if not math.isfinite(loss):
                     return fail(f"non-finite loss in epoch {epoch}")
@@ -317,8 +311,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
     if is_mmd:
         # Scoring snapshot: factor and bandwidth consistent with the
         # final weights, landmark embeddings stored inside the map.
-        nmap = _refresh_map(_embed(graphs, params, with_cache=False),
-                            landmark_graphs, rng, rank)
+        nmap = _refresh_map(graphs, params, landmark_graphs, rng, rank)
     return TrainedCandidate(config=config, params=params, center=center,
                             nystrom=nmap, final_loss=final_loss)
 
@@ -342,11 +335,14 @@ def score_graphs(db: GraphDatabase, candidate: TrainedCandidate) -> np.ndarray:
 
 def nystrom_size(mult: float, n_train: int) -> int:
     """Landmark count rule: ``ceil(mult * ln(n_train))`` clamped to
-    ``[4, n_train]``."""
+    ``[4, n_train]``, for a finite positive ``mult``."""
     if n_train < 1:
         raise ValueError("n_train must be positive")
-    raw = math.ceil(mult * math.log(n_train))
-    return int(min(max(raw, 4), n_train))
+    if not 0 < mult < math.inf:
+        raise ValueError(f"nystrom_mult must be finite and positive, "
+                         f"got {mult}")
+    raw = mult * math.log(n_train)  # may overflow to inf: compare first
+    return n_train if raw >= n_train else min(max(math.ceil(raw), 4), n_train)
 
 
 def expand_grid(spec: dict, n_train: int) -> list:
@@ -376,7 +372,8 @@ def expand_grid(spec: dict, n_train: int) -> list:
         elif "nystrom_k" in merged and "nystrom_mult" in merged:
             raise ValueError("give nystrom_k or nystrom_mult, not both")
         elif "nystrom_k" in merged:
-            merged["nystrom_k"] = [int(min(max(int(k), 1), n_train))
+            # Clamped from above only: ModelConfig rejects counts below 1.
+            merged["nystrom_k"] = [min(int(k), n_train)
                                    for k in merged["nystrom_k"]]
         elif "nystrom_mult" in merged:
             merged["nystrom_k"] = [nystrom_size(m, n_train)
@@ -422,15 +419,16 @@ def run_grid(train_db: GraphDatabase, test_db: GraphDatabase, configs,
     """Train every config and score the test set.
 
     Candidates whose training diverges or whose test scores are not
-    finite are dropped and recorded in ``pool.dropped``.  Model ids
-    follow grid order and stay stable in the presence of drops.  With
-    ``workers > 1`` candidates train in ``min(workers, len(configs))``
-    separate processes, which receive both databases once at start-up
-    and then one config per task; results are identical to the serial
-    path.
+    finite are dropped and recorded in ``pool.dropped``; if all are,
+    GladError names the first.  Model ids follow grid order and stay
+    stable in the presence of drops.  With ``workers > 1`` candidates
+    train in ``min(workers, len(configs))`` separate processes, which
+    receive both databases once at start-up and then one config per
+    task; results are identical to the serial path.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers < 1 or not configs:
+        raise ValueError(f"need workers >= 1 and a config, got workers "
+                         f"{workers}, {len(configs)} configs")
     workers = min(workers, len(configs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
@@ -453,7 +451,9 @@ def run_grid(train_db: GraphDatabase, test_db: GraphDatabase, configs,
         kept_configs.append(cfg)
         rows.append(scores)
     if not rows:
-        raise ValueError("all candidates failed during training")
+        mid, diag = dropped[0]
+        raise GladError(f"all {len(configs)} candidates failed; first "
+                        f"dropped {mid}: {diag}")
     return CandidatePool(model_ids=model_ids, configs=kept_configs,
                          scores=np.stack(rows),
                          graph_ids=list(test_db.graph_ids),

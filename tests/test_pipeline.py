@@ -14,7 +14,7 @@ from glad.pipeline import (BenchmarkParams, PipelineConfig,
                            parse_grid_file, parse_pipeline_config,
                            pick_feature_kind, run_pipeline, stage_seed,
                            write_report)
-from glad.trainer import CandidatePool, ModelConfig
+from glad.trainer import DEFAULT_GRID, CandidatePool, ModelConfig
 
 TINY_BENCH = BenchmarkParams(n_train=8, n_test=8, anomaly_rate=0.25,
                              nodes=12, ba_m=2, labels=2,
@@ -155,6 +155,7 @@ labels = 3
         assert cfg.methods == ("hits", "mc")
         assert cfg.bench.n_train == 12 and cfg.bench.labels == 3
         assert cfg.bench.ba_m == 2  # default survives partial [data]
+        assert cfg.grid_spec == DEFAULT_GRID  # no [grid] file
 
     def test_tu_source(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -375,6 +376,7 @@ anomaly_rate = 0.2
 nodes = 10
 labels = 2
 """)
+        assert parse_pipeline_config(ini).grid_spec == parse_grid_file(grid)
         assert cli.main(["pipeline", "--config", str(ini)]) == 0
         assert (tmp_path / "out" / "report.txt").exists()
         assert "auc[hits]" in capsys.readouterr().out
@@ -469,6 +471,37 @@ labels = 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(grid) in err and "seed" in err
         assert not (tmp_path / "pool").exists()
+
+        # A grid whose candidates all diverge, a non-finite rate and a
+        # landmark count or multiplier below the valid range end in an
+        # error line from both commands, not in a traceback.
+        run_grid_ini = (f"[run]\nout_dir = {tmp_path / 'out'}\n\n"
+                        f"[grid]\nfile = {grid}\n\n[data]\nn_train = 6\n"
+                        f"n_test = 6\nanomaly_rate = 0.2\nnodes = 10\n")
+        for body, named in (("[mean]\nlr = 1e9\nepochs = 5\n", "m000"),
+                            ("[mean]\nlr = nan\n", str(grid)),
+                            ("[mmd]\nnystrom_k = -5\n", str(grid)),
+                            ("[mmd]\nnystrom_mult = 0\n", str(grid))):
+            grid.write_text(body)
+            assert cli.main(["train", "--data", str(data), "--grid",
+                             str(grid), "--out", str(tmp_path / "pool")]) \
+                == 2, body
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and named in err, body
+            ini.write_text(run_grid_ini)
+            assert cli.main(["pipeline", "--config", str(ini)]) == 2, body
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and named in err, body
+        assert not (tmp_path / "pool").exists()
+        # A multiplier whose landmark count overflows a float takes every
+        # training graph.
+        grid.write_text("[mmd]\nnystrom_mult = 1e308\nepochs = 1\n"
+                        "layers = 1\nd_hidden = 4\n")
+        assert cli.main(["train", "--data", str(data), "--grid", str(grid),
+                         "--out", str(tmp_path / "big")]) == 0
+        row = (tmp_path / "big" / "pool_configs.csv").read_text().split()[1]
+        assert row.split(",")[1] == "mmd" and row.split(",")[6] == "6"
+        capsys.readouterr()
 
         # A worker count below 1 is an error, not a silent serial run.
         grid.write_text("[mean]\nepochs = 1\n")

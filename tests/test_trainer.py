@@ -10,12 +10,12 @@ from conftest import embed_one, finite_diff_grad, flatten, mean_pool
 
 from glad.data import (Graph, GraphDatabase, derive_features,
                        generate_mixhop)
-from glad.encoder import blocks, embed_block
-from glad.errors import FormatError
+from glad.encoder import blocks
+from glad.errors import FormatError, GladError
 from glad.numkit import GradSet, ParamSet, init_params
 from glad.pooling import median_heuristic, nystrom_fit
 from glad.trainer import (DEFAULT_GRID, CandidatePool, ModelConfig,
-                          _embed, batch_objective, expand_grid, load_pool,
+                          batch_objective, expand_grid, load_pool,
                           nystrom_size, run_grid, save_pool, score_graphs,
                           train_candidate)
 
@@ -119,12 +119,6 @@ class TestObjective:
         center = batch_objective(graphs, params, state)[0].mean(axis=0) + 0.05
         wd = 1e-3
         _, loss, grads = batch_objective(graphs, params, state, center)
-        # Embeddings handed in from one training-set pass give the same
-        # loss and gradient bit for bit.
-        _, loss2, grads2 = batch_objective(graphs, params, state, center,
-                                           _embed(graphs, params))
-        assert loss2 == loss
-        np.testing.assert_array_equal(flatten(grads2), flatten(grads))
         full = self._full_grad(grads, params, wd)
         fd = finite_diff_grad(
             lambda p: batch_objective(graphs, p, state, center)[1]
@@ -195,6 +189,10 @@ class TestModelConfig:
             ModelConfig(pooling="mmd")
         with pytest.raises(ValueError, match="lr"):
             ModelConfig(pooling="mean", lr=0.0)
+        for bad in ({"lr": math.nan}, {"lr": math.inf},
+                    {"weight_decay": math.nan}):
+            with pytest.raises(ValueError, match="finite"):
+                ModelConfig(pooling="mean", **bad)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             ModelConfig(pooling="mean", seed=-1)
 
@@ -248,26 +246,51 @@ class TestTrainCandidate:
         assert math.isfinite(cand.final_loss)
         assert score_graphs(test, cand).shape == (20,)
 
-    def test_mmd_embeds_each_graph_once_per_epoch(self, bench, monkeypatch):
-        # One batch per epoch: the pass that refits bandwidth and factor
-        # also serves the batch (and, at initialization, the center), so
-        # each epoch embeds every graph once, plus once for the final
-        # scoring snapshot.
+    def test_mmd_step_embeds_only_batch_and_landmarks(self, bench,
+                                                      monkeypatch):
+        # A training step embeds its batch and the landmarks, with caches;
+        # the refresh of bandwidth and factor embeds every training graph
+        # once, without caches: at initialization, in each later epoch and
+        # for the scoring snapshot.
+        import glad.trainer as gt
         train, _ = bench
-        calls = []
+        objective, embed = gt.batch_objective, gt._embed
+        step, calls = [None], []
 
-        def counting(graphs, params, with_cache=False):
-            calls.extend(g.graph_id for g in graphs)
-            return embed_block(graphs, params, with_cache=with_cache)
+        def objective_spy(graphs, params, mmd_state=None, center=None,
+                          *rest, **kw):
+            step[0] = (list(graphs), mmd_state, center)
+            try:
+                return objective(step[0][0], params, mmd_state, center,
+                                 *rest, **kw)
+            finally:
+                step[0] = None
 
-        monkeypatch.setattr("glad.trainer.embed_block", counting)
-        epochs = 3
+        def embed_spy(graphs, params, with_cache=True):
+            graphs = list(graphs)
+            calls.append(([g.graph_id for g in graphs], with_cache, step[0]))
+            return embed(graphs, params, with_cache)
+
+        monkeypatch.setattr(gt, "batch_objective", objective_spy)
+        monkeypatch.setattr(gt, "_embed", embed_spy)
+        epochs, batch_size, k = 3, 8, 6
         cfg = ModelConfig(pooling="mmd", layers=1, lr=0.01, seed=0,
-                          nystrom_k=6, epochs=epochs, batch_size=len(train),
+                          nystrom_k=k, epochs=epochs, batch_size=batch_size,
                           d_hidden=8)
+        assert batch_size < len(train)
         assert not train_candidate(train, cfg).failed
-        assert len(calls) == (epochs + 1) * len(train)
-        assert sorted(calls) == sorted(train.graph_ids * (epochs + 1))
+
+        cached = [(ids, at) for ids, with_cache, at in calls if with_cache]
+        assert len(cached) == epochs * math.ceil(len(train) / batch_size)
+        for ids, at in cached:
+            assert at is not None and at[2] is not None, "not in a step"
+            batch, (landmarks, _, _), _ = at
+            assert len(ids) <= batch_size + k
+            assert set(ids) <= {g.graph_id for g in [*batch, *landmarks]}
+        refreshes = [ids for ids, _, at in calls if at is None]
+        assert len(refreshes) == epochs + 1
+        for ids in refreshes:
+            assert sorted(ids) == sorted(train.graph_ids)
 
     def test_divergence_marks_failed(self, bench):
         train, _ = bench
@@ -287,6 +310,8 @@ class TestGrids:
         # clamps
         assert nystrom_size(0.1, 150) == 4
         assert nystrom_size(100, 10) == 10
+        # a product past the float range still clamps to n_train
+        assert nystrom_size(1e308, 150) == 150
 
     def test_default_grid_counts(self):
         configs = expand_grid(DEFAULT_GRID, n_train=150)
@@ -325,6 +350,14 @@ class TestGrids:
             expand_grid({"mmd": {"nystrom_k": [2], "nystrom_mult": [4]}}, 10)
         with pytest.raises(ValueError, match="no configurations"):
             expand_grid({"common": {"epochs": [1]}}, 10)
+        # landmark counts below 1 and non-positive multipliers are errors,
+        # not clamped
+        for k in (0, -5):
+            with pytest.raises(ValueError, match="positive nystrom_k"):
+                expand_grid({"mmd": {"nystrom_k": [k]}}, 10)
+        for mult in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                expand_grid({"mmd": {"nystrom_mult": [mult]}}, 10)
 
 
 SMALL_GRID = {
@@ -355,6 +388,10 @@ class TestRunGrid:
                         base_seed=3)
         assert pool.model_ids == ["m000", "m002"]
         assert len(pool.dropped) == 1 and pool.dropped[0][0] == "m001"
+        with pytest.raises(GladError, match="first dropped m000: non-finite"):
+            run_grid(train, test, [bad, bad], base_seed=3)
+        with pytest.raises(ValueError, match="config"):
+            run_grid(train, test, [], base_seed=3)
 
     def test_non_finite_test_scores_dropped(self, bench):
         train, test = bench
