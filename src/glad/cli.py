@@ -46,8 +46,7 @@ def _load_split_dir(data_dir: Path):
     kind = gpipe.pick_feature_kind(train)
     alphabet = None
     if kind == "one_hot_label":
-        alphabet = sorted({int(x) for db in (train, test)
-                           for g in db.graphs for x in g.node_labels})
+        alphabet = gdata.node_label_alphabet(train, test)
     train = gdata.derive_features(train, kind, label_alphabet=alphabet)
     test = gdata.derive_features(test, kind, label_alphabet=alphabet)
     return train, test

@@ -8,6 +8,8 @@ graphs plus database-level annotations (class labels, anomaly flags).
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -60,8 +62,9 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) not stored with u < v")
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            if not w > 0:
-                raise ValueError(f"edge ({u}, {v}) has non-positive weight")
+            if not 0 < w < math.inf:
+                raise ValueError(f"edge ({u}, {v}) has weight {w}, not finite "
+                                 f"and > 0")
             seen.add((u, v))
         for name in ("node_labels", "node_attributes", "features"):
             arr = getattr(self, name)
@@ -139,15 +142,29 @@ class GraphDatabase:
         return [g.graph_id for g in self.graphs]
 
 
-def _normalized_edges(pairs) -> tuple:
-    """Collapse (u, v, w) triples to a sorted tuple with u < v, first
-    weight kept when a pair appears in both directions."""
-    out = {}
-    for u, v, w in pairs:
-        key = (min(u, v), max(u, v))
-        if key not in out:
-            out[key] = float(w)
-    return tuple((u, v, out[(u, v)]) for u, v in sorted(out))
+def _prechecked(fields: dict) -> Graph:
+    # Skips Graph's per-edge checks: the TU loader checks its edges as
+    # arrays, and derive_features keeps an already checked graph's edges.
+    g = object.__new__(Graph)
+    g.__dict__.update(fields)
+    return g
+
+
+def _normalized_edges(u, v, w, starts) -> list:
+    """Per graph, the sorted tuple of its (u, v, w) triples with u < v,
+    from edges between node positions in graph-major order (graph k
+    starts at ``starts[k]``).  A repeated pair keeps its first weight in
+    file order; ``w`` None means weight 1 throughout."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    key = lo * (int(hi.max(initial=0)) + 1) + hi
+    order = np.argsort(key, kind="stable")  # stable: file order among copies
+    order = order[np.diff(key[order], prepend=-1) != 0]
+    lo, hi = lo[order], hi[order]
+    b = np.append(np.searchsorted(lo, starts), lo.size)
+    base = np.repeat(starts, np.diff(b))
+    us, vs, b = (lo - base).tolist(), (hi - base).tolist(), b.tolist()
+    ws = [1.0] * len(us) if w is None else w[order].tolist()
+    return [tuple(zip(us[s:e], vs[s:e], ws[s:e])) for s, e in zip(b, b[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +199,46 @@ def table_rows(path, what: str, parse, header: bool = False):
         yield ln, s
 
 
+def first_row(path):
+    """``(line_number, stripped text)`` of a table's first non-blank line."""
+    with open(path) as f:
+        return next(((ln, s.strip()) for ln, s in enumerate(f, 1)
+                     if s.strip()), (1, ""))
+
+
+def read_table(path, what: str, parse, dtype, check, header: bool = False):
+    """Parse a comma-separated table whole with ``np.loadtxt`` into a 2-D
+    array of ``dtype`` (a structured dtype fixes the columns), skipping a
+    ``header`` line, and return it if ``check(table)`` holds.  Otherwise
+    return the rows of :func:`table_rows` with ``parse``, which raises the
+    first bad line's FormatError; the rows are what numpy refuses but the
+    format allows (``1_0``, mixed edge widths, lines of spaces)."""
+    try:
+        with warnings.catch_warnings():
+            # numpy warns on an empty file, and numpy 1.x on "1.0" as an int
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, dtype, delimiter=",", comments=None,
+                               skiprows=int(header), ndmin=2)
+    except (ValueError, Warning):
+        table = None
+    if table is not None and check(table):
+        return table
+    return [row for _, row in table_rows(path, what, parse, header)][int(header):]
+
+
 def parse_flag(s: str) -> bool:
     """Parse an anomaly flag, which must be 0 or 1."""
     v = int(s)
     if v not in (0, 1):
         raise ValueError(f"must be 0 or 1, got {v}")
     return bool(v)
+
+
+def _attribute_row(s: str) -> list:
+    row = [float(p) for p in s.split(",")]
+    if not all(map(math.isfinite, row)):
+        raise ValueError(f"non-finite value in {s!r}")
+    return row
 
 
 def load_tu_dataset(directory, name: str | None = None) -> GraphDatabase:
@@ -198,8 +249,9 @@ def load_tu_dataset(directory, name: str | None = None) -> GraphDatabase:
     ``<name>_graph_indicator.txt`` (graph id per node line).  Optional
     files add node labels, node attributes, per-graph class labels and
     per-graph anomaly flags.  An optional third column in the edge file
-    carries weights.  A graph's nodes keep their file order whether or
-    not the indicator lists each graph contiguously.
+    carries weights, which must be finite and > 0; attributes must be
+    finite.  A graph's nodes keep their file order whether or not the
+    indicator lists each graph contiguously.
 
     Raises
     ------
@@ -207,7 +259,8 @@ def load_tu_dataset(directory, name: str | None = None) -> GraphDatabase:
         If a mandatory file is missing.
     FormatError
         On malformed lines, out-of-range ids, self loops, cross-graph
-        edges, or row-count mismatches; messages carry line numbers.
+        edges, bad weights or attributes, or row-count mismatches;
+        messages carry line numbers.
     """
     directory = Path(directory)
     if name is None:
@@ -224,24 +277,22 @@ def load_tu_dataset(directory, name: str | None = None) -> GraphDatabase:
             raise ValueError(f"{gid} < 1")
         return gid
 
-    indicator = [gid for _, gid in table_rows(ind_path, "graph id", graph_id)]
-    if not indicator:
+    ind = read_table(ind_path, "graph id", graph_id, np.int64,
+                     lambda t: t.shape[1] == 1 and np.all(t >= 1))
+    ind = np.asarray(ind, dtype=np.int64).ravel()
+    if not ind.size:
         raise FormatError(f"{ind_path}: no nodes")
-    n_total = len(indicator)
-    n_graphs = max(indicator)
+    n_total, n_graphs = ind.size, int(ind.max())
 
-    # Group global node ids by graph; the stable sort keeps file order.
-    ind = np.array(indicator)
+    # Graph-major node positions; the stable sort keeps file order.
     counts = np.bincount(ind, minlength=n_graphs + 1)[1:]
     if np.any(counts == 0):
         empty = int(np.flatnonzero(counts == 0)[0]) + 1
         raise FormatError(f"{ind_path}: graph {empty} has no nodes")
     order = np.argsort(ind, kind="stable")
-    ends = np.cumsum(counts)
-    members = np.split(order, ends[:-1])
-    local = np.empty(n_total, dtype=np.int64)
-    local[order] = np.arange(n_total) - np.repeat(ends - counts, counts)
-    local_id = local.tolist()
+    pos = np.empty(n_total, dtype=np.int64)
+    pos[order] = np.arange(n_total)
+    starts = np.cumsum(counts) - counts
 
     def edge(s):
         parts = s.split(",")
@@ -253,46 +304,63 @@ def load_tu_dataset(directory, name: str | None = None) -> GraphDatabase:
             raise ValueError(f"node id out of range in {s!r}")
         if i == j:
             raise ValueError(f"self loop on node {i}")
-        gi, gj = indicator[i - 1], indicator[j - 1]
+        gi, gj = ind[i - 1], ind[j - 1]
         if gi != gj:
             raise ValueError(f"edge joins graphs {gi} and {gj}")
-        return gi, (local_id[i - 1], local_id[j - 1], w)
+        if not 0 < w < math.inf:
+            raise ValueError(f"weight {parts[2].strip()} is not finite "
+                             f"and > 0")
+        return i, j, w
 
-    per_graph_edges = [[] for _ in range(n_graphs)]
-    for _, (gid, e) in table_rows(a_path, "edge", edge):
-        per_graph_edges[gid - 1].append(e)
+    def edges_ok(t):
+        i, j = t["i"] - 1, t["j"] - 1
+        w = t["w"] if "w" in t.dtype.names else 1.0
+        return np.all((0 <= i) & (i < n_total) & (0 <= j) & (j < n_total)
+                      & (i != j) & (0 < w) & (w < np.inf)
+                      & (ind.take(i, mode="clip") == ind.take(j, mode="clip")))
 
-    def optional(suffix, what, parse, n_rows, noun, dtype):
+    fields = [("i", np.int64), ("j", np.int64), ("w", np.float64)]
+    width = 3 if first_row(a_path)[1].count(",") == 2 else 2
+    tab = read_table(a_path, "edge", edge, fields[:width], edges_ok)
+    tab = np.array(tab, fields) if isinstance(tab, list) else tab.ravel()
+    edges = _normalized_edges(pos[tab["i"] - 1], pos[tab["j"] - 1],
+                              tab["w"] if "w" in tab.dtype.names else None,
+                              starts)
+
+    def optional(suffix, what, parse, n_rows, noun, dtype=np.int64,
+                 valid=lambda t: True, one_column=True):
         path = directory / f"{name}_{suffix}.txt"
         if not path.is_file():
             return None
-        rows = [row for _, row in table_rows(path, what, parse)]
+        rows = read_table(path, what, parse, dtype, lambda t: (
+            (t.shape[1] == 1 or not one_column) and np.all(valid(t))))
         if len(rows) != n_rows:
             raise FormatError(f"{path}: {len(rows)} rows for {n_rows} {noun}")
         try:
-            return np.array(rows, dtype=dtype)
+            rows = np.asarray(rows, dtype=dtype).reshape(n_rows, -1)
         except ValueError:  # attribute rows of differing widths
             raise FormatError(f"{path}: ragged {what}s") from None
+        return rows[:, 0] if one_column else rows
 
-    node_labels = optional("node_labels", "node label", int,
-                           n_total, "nodes", np.int64)
-    node_attrs = optional("node_attributes", "attribute row",
-                          lambda s: [float(p) for p in s.split(",")],
-                          n_total, "nodes", np.float64)
-    class_labels = optional("graph_labels", "graph label", int,
-                            n_graphs, "graphs", np.int64)
-    flags = optional("anomaly_flags", "anomaly flag", parse_flag,
-                     n_graphs, "graphs", bool)
+    node_labels = optional("node_labels", "node label", int, n_total, "nodes")
+    node_attrs = optional("node_attributes", "attribute row", _attribute_row,
+                          n_total, "nodes", np.float64, np.isfinite, False)
+    class_labels = optional("graph_labels", "graph label", int, n_graphs,
+                            "graphs")
+    flags = optional("anomaly_flags", "anomaly flag", parse_flag, n_graphs,
+                     "graphs", valid=lambda t: np.isin(t, (0, 1)))
 
-    graphs = tuple(Graph(
+    members = np.split(order, np.cumsum(counts)[:-1])
+    graphs = tuple(_prechecked(dict(
         graph_id=k,
-        node_count=int(counts[k]),
-        edges=_normalized_edges(per_graph_edges[k]),
+        node_count=c,
+        edges=edges[k],
         node_labels=None if node_labels is None else node_labels[idx],
         node_attributes=None if node_attrs is None else node_attrs[idx],
-    ) for k, idx in enumerate(members))
+        features=None,
+    )) for k, (c, idx) in enumerate(zip(counts.tolist(), members)))
     return GraphDatabase(graphs=graphs, class_labels=class_labels,
-                         anomaly_flags=flags)
+                         anomaly_flags=None if flags is None else flags.astype(bool))
 
 
 def write_tu_dataset(db: GraphDatabase, directory, name: str) -> None:
@@ -344,6 +412,13 @@ def write_tu_dataset(db: GraphDatabase, directory, name: str) -> None:
 # Feature derivation
 # ---------------------------------------------------------------------------
 
+def node_label_alphabet(*dbs) -> np.ndarray:
+    """The sorted distinct node labels of the given databases."""
+    labels = np.concatenate([g.node_labels for db in dbs for g in db.graphs])
+    # With an index output np.unique does not import numpy.ma (~13 ms).
+    return np.unique(labels, return_inverse=True)[0]
+
+
 def derive_features(db: GraphDatabase, kind: str,
                     degree_cap: int = DEFAULT_DEGREE_CAP,
                     label_alphabet=None) -> GraphDatabase:
@@ -357,37 +432,37 @@ def derive_features(db: GraphDatabase, kind: str,
     if kind not in FEATURE_KINDS:
         raise ValueError(f"unknown feature kind {kind!r}, "
                          f"expected one of {FEATURE_KINDS}")
-    new_graphs = []
-    if kind == "one_hot_label":
-        if any(g.node_labels is None for g in db.graphs):
-            raise ValueError("one_hot_label requires node labels on every graph")
-        if label_alphabet is None:
-            label_alphabet = sorted({int(x) for g in db.graphs
-                                     for x in g.node_labels})
-        index = {lab: i for i, lab in enumerate(label_alphabet)}
-        width = len(index)
-        for g in db.graphs:
-            feats = np.zeros((g.node_count, width))
-            for v, lab in enumerate(g.node_labels):
-                if int(lab) not in index:
-                    raise ValueError(f"label {int(lab)} outside alphabet")
-                feats[v, index[int(lab)]] = 1.0
-            new_graphs.append(replace(g, features=feats))
-    elif kind == "attributes":
+    if not db.graphs:
+        return replace(db, feature_kind=kind)
+    if kind == "attributes":
         if any(g.node_attributes is None for g in db.graphs):
             raise ValueError("attributes kind requires node attributes")
-        for g in db.graphs:
-            new_graphs.append(replace(g, features=g.node_attributes.astype(float)))
+        feats = [g.node_attributes.astype(float) for g in db.graphs]
     else:
-        if degree_cap < 1:
-            raise ValueError("degree_cap must be >= 1")
-        width = degree_cap + 1
-        for g in db.graphs:
-            feats = np.zeros((g.node_count, width))
-            idx = np.minimum(g.degrees, degree_cap)
-            feats[np.arange(g.node_count), idx] = 1.0
-            new_graphs.append(replace(g, features=feats))
-    return replace(db, graphs=tuple(new_graphs), feature_kind=kind)
+        if kind == "one_hot_label":
+            if any(g.node_labels is None for g in db.graphs):
+                raise ValueError("one_hot_label requires node labels on every graph")
+            labels = np.concatenate([g.node_labels for g in db.graphs])
+            alphabet = np.asarray(node_label_alphabet(db) if label_alphabet is None
+                                  else label_alphabet)
+            outside = np.flatnonzero(~np.isin(labels, alphabet))
+            if outside.size:
+                raise ValueError(f"label {int(labels[outside[0]])} outside alphabet")
+            by_value = np.argsort(alphabet, kind="stable")
+            slot = by_value[np.searchsorted(alphabet, labels, sorter=by_value)]
+            width = alphabet.size
+        else:
+            if degree_cap < 1:
+                raise ValueError("degree_cap must be >= 1")
+            slot = np.minimum(np.concatenate([g.degrees for g in db.graphs]),
+                              degree_cap)
+            width = degree_cap + 1
+        one_hot = np.zeros((slot.size, width))
+        one_hot[np.arange(slot.size), slot] = 1.0
+        ends = np.cumsum([g.node_count for g in db.graphs]).tolist()
+        feats = [one_hot[e - g.node_count:e] for g, e in zip(db.graphs, ends)]
+    return replace(db, feature_kind=kind, graphs=tuple(
+        _prechecked(vars(g) | {"features": f}) for g, f in zip(db.graphs, feats)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +590,6 @@ def generate_mixhop(n_graphs: int, nodes_per_graph: int, ba_m: int,
                                            homophily, n_labels, rng)
         graphs.append(Graph(graph_id=id_offset + k,
                             node_count=nodes_per_graph,
-                            edges=_normalized_edges(edges),
+                            edges=tuple(sorted(edges)),
                             node_labels=labels))
     return GraphDatabase(graphs=tuple(graphs))

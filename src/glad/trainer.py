@@ -10,14 +10,13 @@ of candidates, each scoring every test graph.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .data import GraphDatabase, table_rows
+from .data import GraphDatabase, first_row, read_table, table_rows
 from .encoder import EmbeddingSet, backprop_block, blocks, embed_block
 from .errors import DegenerateInputError, FormatError, GladError
 from .numkit import GradSet, ParamSet, init_params, sgd_step
@@ -402,6 +401,8 @@ def _train_and_score(train_db, test_db, config, base_seed):
 
 
 _worker_inputs = None  # (train_db, test_db, base_seed) in a run_grid worker
+# run_grid imports it on first use: it is a third of glad's import time.
+ProcessPoolExecutor = None
 
 
 def _init_worker(train_db, test_db, base_seed):
@@ -431,6 +432,9 @@ def run_grid(train_db: GraphDatabase, test_db: GraphDatabase, configs,
                          f"{workers}, {len(configs)} configs")
     workers = min(workers, len(configs))
     if workers > 1:
+        global ProcessPoolExecutor
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker,
                                  initargs=(train_db, test_db,
@@ -521,6 +525,14 @@ def load_pool(directory) -> CandidatePool:
             raise FormatError(f"{cfg_path}:{ln}: duplicate model id {mid}")
         configs[mid] = cfg
 
+    ln, head = first_row(score_path)
+    if not head.startswith("model_id,"):
+        raise FormatError(f"{score_path}:{ln}: bad header")
+    graph_ids = head.split(",")[1:]
+    if len(graph_ids) != len(set(graph_ids)) or not graph_ids:
+        raise FormatError(f"{score_path}:{ln}: graph ids must be unique")
+    seen = set()
+
     def score_row(s):
         parts = s.split(",")
         if len(parts) != 1 + len(graph_ids):
@@ -532,21 +544,21 @@ def load_pool(directory) -> CandidatePool:
         if bad.size:
             raise ValueError(f"non-finite score {parts[1 + bad[0]]} "
                              f"for graph {graph_ids[bad[0]]}")
+        if parts[0] in seen:
+            raise ValueError(f"duplicate model id {parts[0]}")
+        seen.add(parts[0])
         return parts[0], row
 
-    rows = table_rows(score_path, "score row", score_row, header=True)
-    ln, head = next(rows, (1, ""))
-    if not head.startswith("model_id,"):
-        raise FormatError(f"{score_path}:{ln}: bad header")
-    graph_ids = head.split(",")[1:]  # read by score_row on the rows below
-    if len(graph_ids) != len(set(graph_ids)) or not graph_ids:
-        raise FormatError(f"{score_path}:{ln}: graph ids must be unique")
-    scores = {}
-    for ln, (mid, row) in rows:
-        if mid in scores:
-            raise FormatError(f"{score_path}:{ln}: duplicate model id {mid}")
-        scores[mid] = row
-    missing = [m for m in configs if m not in scores]
+    def rows_ok(t):
+        mids = t["mid"].ravel().tolist()
+        return (len(set(mids)) == len(mids) and configs.keys() >= set(mids)
+                and np.all(np.isfinite(t["s"])))
+
+    dtype = [("mid", object), ("s", np.float64, (len(graph_ids),))]
+    table = np.asarray(read_table(score_path, "score row", score_row, dtype,
+                                  rows_ok, header=True), dtype=dtype).ravel()
+    index = {mid: k for k, mid in enumerate(table["mid"].tolist())}
+    missing = [m for m in configs if m not in index]
     if missing:
         raise FormatError(f"{score_path}: no scores for {missing[0]}")
     try:
@@ -555,5 +567,5 @@ def load_pool(directory) -> CandidatePool:
         gids = list(graph_ids)
     return CandidatePool(model_ids=list(configs),
                          configs=list(configs.values()),
-                         scores=np.stack([scores[m] for m in configs]),
+                         scores=table["s"][[index[m] for m in configs]],
                          graph_ids=gids)

@@ -1,12 +1,37 @@
 """Graph model, disk format, feature derivation, splits, generator."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+import glad.data
 from glad.data import (DEFAULT_DEGREE_CAP, Graph, GraphDatabase, dataset_name,
                        derive_features, generate_mixhop, load_tu_dataset,
                        make_split, write_tu_dataset)
 from glad.errors import FormatError, LoadError, SplitError
+
+
+def assert_same_database(a, b):
+    """Field for field, with Python types, weight bits and array dtypes."""
+    def same_array(x, y):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert (x.dtype, x.shape) == (y.dtype, y.shape)
+            assert x.tobytes() == y.tobytes()
+
+    assert len(a) == len(b)
+    same_array(a.class_labels, b.class_labels)
+    same_array(a.anomaly_flags, b.anomaly_flags)
+    for g, h in zip(a.graphs, b.graphs):
+        assert (g.graph_id, g.node_count) == (h.graph_id, h.node_count)
+        assert [(type(u), u, type(v), v, type(w), np.float64(w).tobytes())
+                for u, v, w in g.edges] == \
+            [(type(u), u, type(v), v, type(w), np.float64(w).tobytes())
+             for u, v, w in h.edges]
+        for name in ("node_labels", "node_attributes", "features"):
+            same_array(getattr(g, name), getattr(h, name))
 
 
 def tri(gid=0, **kw):
@@ -34,6 +59,11 @@ class TestGraph:
         with pytest.raises(ValueError, match="unique"):
             GraphDatabase(graphs=(Graph(graph_id=0, node_count=2, edges=()),
                                   Graph(graph_id=0, node_count=3, edges=())))
+
+    def test_non_finite_weight_rejected(self):
+        for w in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="not finite and > 0"):
+                Graph(graph_id=0, node_count=2, edges=((0, 1, w),))
 
     def test_adjacency_symmetric_weighted(self):
         g = tri()
@@ -154,6 +184,140 @@ class TestTuFormat:
         np.testing.assert_array_equal(g2.node_attributes,
                                       [[2.5, -2], [4.5, -4], [6.5, -6]])
 
+    def test_fast_path_and_line_fallback_agree(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        graphs = []
+        for k in range(12):
+            n = int(rng.integers(1, 8))
+            pairs = sorted({tuple(sorted(rng.choice(n, 2, replace=False).tolist()))
+                            for _ in range(2 * n)} if n > 1 else ())
+            graphs.append(Graph(
+                graph_id=k, node_count=n,
+                edges=tuple((u, v, float(rng.uniform(0.1, 3))) for u, v in pairs),
+                node_labels=rng.integers(0, 5, n),
+                node_attributes=rng.standard_normal((n, 2))))
+        db = GraphDatabase(graphs=tuple(graphs),
+                           class_labels=rng.integers(0, 2, 12),
+                           anomaly_flags=rng.random(12) < 0.3)
+        write_tu_dataset(db, tmp_path, "w")
+        # Deal the nodes out graph by graph, each graph's nodes in order.
+        gid = np.repeat(np.arange(12), [g.node_count for g in graphs])
+        rank = np.arange(gid.size) - np.searchsorted(gid, gid)
+        dealt = np.lexsort((gid, rank))
+        new_id = np.empty_like(dealt)
+        new_id[dealt] = np.arange(dealt.size)
+        for suffix in ("graph_indicator", "node_labels", "node_attributes"):
+            path = tmp_path / f"w_{suffix}.txt"
+            lines = path.read_text().splitlines()
+            path.write_text("".join(lines[k] + "\n" for k in dealt))
+        a_path = tmp_path / "w_A.txt"
+        a_lines = []
+        for line in a_path.read_text().splitlines():
+            i, j, w = line.split(", ")
+            a_lines.append(f"{new_id[int(i) - 1] + 1}, {new_id[int(j) - 1] + 1}, {w}")
+        a_path.write_text("\n".join(a_lines) + "\n")
+        assert (tmp_path / "w_graph_indicator.txt").read_text().startswith("1\n2\n3\n")
+
+        read = []
+        real_rows = glad.data.table_rows
+        monkeypatch.setattr(glad.data, "table_rows", lambda path, *a, **k: (
+            read.append(path.name), real_rows(path, *a, **k))[1])
+        fast = load_tu_dataset(tmp_path)
+        assert read == []
+        assert_same_database(fast, db)
+
+        # A later 2-column copy of the first edge keeps the first weight,
+        # and numpy refuses the mixed widths, so the line reader runs.
+        a_path.write_text("\n".join(a_lines + [a_lines[0].rsplit(",", 1)[0]]) + "\n")
+        slow = load_tu_dataset(tmp_path)
+        assert read == ["w_A.txt"]
+        assert_same_database(slow, fast)
+        for kind in ("one_hot_label", "attributes", "one_hot_degree"):
+            assert_same_database(derive_features(slow, kind),
+                                 derive_features(fast, kind))
+
+    def test_crlf_blank_lines_plus_ids_and_empty_edge_file(self, tmp_path):
+        (tmp_path / "o_graph_indicator.txt").write_bytes(b"1\r\n1\r\n\r\n2\r\n+2\r\n")
+        (tmp_path / "o_A.txt").write_bytes(b"1, 2\r\n\r\n+2, 1\r\n4,3\r\n")
+        # the line of spaces sends the label file through the line reader
+        (tmp_path / "o_node_labels.txt").write_bytes(b"3\r\n  \r\n+4\r\n5\r\n6\r\n")
+        (tmp_path / "o_graph_labels.txt").write_bytes(b"\r\n0\r\n1\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            db = load_tu_dataset(tmp_path, "o")
+            assert [g.edges for g in db.graphs] == [((0, 1, 1.0),), ((0, 1, 1.0),)]
+            assert [g.node_labels.tolist() for g in db.graphs] == [[3, 4], [5, 6]]
+            assert db.class_labels.tolist() == [0, 1]
+            for text in ("", "\n\n"):
+                (tmp_path / "o_A.txt").write_text(text)
+                db = load_tu_dataset(tmp_path, "o")
+                assert [g.edges for g in db.graphs] == [(), ()]
+                assert [g.node_count for g in db.graphs] == [2, 2]
+
+    def test_array_checks_report_the_first_bad_line(self, tmp_path):
+        (tmp_path / "e_graph_indicator.txt").write_text("1\n1\n2\n")
+        cases = [
+            ("1, 2\n\n2, 1\n1, 1\n", "e_A.txt:4: bad edge: self loop on node 1"),
+            ("1, 2\n1, 4\n2, 2\n", "e_A.txt:2: bad edge: node id out of range"),
+            ("2, 1\n2, 3\n1, 1\n", "e_A.txt:2: bad edge: edge joins graphs 1 and 2"),
+        ]
+        for content, pattern in cases:
+            (tmp_path / "e_A.txt").write_text(content)
+            with pytest.raises(FormatError, match=pattern):
+                load_tu_dataset(tmp_path, "e")
+
+    def test_first_weight_in_file_order_wins(self, tmp_path):
+        # Pairs repeat in both directions with new weights; the reference
+        # keeps the first weight seen per pair, as a dict does.
+        rng = np.random.default_rng(8)
+        ind = rng.integers(1, 3, 40)
+        nodes = [np.flatnonzero(ind == g) for g in (1, 2)]
+        lines, want = [], [{}, {}]
+        for _ in range(600):
+            g = int(rng.integers(0, 2))
+            a, b = rng.choice(nodes[g].size, 2, replace=False).tolist()
+            w = float(rng.integers(1, 1000))
+            lines.append(f"{nodes[g][a] + 1}, {nodes[g][b] + 1}, {w}")
+            want[g].setdefault((min(a, b), max(a, b)), w)
+        (tmp_path / "r_graph_indicator.txt").write_text(
+            "".join(f"{g}\n" for g in ind))
+        (tmp_path / "r_A.txt").write_text("\n".join(lines) + "\n")
+        db = load_tu_dataset(tmp_path, "r")
+        for g, ref in zip(db.graphs, want):
+            assert g.edges == tuple((u, v, ref[u, v]) for u, v in sorted(ref))
+
+    def test_graph_ids_positive_and_label_files_one_column(self, tmp_path):
+        (tmp_path / "p_A.txt").write_text("1, 2\n")
+        (tmp_path / "p_graph_indicator.txt").write_text("1\n1\n\n0\n")
+        with pytest.raises(FormatError,
+                           match="p_graph_indicator.txt:4: bad graph id: 0 < 1"):
+            load_tu_dataset(tmp_path, "p")
+        (tmp_path / "p_graph_indicator.txt").write_text("1\n1\n")
+        (tmp_path / "p_node_labels.txt").write_text("3, 1\n4, 5\n")
+        with pytest.raises(FormatError, match="p_node_labels.txt:1: bad node label"):
+            load_tu_dataset(tmp_path, "p")
+
+    def test_bad_weights_rejected_with_line(self, tmp_path):
+        (tmp_path / "b_graph_indicator.txt").write_text("1\n1\n1\n")
+        for w in ("0", "-1", "nan", "inf", "-0.0"):
+            # numpy parses the second file whole; the first has mixed widths
+            for content, line in ((f"1, 2, {w}\n2, 3\n", 1),
+                                  (f"1, 2, 0.5\n\n2, 3, 1\n3, 2, {w}\n", 4)):
+                (tmp_path / "b_A.txt").write_text(content)
+                with pytest.raises(FormatError, match=(
+                        f"b_A.txt:{line}: bad edge: weight {w} is not "
+                        f"finite and > 0")):
+                    load_tu_dataset(tmp_path, "b")
+
+    def test_non_finite_attributes_rejected_with_line(self, tmp_path):
+        (tmp_path / "a_A.txt").write_text("1, 2\n")
+        (tmp_path / "a_graph_indicator.txt").write_text("1\n1\n")
+        for bad in ("nan", "inf", "-inf"):
+            (tmp_path / "a_node_attributes.txt").write_text(f"0.5, 1\n1, {bad}\n")
+            with pytest.raises(FormatError, match=(
+                    "a_node_attributes.txt:2: bad attribute row: non-finite")):
+                load_tu_dataset(tmp_path, "a")
+
     def test_bad_flag_value(self, tmp_path):
         (tmp_path / "f_A.txt").write_text("1, 2\n")
         (tmp_path / "f_graph_indicator.txt").write_text("1\n1\n")
@@ -178,6 +342,24 @@ class TestDeriveFeatures:
         db = derive_features(GraphDatabase(graphs=(g,)), "one_hot_label",
                              label_alphabet=[0, 1, 2])
         np.testing.assert_array_equal(db.graphs[0].features, [[0, 1, 0]])
+
+    def test_one_hot_label_matches_per_node_loop(self):
+        db = generate_mixhop(5, 12, 2, 0.5, 4, seed=3)
+        for alphabet in (None, [3, 0, 2, 1, 7]):
+            out = derive_features(db, "one_hot_label", label_alphabet=alphabet)
+            index = {lab: k for k, lab in enumerate(alphabet or range(4))}
+            for g, h in zip(db.graphs, out.graphs):
+                want = np.zeros((g.node_count, len(index)))
+                for v, lab in enumerate(g.node_labels):
+                    want[v, index[int(lab)]] = 1.0
+                assert h.features.dtype == want.dtype
+                np.testing.assert_array_equal(h.features, want)
+                assert h.edges is g.edges and h.graph_id == g.graph_id
+        with pytest.raises(ValueError, match="label 3 outside alphabet"):
+            derive_features(db, "one_hot_label", label_alphabet=[0, 1, 2])
+        for kind in ("one_hot_label", "attributes", "one_hot_degree"):
+            empty = derive_features(GraphDatabase(graphs=()), kind)
+            assert len(empty) == 0 and empty.feature_kind == kind
 
     def test_attributes_passthrough(self):
         g = tri(node_attributes=np.array([[1.0], [2.0], [3.0], [4.0]]))

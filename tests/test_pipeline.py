@@ -353,6 +353,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert "roc_auc = " in out
 
+    def test_bad_weights_and_attributes_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert cli.main(["generate", "--out", str(data), "--n-train", "6",
+                         "--n-test", "6", "--nodes", "10", "--labels", "2",
+                         "--anomaly-rate", "0.2"]) == 0
+        grid = tmp_path / "grid.txt"
+        self.write_grid(grid)
+        train = ["train", "--data", str(data), "--grid", str(grid),
+                 "--out", str(tmp_path / "pool")]
+        a_path = data / "train" / "synthetic_A.txt"
+        first, rest = a_path.read_text().split("\n", 1)
+        for w in ("0", "-1", "nan", "inf"):
+            a_path.write_text(f"{first}, {w}\n{rest}")
+            assert cli.main(train) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {a_path}:1: bad edge: weight {w}")
+        a_path.write_text(f"{first}\n{rest}")
+        attrs = data / "test" / "synthetic_node_attributes.txt"
+        n_nodes = len((data / "test" / "synthetic_graph_indicator.txt")
+                      .read_text().split())
+        for bad in ("nan", "inf"):
+            attrs.write_text("1.5\n" + f"{bad}\n" + "0.5\n" * (n_nodes - 2))
+            assert cli.main(train) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {attrs}:2: bad attribute row")
+        assert not (tmp_path / "pool").exists()
+
     def test_pipeline_subcommand(self, tmp_path, capsys):
         grid = tmp_path / "grid.txt"
         self.write_grid(grid)

@@ -536,6 +536,24 @@ class TestPoolFiles:
             load_pool(tmp_path)
 
 
+    def test_line_reader_matches_whole_table_and_finds_duplicates(self, tmp_path):
+        pool = self.make_pool()
+        save_pool(pool, tmp_path)
+        scores = tmp_path / "pool_scores.csv"
+        lines = scores.read_text().splitlines()
+        fast = load_pool(tmp_path)
+        # numpy refuses a line of spaces; the line reader must agree
+        scores.write_text("\n".join(lines[:2] + ["   "] + lines[2:]) + "\n")
+        slow = load_pool(tmp_path)
+        assert slow.model_ids == fast.model_ids and slow.graph_ids == fast.graph_ids
+        assert slow.scores.dtype == fast.scores.dtype
+        assert slow.scores.tobytes() == fast.scores.tobytes()
+        scores.write_text("\n".join(lines + [lines[1]]) + "\n")
+        with pytest.raises(FormatError,
+                           match="pool_scores.csv:4: .*duplicate model id m000"):
+            load_pool(tmp_path)
+
+
 class TestPlantedOutliers:
     def test_mean_candidates_rank_far_outliers_on_top(self):
         # train: tight attribute cluster; test adds graphs shifted far away
