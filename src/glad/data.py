@@ -8,10 +8,10 @@ graphs plus database-level annotations (class labels, anomaly flags).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,24 @@ from .errors import FormatError, LoadError, SplitError
 
 FEATURE_KINDS = ("one_hot_label", "attributes", "one_hot_degree")
 DEFAULT_DEGREE_CAP = 10
+EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
+def _edge_array(u, v, w=1.0) -> np.ndarray:
+    """An edge array (``EDGE_DTYPE``) with the given columns."""
+    e = np.empty(np.size(u), EDGE_DTYPE)
+    e["u"], e["v"], e["w"] = u, v, w
+    return e
+
+
+def _first_bad(checks):
+    """``(row, message)`` for the first row that fails one of ``checks``,
+    ``(bad, message)`` pairs in the order the rules apply (``bad`` a mask
+    of bad rows), with the message of the first check it fails; None when
+    every row passes."""
+    bad = np.column_stack([b for b, _ in checks])
+    rows = np.flatnonzero(bad.any(axis=1))
+    return (int(rows[0]), checks[bad[rows[0]].argmax()][1]) if rows.size else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,8 +50,10 @@ class Graph:
         Identifier, unique within a database.
     node_count : int
         Number of nodes; node ids are 0..node_count-1.
-    edges : tuple
-        Tuple of (u, v, weight) triples with u < v, each pair at most once.
+    edges : iterable of (u, v, weight) triples
+        u < v, each pair at most once, weight finite and > 0; the first
+        bad edge in input order raises.  Stored as one ``EDGE_DTYPE``
+        array sorted by (u, v), which iterates as (u, v, w) records.
     node_labels : ndarray or None
         Integer label per node.
     node_attributes : ndarray or None
@@ -44,7 +64,7 @@ class Graph:
 
     graph_id: int
     node_count: int
-    edges: tuple
+    edges: np.ndarray
     node_labels: np.ndarray | None = None
     node_attributes: np.ndarray | None = None
     features: np.ndarray | None = None
@@ -52,20 +72,21 @@ class Graph:
     def __post_init__(self):
         if self.node_count < 1:
             raise ValueError("graph must have at least one node")
-        seen = set()
-        for u, v, w in self.edges:
-            if u == v:
-                raise ValueError(f"self loop on node {u}")
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValueError(f"edge ({u}, {v}) outside node range")
-            if u > v:
-                raise ValueError(f"edge ({u}, {v}) not stored with u < v")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            if not 0 < w < math.inf:
-                raise ValueError(f"edge ({u}, {v}) has weight {w}, not finite "
-                                 f"and > 0")
-            seen.add((u, v))
+        e = np.fromiter(self.edges, EDGE_DTYPE)
+        u, v, w, n = e["u"], e["v"], e["w"], self.node_count
+        # First copies in (u, v) order; ids out of range break an earlier rule.
+        first = np.unique(u * n + v, return_index=True)[1]
+        hit = _first_bad([
+            (u == v, "self loop on node {0}"),
+            ((u < 0) | (u >= n) | (v < 0) | (v >= n),
+             "edge ({0}, {1}) outside node range"),
+            (u > v, "edge ({0}, {1}) not stored with u < v"),
+            (~np.isin(np.arange(e.size), first), "duplicate edge ({0}, {1})"),
+            (~((0 < w) & (w < np.inf)),
+             "edge ({0}, {1}) has weight {2}, not finite and > 0")])
+        if hit:
+            raise ValueError(hit[1].format(*e[hit[0]].tolist()))
+        object.__setattr__(self, "edges", e[first])
         for name in ("node_labels", "node_attributes", "features"):
             arr = getattr(self, name)
             if arr is not None and arr.shape[0] != self.node_count:
@@ -76,19 +97,15 @@ class Graph:
     def adjacency(self) -> np.ndarray:
         """Dense symmetric weighted adjacency matrix, zero diagonal."""
         a = np.zeros((self.node_count, self.node_count))
-        for u, v, w in self.edges:
-            a[u, v] = w
-            a[v, u] = w
+        u, v = self.edges["u"], self.edges["v"]
+        a[u, v] = a[v, u] = self.edges["w"]
         return a
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Unweighted node degrees (incident edge counts)."""
-        d = np.zeros(self.node_count, dtype=np.int64)
-        for u, v, _ in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        return (np.bincount(self.edges["u"], minlength=self.node_count)
+                + np.bincount(self.edges["v"], minlength=self.node_count))
 
     @property
     def d_in(self) -> int | None:
@@ -143,7 +160,7 @@ class GraphDatabase:
 
 
 def _prechecked(fields: dict) -> Graph:
-    # Skips Graph's per-edge checks: the TU loader checks its edges as
+    # Skips Graph's edge checks: the TU loader checks its edges as
     # arrays, and derive_features keeps an already checked graph's edges.
     g = object.__new__(Graph)
     g.__dict__.update(fields)
@@ -151,20 +168,17 @@ def _prechecked(fields: dict) -> Graph:
 
 
 def _normalized_edges(u, v, w, starts) -> list:
-    """Per graph, the sorted tuple of its (u, v, w) triples with u < v,
-    from edges between node positions in graph-major order (graph k
-    starts at ``starts[k]``).  A repeated pair keeps its first weight in
-    file order; ``w`` None means weight 1 throughout."""
+    """Per graph, its slice of one edge array sorted by pair, from edges
+    between node positions in graph-major order (graph k starts at
+    ``starts[k]``).  A repeated pair keeps its first weight in file order."""
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    key = lo * (int(hi.max(initial=0)) + 1) + hi
-    order = np.argsort(key, kind="stable")  # stable: file order among copies
-    order = order[np.diff(key[order], prepend=-1) != 0]
+    order = np.unique(lo * (int(hi.max(initial=0)) + 1) + hi,
+                      return_index=True)[1]
     lo, hi = lo[order], hi[order]
-    b = np.append(np.searchsorted(lo, starts), lo.size)
-    base = np.repeat(starts, np.diff(b))
-    us, vs, b = (lo - base).tolist(), (hi - base).tolist(), b.tolist()
-    ws = [1.0] * len(us) if w is None else w[order].tolist()
-    return [tuple(zip(us[s:e], vs[s:e], ws[s:e])) for s, e in zip(b, b[1:])]
+    b = np.searchsorted(lo, starts)
+    base = np.repeat(starts, np.diff(b, append=lo.size))
+    edges = _edge_array(lo - base, hi - base, w[order])
+    return np.split(edges, b[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +196,23 @@ def dataset_name(directory) -> str:
 
 def table_rows(path, what: str, parse, header: bool = False):
     """Yield ``(line_number, parse(stripped line))`` for each non-blank
-    line of a text table; with ``header`` the first such line is yielded
-    unparsed.  A ``ValueError`` from ``parse`` becomes a FormatError
-    ``"<path>:<line>: bad <what>: <reason>"``.
+    line of a text table, reading only as far as the caller iterates;
+    with ``header`` the first such line is yielded unparsed.  A
+    ``ValueError`` or ``OverflowError`` (an integer past int64) from
+    ``parse`` becomes a FormatError ``"<path>:<line>: bad <what>: <reason>"``.
     """
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        s = raw.strip()
-        if not s:
-            continue
-        if not header:
-            try:
-                s = parse(s)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{ln}: bad {what}: {exc}") from None
-        header = False
-        yield ln, s
+    with open(path) as f:
+        for ln, raw in enumerate(f, start=1):
+            s = raw.strip()
+            if not s:
+                continue
+            if not header:
+                try:
+                    s = parse(s)
+                except (ValueError, OverflowError) as exc:
+                    raise FormatError(f"{path}:{ln}: bad {what}: {exc}") from None
+            header = False
+            yield ln, s
 
 
 def first_row(path):
@@ -206,24 +222,38 @@ def first_row(path):
                      if s.strip()), (1, ""))
 
 
-def read_table(path, what: str, parse, dtype, check, header: bool = False):
-    """Parse a comma-separated table whole with ``np.loadtxt`` into a 2-D
-    array of ``dtype`` (a structured dtype fixes the columns), skipping a
-    ``header`` line, and return it if ``check(table)`` holds.  Otherwise
-    return the rows of :func:`table_rows` with ``parse``, which raises the
-    first bad line's FormatError; the rows are what numpy refuses but the
-    format allows (``1_0``, mixed edge widths, lines of spaces)."""
-    try:
-        with warnings.catch_warnings():
-            # numpy warns on an empty file, and numpy 1.x on "1.0" as an int
-            warnings.simplefilter("error")
-            table = np.loadtxt(path, dtype, delimiter=",", comments=None,
-                               skiprows=int(header), ndmin=2)
-    except (ValueError, Warning):
-        table = None
-    if table is not None and check(table):
-        return table
-    return [row for _, row in table_rows(path, what, parse, header)][int(header):]
+def read_table(path, what: str, tokenize, *dtypes, header: bool = False):
+    """A comma-separated table as a 1-D structured array, one record per
+    non-blank line after a ``header`` line: parsed whole by ``np.loadtxt``
+    with the first of ``dtypes`` it accepts (their fields fix the
+    columns), else line by line with ``tokenize``, which returns a record
+    of the last dtype and raises for a malformed line.  Numpy refuses
+    some lines the format allows (``1_0``, mixed edge widths, lines of
+    spaces).  Rules on values are for :func:`check_rows`."""
+    skip = first_row(path)[0] if header else 0
+    for dtype in dtypes:
+        try:
+            with warnings.catch_warnings():
+                # numpy warns on an empty file, and numpy 1.x on "1.0" as an int
+                warnings.simplefilter("error")
+                return np.loadtxt(path, dtype, delimiter=",", comments=None,
+                                  skiprows=skip, ndmin=1)
+        except (ValueError, Warning):
+            pass
+    rows = [row for _, row in table_rows(path, what, tokenize, header)]
+    return np.array(rows[header:], dtypes[-1])
+
+
+def check_rows(path, what: str, checks, header: bool = False) -> None:
+    """Raise ``"<path>:<line>: bad <what>: <message>"`` for the first bad
+    row of a :func:`read_table` table, reading the file only up to it.
+    ``checks`` are ``(bad, message)`` pairs in the order the rules apply:
+    a mask of bad rows and a function of the row index and line text."""
+    hit = _first_bad(checks)
+    if hit:
+        ln, s = next(islice(table_rows(path, what, str, header),
+                            hit[0] + header, None))
+        raise FormatError(f"{path}:{ln}: bad {what}: {hit[1](hit[0], s)}")
 
 
 def parse_flag(s: str) -> bool:
@@ -234,11 +264,12 @@ def parse_flag(s: str) -> bool:
     return bool(v)
 
 
-def _attribute_row(s: str) -> list:
-    row = [float(p) for p in s.split(",")]
-    if not all(map(math.isfinite, row)):
-        raise ValueError(f"non-finite value in {s!r}")
-    return row
+def _edge(s: str) -> tuple:
+    parts = s.split(",")
+    if len(parts) not in (2, 3):
+        raise ValueError(f"expected 'i, j[, w]', got {s!r}")
+    return (np.int64(parts[0]), np.int64(parts[1]),
+            float(parts[2]) if len(parts) == 3 else 1.0)
 
 
 def load_tu_dataset(directory, name: str | None = None) -> GraphDatabase:
@@ -259,8 +290,8 @@ def load_tu_dataset(directory, name: str | None = None) -> GraphDatabase:
         If a mandatory file is missing.
     FormatError
         On malformed lines, out-of-range ids, self loops, cross-graph
-        edges, bad weights or attributes, or row-count mismatches;
-        messages carry line numbers.
+        edges, bad weights or attributes, empty graphs or row-count
+        mismatches; messages carry line numbers.
     """
     directory = Path(directory)
     if name is None:
@@ -271,84 +302,70 @@ def load_tu_dataset(directory, name: str | None = None) -> GraphDatabase:
         if not p.is_file():
             raise LoadError(f"missing mandatory file {p}")
 
-    def graph_id(s):
-        gid = int(s)
-        if gid < 1:
-            raise ValueError(f"{gid} < 1")
-        return gid
+    def read(suffix, what, rule=None, rows_for=None, one_column=True):
+        # One integer per line, or rows of floats as wide as the first;
+        # ``rows_for`` is (row count, noun) for a file of an optional kind.
+        path = directory / f"{name}_{suffix}.txt"
+        if not path.is_file():
+            return None
+        dtype, tokenize = [("x", np.int64)], np.int64
+        if not one_column:
+            width = first_row(path)[1].count(",") + 1
+            dtype = [("x", np.float64, (width,))]
 
-    ind = read_table(ind_path, "graph id", graph_id, np.int64,
-                     lambda t: t.shape[1] == 1 and np.all(t >= 1))
-    ind = np.asarray(ind, dtype=np.int64).ravel()
+            def tokenize(s):
+                row = [float(p) for p in s.split(",")]
+                if len(row) != width:
+                    raise ValueError(f"ragged: {len(row)} values, not {width}")
+                return (row,)
+        rows = read_table(path, what, tokenize, dtype)["x"]
+        if rule is not None:
+            check_rows(path, what, [rule(rows)])
+        if rows_for and len(rows) != rows_for[0]:
+            raise FormatError(f"{path}: {len(rows)} rows for {rows_for[0]} "
+                              f"{rows_for[1]}")
+        return rows
+
+    ind = read("graph_indicator", "graph id",
+               lambda t: (t < 1, lambda r, s: f"{t[r]} < 1"))
     if not ind.size:
         raise FormatError(f"{ind_path}: no nodes")
-    n_total, n_graphs = ind.size, int(ind.max())
+    # An id past the node count means an empty graph: no array is sized by it.
+    ids, counts = np.unique(ind, return_counts=True)
+    gap = np.flatnonzero(ids != np.arange(1, ids.size + 1))
+    if gap.size:
+        raise FormatError(f"{ind_path}: graph {gap[0] + 1} has no nodes")
+    n_total, n_graphs = ind.size, ids.size
 
     # Graph-major node positions; the stable sort keeps file order.
-    counts = np.bincount(ind, minlength=n_graphs + 1)[1:]
-    if np.any(counts == 0):
-        empty = int(np.flatnonzero(counts == 0)[0]) + 1
-        raise FormatError(f"{ind_path}: graph {empty} has no nodes")
     order = np.argsort(ind, kind="stable")
     pos = np.empty(n_total, dtype=np.int64)
     pos[order] = np.arange(n_total)
     starts = np.cumsum(counts) - counts
 
-    def edge(s):
-        parts = s.split(",")
-        if len(parts) not in (2, 3):
-            raise ValueError(f"expected 'i, j[, w]', got {s!r}")
-        i, j = int(parts[0]), int(parts[1])
-        w = float(parts[2]) if len(parts) == 3 else 1.0
-        if not (1 <= i <= n_total and 1 <= j <= n_total):
-            raise ValueError(f"node id out of range in {s!r}")
-        if i == j:
-            raise ValueError(f"self loop on node {i}")
-        gi, gj = ind[i - 1], ind[j - 1]
-        if gi != gj:
-            raise ValueError(f"edge joins graphs {gi} and {gj}")
-        if not 0 < w < math.inf:
-            raise ValueError(f"weight {parts[2].strip()} is not finite "
-                             f"and > 0")
-        return i, j, w
-
-    def edges_ok(t):
-        i, j = t["i"] - 1, t["j"] - 1
-        w = t["w"] if "w" in t.dtype.names else 1.0
-        return np.all((0 <= i) & (i < n_total) & (0 <= j) & (j < n_total)
-                      & (i != j) & (0 < w) & (w < np.inf)
-                      & (ind.take(i, mode="clip") == ind.take(j, mode="clip")))
-
     fields = [("i", np.int64), ("j", np.int64), ("w", np.float64)]
-    width = 3 if first_row(a_path)[1].count(",") == 2 else 2
-    tab = read_table(a_path, "edge", edge, fields[:width], edges_ok)
-    tab = np.array(tab, fields) if isinstance(tab, list) else tab.ravel()
-    edges = _normalized_edges(pos[tab["i"] - 1], pos[tab["j"] - 1],
-                              tab["w"] if "w" in tab.dtype.names else None,
-                              starts)
+    tab = read_table(a_path, "edge", _edge, fields[:2], fields)
+    i, j = tab["i"] - 1, tab["j"] - 1
+    w = tab["w"] if "w" in tab.dtype.names else np.ones(len(tab))
+    check_rows(a_path, "edge", [
+        ((i < 0) | (i >= n_total) | (j < 0) | (j >= n_total),
+         lambda r, s: f"node id out of range in {s!r}"),
+        (i == j, lambda r, s: f"self loop on node {i[r] + 1}"),
+        (ind.take(i, mode="clip") != ind.take(j, mode="clip"),
+         lambda r, s: f"edge joins graphs {ind[i[r]]} and {ind[j[r]]}"),
+        (~((0 < w) & (w < np.inf)), lambda r, s: (
+            f"weight {s.split(',')[2].strip()} is not finite and > 0")),
+    ])
+    edges = _normalized_edges(pos[i], pos[j], w, starts)
 
-    def optional(suffix, what, parse, n_rows, noun, dtype=np.int64,
-                 valid=lambda t: True, one_column=True):
-        path = directory / f"{name}_{suffix}.txt"
-        if not path.is_file():
-            return None
-        rows = read_table(path, what, parse, dtype, lambda t: (
-            (t.shape[1] == 1 or not one_column) and np.all(valid(t))))
-        if len(rows) != n_rows:
-            raise FormatError(f"{path}: {len(rows)} rows for {n_rows} {noun}")
-        try:
-            rows = np.asarray(rows, dtype=dtype).reshape(n_rows, -1)
-        except ValueError:  # attribute rows of differing widths
-            raise FormatError(f"{path}: ragged {what}s") from None
-        return rows[:, 0] if one_column else rows
-
-    node_labels = optional("node_labels", "node label", int, n_total, "nodes")
-    node_attrs = optional("node_attributes", "attribute row", _attribute_row,
-                          n_total, "nodes", np.float64, np.isfinite, False)
-    class_labels = optional("graph_labels", "graph label", int, n_graphs,
-                            "graphs")
-    flags = optional("anomaly_flags", "anomaly flag", parse_flag, n_graphs,
-                     "graphs", valid=lambda t: np.isin(t, (0, 1)))
+    node_labels = read("node_labels", "node label", None, (n_total, "nodes"))
+    node_attrs = read("node_attributes", "attribute row", lambda t: (
+        ~np.isfinite(t).all(axis=1), lambda r, s: f"non-finite value in {s!r}"),
+        (n_total, "nodes"), one_column=False)
+    class_labels = read("graph_labels", "graph label", None, (n_graphs, "graphs"))
+    flags = read("anomaly_flags", "anomaly flag", lambda t: (
+        ~np.isin(t, (0, 1)), lambda r, s: f"must be 0 or 1, got {t[r]}"),
+        (n_graphs, "graphs"))
 
     members = np.split(order, np.cumsum(counts)[:-1])
     graphs = tuple(_prechecked(dict(
@@ -372,36 +389,35 @@ def write_tu_dataset(db: GraphDatabase, directory, name: str) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    offsets = np.cumsum([0] + [g.node_count for g in db.graphs])
-    weighted = any(w != 1.0 for g in db.graphs for _, _, w in g.edges)
-
-    a_lines, ind_lines = [], []
-    label_lines, attr_lines = [], []
-    for k, g in enumerate(db.graphs):
-        base = offsets[k]
-        for u, v, w in g.edges:
-            for i, j in ((u, v), (v, u)):
-                if weighted:
-                    a_lines.append(f"{base + i + 1}, {base + j + 1}, {w!r}")
-                else:
-                    a_lines.append(f"{base + i + 1}, {base + j + 1}")
-        ind_lines.extend([str(k + 1)] * g.node_count)
-        if g.node_labels is not None:
-            label_lines.extend(str(int(x)) for x in g.node_labels)
-        if g.node_attributes is not None:
-            attr_lines.extend(", ".join(repr(float(x)) for x in row)
-                              for row in g.node_attributes)
+    sizes = [g.node_count for g in db.graphs]
+    edges = np.concatenate([np.empty(0, EDGE_DTYPE)]
+                           + [g.edges for g in db.graphs])
+    base = np.repeat(np.cumsum([1] + sizes)[:-1],
+                     [len(g.edges) for g in db.graphs])
+    i, j = edges["u"] + base, edges["v"] + base
+    # Each edge in both directions, as consecutive lines.
+    cols = [np.stack([i, j], 1).ravel().tolist(),
+            np.stack([j, i], 1).ravel().tolist()]
+    if np.any(edges["w"] != 1.0):
+        cols.append(np.repeat(edges["w"], 2).tolist())  # Python floats: repr
+    labels = [g.node_labels for g in db.graphs if g.node_labels is not None]
+    attrs = [g.node_attributes for g in db.graphs
+             if g.node_attributes is not None]
 
     def dump(suffix: str, lines) -> None:
         path = directory / f"{name}_{suffix}.txt"
         path.write_text("\n".join(lines) + "\n")
 
-    dump("A", a_lines)
-    dump("graph_indicator", ind_lines)
-    if label_lines:
-        dump("node_labels", label_lines)
-    if attr_lines:
-        dump("node_attributes", attr_lines)
+    dump("A", map(("{}, {}, {!r}" if len(cols) == 3 else "{}, {}").format,
+                  *cols))
+    dump("graph_indicator", map(str, np.repeat(np.arange(1, len(sizes) + 1),
+                                               sizes).tolist()))
+    if labels:
+        dump("node_labels", map(str, np.concatenate(labels)
+                                .astype(np.int64).tolist()))
+    if attrs:
+        dump("node_attributes", (", ".join(map(repr, row)) for a in attrs
+                                 for row in a.astype(float).tolist()))
     if db.class_labels is not None:
         dump("graph_labels", [str(int(x)) for x in db.class_labels])
     if db.anomaly_flags is not None:
@@ -536,7 +552,7 @@ def _grow_homophily_ba(n_nodes: int, ba_m: int, homophily: float,
                        n_labels: int, rng):
     labels = rng.integers(0, n_labels, size=n_nodes)
     degrees = np.zeros(n_nodes, dtype=np.int64)
-    edges = []
+    targets = np.empty((n_nodes - ba_m, ba_m), dtype=np.int64)
     for s in range(ba_m, n_nodes):
         existing = np.arange(s)
         snapshot = degrees[:s].astype(float)
@@ -556,10 +572,12 @@ def _grow_homophily_ba(n_nodes: int, ba_m: int, homophily: float,
             p = None if total == 0 else w / total
             t = int(rng.choice(pool, p=p))
             chosen.append(t)
-            edges.append((min(s, t), max(s, t), 1.0))
+        targets[s - ba_m] = chosen
         degrees[chosen] += 1
         degrees[s] += ba_m
-    return labels, edges
+    # Every target is an earlier node, so each edge is (target, s), u < v.
+    return labels, _edge_array(targets.ravel(),
+                               np.repeat(np.arange(ba_m, n_nodes), ba_m))
 
 
 def generate_mixhop(n_graphs: int, nodes_per_graph: int, ba_m: int,
@@ -590,6 +608,6 @@ def generate_mixhop(n_graphs: int, nodes_per_graph: int, ba_m: int,
                                            homophily, n_labels, rng)
         graphs.append(Graph(graph_id=id_offset + k,
                             node_count=nodes_per_graph,
-                            edges=tuple(sorted(edges)),
+                            edges=edges,
                             node_labels=labels))
     return GraphDatabase(graphs=tuple(graphs))

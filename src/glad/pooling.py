@@ -100,6 +100,7 @@ def set_kernel_matrix(sets_a, sets_b, gamma: float,
         ks.append(np.add.reduceat(cols, oa[:-1], axis=0))
         if with_pullback:
             parts.append((xa, oa, e, cols))
+        del e  # without a pullback, free this block's kernel before the next
     norm = sa[:, None] * sb[None, :]
     k = np.concatenate(ks) / norm
     if not with_pullback:
@@ -152,14 +153,14 @@ def median_heuristic(sets, sample_cap: int = DEFAULT_SAMPLE_CAP,
             rng = np.random.default_rng(0)
         i = rng.integers(0, n, size=sample_cap)
         j = rng.integers(0, n - 1, size=sample_cap)
-        j = np.where(j >= i, j + 1, j)  # distinct partner
+        j += j >= i  # distinct partner
         vals = np.empty(sample_cap)
         step = encoder.BLOCK_ROWS
         for lo in range(0, sample_cap, step):
             diff = (np.take(x, i[lo:lo + step], axis=0)
                     - np.take(x, j[lo:lo + step], axis=0))
             vals[lo:lo + step] = np.sum(diff * diff, axis=1)
-    med = float(np.median(vals))
+    med = float(np.median(vals, overwrite_input=True))
     if med <= 0.0:
         return 1.0
     return 1.0 / med

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import GraphDatabase, first_row, read_table, table_rows
+from .data import GraphDatabase, check_rows, first_row, read_table, table_rows
 from .encoder import EmbeddingSet, backprop_block, blocks, embed_block
 from .errors import DegenerateInputError, FormatError, GladError
 from .numkit import GradSet, ParamSet, init_params, sgd_step
@@ -531,33 +531,28 @@ def load_pool(directory) -> CandidatePool:
     graph_ids = head.split(",")[1:]
     if len(graph_ids) != len(set(graph_ids)) or not graph_ids:
         raise FormatError(f"{score_path}:{ln}: graph ids must be unique")
-    seen = set()
 
     def score_row(s):
         parts = s.split(",")
         if len(parts) != 1 + len(graph_ids):
             raise ValueError(f"expected {1 + len(graph_ids)} columns")
-        if parts[0] not in configs:
-            raise ValueError(f"unknown model id {parts[0]}")
-        row = np.array([float(x) for x in parts[1:]])
-        bad = np.flatnonzero(~np.isfinite(row))
-        if bad.size:
-            raise ValueError(f"non-finite score {parts[1 + bad[0]]} "
-                             f"for graph {graph_ids[bad[0]]}")
-        if parts[0] in seen:
-            raise ValueError(f"duplicate model id {parts[0]}")
-        seen.add(parts[0])
-        return parts[0], row
+        return parts[0], [float(x) for x in parts[1:]]
 
-    def rows_ok(t):
-        mids = t["mid"].ravel().tolist()
-        return (len(set(mids)) == len(mids) and configs.keys() >= set(mids)
-                and np.all(np.isfinite(t["s"])))
-
-    dtype = [("mid", object), ("s", np.float64, (len(graph_ids),))]
-    table = np.asarray(read_table(score_path, "score row", score_row, dtype,
-                                  rows_ok, header=True), dtype=dtype).ravel()
-    index = {mid: k for k, mid in enumerate(table["mid"].tolist())}
+    table = read_table(score_path, "score row", score_row,
+                       [("mid", object), ("s", np.float64, (len(graph_ids),))],
+                       header=True)
+    mids, finite = table["mid"], np.isfinite(table["s"])
+    repeat = ~np.isin(np.arange(len(mids)), np.unique(mids, return_index=True)[1])
+    col = np.argmin(finite, axis=1)  # each row's first non-finite score, if any
+    check_rows(score_path, "score row", [
+        (~np.isin(mids, list(configs)),
+         lambda r, s: f"unknown model id {mids[r]}"),
+        (~finite.all(axis=1), lambda r, s: (
+            f"non-finite score {s.split(',')[1 + col[r]]} for graph "
+            f"{graph_ids[col[r]]}")),
+        (repeat, lambda r, s: f"duplicate model id {mids[r]}"),
+    ], header=True)
+    index = {mid: k for k, mid in enumerate(mids.tolist())}
     missing = [m for m in configs if m not in index]
     if missing:
         raise FormatError(f"{score_path}: no scores for {missing[0]}")

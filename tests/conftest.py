@@ -4,8 +4,10 @@ Bookkeeping for the acceptance suite: every acceptance test records a
 verdict so the run ends with one pass/fail line per criterion, even when
 a test aborts half way.  Oracles used by several test files: a parameter
 flattener, central finite differences, the one-graph embedding, the mean
-readout and squared MMD.
+readout, squared MMD and a per-edge TU writer.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -83,3 +85,35 @@ def mmd_squared(s_i, s_j, gamma: float) -> float:
     kernel."""
     k = set_kernel_matrix([s_i, s_j], [s_i, s_j], gamma)
     return float(k[0, 0] + k[1, 1] - 2.0 * k[0, 1])
+
+
+def write_tu_reference(db, directory, name: str) -> None:
+    """The TU text files of ``db``, written line by line and edge by edge:
+    each edge in both directions, weights as Python float reprs when some
+    weight differs from 1."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    weighted = any(w != 1.0 for g in db.graphs for _, _, w in g.edges)
+    files = {"A": [], "graph_indicator": [], "node_labels": [],
+             "node_attributes": []}
+    base = 0
+    for k, g in enumerate(db.graphs):
+        for u, v, w in g.edges:
+            for i, j in ((u, v), (v, u)):
+                line = f"{base + i + 1}, {base + j + 1}"
+                files["A"].append(line + f", {float(w)!r}" if weighted else line)
+        files["graph_indicator"] += [str(k + 1)] * g.node_count
+        if g.node_labels is not None:
+            files["node_labels"] += [str(int(x)) for x in g.node_labels]
+        if g.node_attributes is not None:
+            files["node_attributes"] += [", ".join(repr(float(x)) for x in row)
+                                         for row in g.node_attributes]
+        base += g.node_count
+    if db.class_labels is not None:
+        files["graph_labels"] = [str(int(x)) for x in db.class_labels]
+    if db.anomaly_flags is not None:
+        files["anomaly_flags"] = [str(int(x)) for x in db.anomaly_flags]
+    for suffix, lines in files.items():
+        if lines or suffix in ("A", "graph_indicator"):
+            (directory / f"{name}_{suffix}.txt").write_text(
+                "\n".join(lines) + "\n")

@@ -1,10 +1,12 @@
 """Graph model, disk format, feature derivation, splits, generator."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from conftest import write_tu_reference
 
 import glad.data
 from glad.data import (DEFAULT_DEGREE_CAP, Graph, GraphDatabase, dataset_name,
@@ -60,6 +62,39 @@ class TestGraph:
             GraphDatabase(graphs=(Graph(graph_id=0, node_count=2, edges=()),
                                   Graph(graph_id=0, node_count=3, edges=())))
 
+    @pytest.mark.parametrize("edges, message", [
+        (((0, 1, 1.0), (2, 2, 1.0), (0, 5, 1.0)), "self loop on node 2"),
+        (((0, 1, 1.0), (0, 5, 1.0), (1, 1, 1.0)),
+         "edge (0, 5) outside node range"),
+        (((0, 2, 1.0), (2, 1, 1.0), (0, 2, 3.0), (1, 1, 1.0)),
+         "edge (2, 1) not stored with u < v"),
+        (((1, 2, 1.0), (0, 1, 0.5), (1, 2, 2.0), (0, 3, 0.0)),
+         "duplicate edge (1, 2)"),
+        (((0, 1, 1.0), (1, 3, -1.0), (0, 1, 1.0)),
+         "edge (1, 3) has weight -1.0, not finite and > 0"),
+        (((0, 1, 0.0), (2, 2, 1.0)),
+         "edge (0, 1) has weight 0.0, not finite and > 0"),
+        (((2, 3, math.nan), (3, 3, 1.0)),
+         "edge (2, 3) has weight nan, not finite and > 0"),
+        # one edge breaking several rules: the first rule in check order
+        (((0, 1, 1.0), (7, 7, 0.0)), "self loop on node 7"),
+        (((0, 1, 1.0), (5, 4, 0.0)), "edge (5, 4) outside node range"),
+        (((-1, 2, 1.0), (0, 1, 1.0)), "edge (-1, 2) outside node range"),
+    ])
+    def test_first_bad_edge_in_input_order_wins(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(graph_id=0, node_count=4, edges=edges)
+
+    def test_edges_stored_sorted_as_one_array(self):
+        g = Graph(graph_id=0, node_count=4,
+                  edges=((2, 3, 0.5), (0, 2, 2.0), (0, 1, 1.0), (1, 2, 1.5)))
+        assert g.edges.dtype == glad.data.EDGE_DTYPE
+        assert g.edges.tolist() == [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 1.5),
+                                    (2, 3, 0.5)]
+        assert Graph(graph_id=1, node_count=4, edges=g.edges).edges.tolist() \
+            == g.edges.tolist()
+        assert Graph(graph_id=2, node_count=1, edges=()).edges.shape == (0,)
+
     def test_non_finite_weight_rejected(self):
         for w in (math.inf, math.nan, -math.inf):
             with pytest.raises(ValueError, match="not finite and > 0"):
@@ -101,7 +136,7 @@ class TestTuFormat:
         assert len(back) == 2
         for g, h in zip(db.graphs, back.graphs):
             assert g.node_count == h.node_count
-            assert g.edges == h.edges
+            assert g.edges.tolist() == h.edges.tolist()
             np.testing.assert_array_equal(g.node_labels, h.node_labels)
             np.testing.assert_array_equal(g.node_attributes, h.node_attributes)
         np.testing.assert_array_equal(back.class_labels, [1, 0])
@@ -126,7 +161,7 @@ class TestTuFormat:
         (tmp_path / "d_A.txt").write_text("1, 2\n2, 1\n")
         (tmp_path / "d_graph_indicator.txt").write_text("1\n1\n")
         db = load_tu_dataset(tmp_path)
-        assert db.graphs[0].edges == ((0, 1, 1.0),)
+        assert db.graphs[0].edges.tolist() == [(0, 1, 1.0)]
 
     def test_missing_mandatory_file(self, tmp_path):
         (tmp_path / "x_A.txt").write_text("1, 2\n")
@@ -162,7 +197,7 @@ class TestTuFormat:
         (tmp_path / "w_A.txt").write_text("1, 2, 0.25\n2, 1, 0.25\n")
         (tmp_path / "w_graph_indicator.txt").write_text("1\n1\n")
         db = load_tu_dataset(tmp_path)
-        assert db.graphs[0].edges == ((0, 1, 0.25),)
+        assert db.graphs[0].edges.tolist() == [(0, 1, 0.25)]
 
     def test_interleaved_indicator_keeps_file_order(self, tmp_path):
         # nodes 1..6 belong to graphs 1, 2, 1, 2, 1, 2
@@ -175,8 +210,8 @@ class TestTuFormat:
         g1, g2 = db.graphs
         assert (g1.node_count, g2.node_count) == (3, 3)
         # global nodes 1, 3, 5 are graph 1's local 0, 1, 2; 2, 4, 6 graph 2's
-        assert g1.edges == ((0, 2, 1.0),)
-        assert g2.edges == ((0, 1, 0.5),)
+        assert g1.edges.tolist() == [(0, 2, 1.0)]
+        assert g2.edges.tolist() == [(0, 1, 0.5)]
         np.testing.assert_array_equal(g1.node_labels, [10, 11, 12])
         np.testing.assert_array_equal(g2.node_labels, [20, 21, 22])
         np.testing.assert_array_equal(g1.node_attributes,
@@ -245,13 +280,14 @@ class TestTuFormat:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             db = load_tu_dataset(tmp_path, "o")
-            assert [g.edges for g in db.graphs] == [((0, 1, 1.0),), ((0, 1, 1.0),)]
+            assert [g.edges.tolist() for g in db.graphs] == [[(0, 1, 1.0)],
+                                                             [(0, 1, 1.0)]]
             assert [g.node_labels.tolist() for g in db.graphs] == [[3, 4], [5, 6]]
             assert db.class_labels.tolist() == [0, 1]
             for text in ("", "\n\n"):
                 (tmp_path / "o_A.txt").write_text(text)
                 db = load_tu_dataset(tmp_path, "o")
-                assert [g.edges for g in db.graphs] == [(), ()]
+                assert [g.edges.tolist() for g in db.graphs] == [[], []]
                 assert [g.node_count for g in db.graphs] == [2, 2]
 
     def test_array_checks_report_the_first_bad_line(self, tmp_path):
@@ -284,7 +320,7 @@ class TestTuFormat:
         (tmp_path / "r_A.txt").write_text("\n".join(lines) + "\n")
         db = load_tu_dataset(tmp_path, "r")
         for g, ref in zip(db.graphs, want):
-            assert g.edges == tuple((u, v, ref[u, v]) for u, v in sorted(ref))
+            assert g.edges.tolist() == [(u, v, ref[u, v]) for u, v in sorted(ref)]
 
     def test_graph_ids_positive_and_label_files_one_column(self, tmp_path):
         (tmp_path / "p_A.txt").write_text("1, 2\n")
@@ -316,6 +352,66 @@ class TestTuFormat:
             (tmp_path / "a_node_attributes.txt").write_text(f"0.5, 1\n1, {bad}\n")
             with pytest.raises(FormatError, match=(
                     "a_node_attributes.txt:2: bad attribute row: non-finite")):
+                load_tu_dataset(tmp_path, "a")
+
+    def test_loaded_edges_iterate_as_triples(self, tmp_path):
+        write_tu_dataset(self.build_db(), tmp_path, "t")
+        g0, g1 = load_tu_dataset(tmp_path).graphs
+        triples = [tuple(e) for e in g0.edges]
+        assert triples == [(0, 1, 1.0), (1, 2, 1.0)]
+        for u, v, w in g1.edges:
+            assert isinstance(u, np.integer) and isinstance(v, np.integer)
+            assert (u, v, w) == (0, 1, 2.5)
+
+    def test_writer_matches_per_edge_reference(self, tmp_path):
+        rng = np.random.default_rng(3)
+        # numpy float weights: their repr is not the file's number format
+        weighted = GraphDatabase(graphs=tuple(
+            Graph(graph_id=k, node_count=5,
+                  edges=tuple((u, v, np.float64(rng.uniform(0.1, 3)))
+                              for u in range(5) for v in range(u + 1, 5)
+                              if rng.random() < 0.5))
+            for k in range(4)))
+        unweighted = generate_mixhop(3, 12, 2, 0.6, 3, seed=5)
+        attributed = self.build_db()
+        for k, db in enumerate((weighted, unweighted, attributed)):
+            write_tu_dataset(db, tmp_path / "got", f"d{k}")
+            write_tu_reference(db, tmp_path / "want", f"d{k}")
+        names = sorted(p.name for p in (tmp_path / "want").iterdir())
+        assert sorted(p.name for p in (tmp_path / "got").iterdir()) == names
+        assert len(names) == 2 + 3 + 6
+        for n in names:
+            assert (tmp_path / "got" / n).read_bytes() == \
+                (tmp_path / "want" / n).read_bytes(), n
+
+    def test_integers_past_int64_rejected_with_line(self, tmp_path):
+        (tmp_path / "o_A.txt").write_text("1, 2\n")
+        huge = "99999999999999999999"
+        for suffix, text, line, what in (
+                ("graph_indicator", f"1\n{huge}\n", 2, "graph id"),
+                ("node_labels", f"3\n{huge}\n", 2, "node label"),
+                ("graph_labels", f"{huge}\n", 1, "graph label")):
+            (tmp_path / "o_graph_indicator.txt").write_text("1\n1\n")
+            (tmp_path / f"o_{suffix}.txt").write_text(text)
+            with pytest.raises(FormatError,
+                               match=f"o_{suffix}.txt:{line}: bad {what}: .*large"):
+                load_tu_dataset(tmp_path, "o")
+            (tmp_path / f"o_{suffix}.txt").unlink()
+
+    def test_huge_graph_id_is_an_empty_graph(self, tmp_path):
+        (tmp_path / "h_A.txt").write_text("")
+        (tmp_path / "h_graph_indicator.txt").write_text("1\n1000000000000000\n")
+        with pytest.raises(FormatError,
+                           match="h_graph_indicator.txt: graph 2 has no nodes"):
+            load_tu_dataset(tmp_path, "h")
+
+    def test_ragged_attribute_rows_rejected_with_line(self, tmp_path):
+        (tmp_path / "a_A.txt").write_text("1, 2\n")
+        (tmp_path / "a_graph_indicator.txt").write_text("1\n1\n")
+        for row in ("2", "2, 3, 4"):
+            (tmp_path / "a_node_attributes.txt").write_text(f"0.5, 1\n{row}\n")
+            with pytest.raises(FormatError, match=(
+                    "a_node_attributes.txt:2: bad attribute row: ragged")):
                 load_tu_dataset(tmp_path, "a")
 
     def test_bad_flag_value(self, tmp_path):
@@ -485,7 +581,7 @@ class TestGenerateMixhop:
         b = generate_mixhop(4, 20, 2, 0.7, 3, seed=8, id_offset=10)
         assert a.graph_ids == [10, 11, 12, 13]
         for g, h in zip(a.graphs, b.graphs):
-            assert g.edges == h.edges
+            assert g.edges.tolist() == h.edges.tolist()
             np.testing.assert_array_equal(g.node_labels, h.node_labels)
 
     def test_parameter_errors(self):

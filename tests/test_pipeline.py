@@ -380,6 +380,20 @@ class TestCli:
             assert err.startswith(f"error: {attrs}:2: bad attribute row")
         assert not (tmp_path / "pool").exists()
 
+    def test_integer_past_int64_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert cli.main(["generate", "--out", str(data), "--n-train", "6",
+                         "--n-test", "6", "--nodes", "10", "--labels", "2",
+                         "--anomaly-rate", "0.2"]) == 0
+        grid = tmp_path / "grid.txt"
+        self.write_grid(grid)
+        ind = data / "train" / "synthetic_graph_indicator.txt"
+        ind.write_text("99999999999999999999\n" + ind.read_text())
+        assert cli.main(["train", "--data", str(data), "--grid", str(grid),
+                         "--out", str(tmp_path / "pool")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {ind}:1: bad graph id: ")
+
     def test_pipeline_subcommand(self, tmp_path, capsys):
         grid = tmp_path / "grid.txt"
         self.write_grid(grid)

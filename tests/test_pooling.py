@@ -1,5 +1,7 @@
 """Readouts: mean pooling, set kernels, MMD, bandwidth rule, Nystrom map."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import mean_pool, mmd_squared
@@ -202,6 +204,22 @@ class TestNystrom:
         batch = mmd_pool_batch(sets, nmap)
         for i, s in enumerate(sets):
             np.testing.assert_allclose(mmd_pool_batch([s], nmap)[0], batch[i])
+
+    def test_fit_holds_one_block_kernel_at_a_time(self):
+        # The BENCH landmark shape: 21 sets of 50 rows, d = 32; blocks of
+        # BLOCK_ROWS rows against all 1,050 landmark rows.
+        rng = np.random.default_rng(16)
+        land = [EmbeddingSet(graph_id=i, vectors=rng.standard_normal((50, 32)))
+                for i in range(21)]
+        block_rows = encoder.blocks(np.full(21, 50))[0][1] * 50
+        one_block = block_rows * 21 * 50 * 8
+        tracemalloc.start()
+        try:
+            nystrom_fit(land, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * one_block
 
     def test_config_validation(self):
         rng = np.random.default_rng(15)
