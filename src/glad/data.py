@@ -21,6 +21,7 @@ from .errors import FormatError, LoadError, SplitError
 FEATURE_KINDS = ("one_hot_label", "attributes", "one_hot_degree")
 DEFAULT_DEGREE_CAP = 10
 EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+_FLOAT_EDGE = np.dtype([("u", np.float64), ("v", np.float64), ("w", np.float64)])
 
 
 def _edge_array(u, v, w=1.0) -> np.ndarray:
@@ -51,9 +52,10 @@ class Graph:
     node_count : int
         Number of nodes; node ids are 0..node_count-1.
     edges : iterable of (u, v, weight) triples
-        u < v, each pair at most once, weight finite and > 0; the first
-        bad edge in input order raises.  Stored as one ``EDGE_DTYPE``
-        array sorted by (u, v), which iterates as (u, v, w) records.
+        Integral node ids with u < v, each pair at most once, weight
+        finite and > 0; the first bad edge in input order raises.  Stored
+        as one ``EDGE_DTYPE`` array sorted by (u, v), which iterates as
+        (u, v, w) records.
     node_labels : ndarray or None
         Integer label per node.
     node_attributes : ndarray or None
@@ -72,11 +74,22 @@ class Graph:
     def __post_init__(self):
         if self.node_count < 1:
             raise ValueError("graph must have at least one node")
-        e = np.fromiter(self.edges, EDGE_DTYPE)
+        edges = self.edges
+        if isinstance(edges, np.ndarray) and edges.dtype == EDGE_DTYPE:
+            rows = e = edges
+            frac = np.zeros(e.size, bool)
+        else:
+            # fromiter truncates a fractional node id, so the ids are also
+            # read as floats and compared.
+            rows = list(edges)
+            e = np.fromiter(rows, EDGE_DTYPE, len(rows))
+            f = np.fromiter(rows, _FLOAT_EDGE, len(rows))
+            frac = (f["u"] != e["u"]) | (f["v"] != e["v"])
         u, v, w, n = e["u"], e["v"], e["w"], self.node_count
         # First copies in (u, v) order; ids out of range break an earlier rule.
         first = np.unique(u * n + v, return_index=True)[1]
         hit = _first_bad([
+            (frac, "edge ({3}, {4}) has a non-integral node id"),
             (u == v, "self loop on node {0}"),
             ((u < 0) | (u >= n) | (v < 0) | (v >= n),
              "edge ({0}, {1}) outside node range"),
@@ -85,7 +98,8 @@ class Graph:
             (~((0 < w) & (w < np.inf)),
              "edge ({0}, {1}) has weight {2}, not finite and > 0")])
         if hit:
-            raise ValueError(hit[1].format(*e[hit[0]].tolist()))
+            raise ValueError(hit[1].format(*e[hit[0]].tolist(),
+                                           *rows[hit[0]]))
         object.__setattr__(self, "edges", e[first])
         for name in ("node_labels", "node_attributes", "features"):
             arr = getattr(self, name)

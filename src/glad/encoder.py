@@ -61,8 +61,10 @@ def embed_block(graphs, params: ParamSet, with_cache: bool = False):
     Returns ``h`` of shape ``(B, n_max, d_hidden)``: node i of
     ``graphs[b]`` at ``h[b, i]``, rows at and past its node count exactly
     0.  With ``with_cache`` returns ``(h, cache)``; the cache holds the
-    padded adjacency and, per layer, the MLP input, the hidden activation
-    and the ReLU mask that :func:`backprop_block` needs.
+    padded adjacency and, per layer, the pair ``(z, a)`` that
+    :func:`backprop_block` needs: the MLP input ``z`` and the hidden
+    activation ``a``, bit-equal to ``np.where(m > 0, m, 0.0)`` for the
+    pre-activation ``m = z @ w1`` (NaN and -0.0 map to +0.0).
     """
     for g in graphs:
         if g.features is None:
@@ -78,13 +80,16 @@ def embed_block(graphs, params: ParamSet, with_cache: bool = False):
         adj[b, :g.node_count, :g.node_count] = g.adjacency
     layers = []
     for w1, w2 in params.layers:
-        z = (h + adj @ h).reshape(-1, h.shape[2])
-        m = z @ w1
-        mask = m > 0
-        a = np.where(mask, m, 0.0)
+        z = adj @ h
+        z += h
+        z = z.reshape(-1, h.shape[2])
+        a = z @ w1
+        # fmax maps NaN to 0 but may keep -0.0; adding +0.0 makes it +0.0.
+        np.fmax(a, 0.0, out=a)
+        a += 0.0
         h = (a @ w2).reshape(len(graphs), n_max, -1)
         if with_cache:
-            layers.append((z, a, mask))
+            layers.append((z, a))
     return (h, (adj, layers)) if with_cache else h
 
 
@@ -94,19 +99,28 @@ def backprop_block(params: ParamSet, cache, d_out: np.ndarray,
     embeddings, shaped like :func:`embed_block`'s ``h``) through the
     encoder, accumulating weight gradients into ``grads``.  Propagation
     stops at layer 0's weights: no gradient w.r.t. the input features is
-    formed.
+    formed.  The ReLU mask is ``a > 0`` from the cached ``(z, a)``, which
+    equals ``m > 0`` for every pre-activation, and is applied with
+    ``np.where`` semantics: a masked entry becomes +0.0 even when the
+    upstream gradient there is NaN or inf.
     """
     adj, layers = cache
     n_b, n_max = adj.shape[:2]
     dh = d_out.reshape(n_b * n_max, -1)
     for l in range(params.n_layers - 1, -1, -1):
         w1, w2 = params.layers[l]
-        z, a, mask = layers[l]
+        z, a = layers[l]
         g1, g2 = grads.layers[l]
         g2 += a.T @ dh
-        dm = np.where(mask, dh @ w2.T, 0.0)
+        # AND with an all-ones or all-zeros word per entry (the int8 0 or
+        # -1 sign-extends): a masked NaN or inf becomes +0.0 too, which a
+        # multiply by the mask misses.
+        dm = dh @ w2.T
+        dm.view(np.int64)[...] &= -(a > 0).view(np.int8)
         g1 += z.T @ dm
         if l:
             dz = (dm @ w1.T).reshape(n_b, n_max, -1)
             # Aggregation is linear; A is symmetric so A^T = A.
-            dh = (dz + adj @ dz).reshape(n_b * n_max, -1)
+            dh = adj @ dz
+            dh += dz
+            dh = dh.reshape(n_b * n_max, -1)

@@ -122,17 +122,15 @@ class CandidatePool:
 # Objective
 # ---------------------------------------------------------------------------
 
-def _embed(graphs, params: ParamSet, with_cache: bool) -> list:
+def _embed(graphs, params: ParamSet, with_cache: bool):
     """Embed ``graphs`` block by block (:func:`glad.encoder.blocks`) at
-    ``params``: a list of ``(block_graphs, h, cache)`` with ``h`` the
-    zero-padded node embeddings; ``cache`` is None without
-    ``with_cache``."""
+    ``params``, yielding ``(block_graphs, h, cache)`` per block as it is
+    embedded, with ``h`` the zero-padded node embeddings; ``cache`` is
+    None without ``with_cache``."""
     graphs = list(graphs)
-    out = []
     for lo, hi in blocks([g.node_count for g in graphs]):
         h = embed_block(graphs[lo:hi], params, with_cache)
-        out.append((graphs[lo:hi], *(h if with_cache else (h, None))))
-    return out
+        yield (graphs[lo:hi], *(h if with_cache else (h, None)))
 
 
 def _sets(embedded) -> dict:
@@ -169,10 +167,8 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
         # A graph's gradient needs only its own pooled row, so each block
         # is pulled back before the next one is embedded.
         pooled = []
-        for lo, hi in blocks([g.node_count for g in graphs]):
-            blk = graphs[lo:hi]
+        for blk, h, cache in _embed(graphs, params, with_grad):
             sizes = np.array([g.node_count for g in blk])
-            h, cache = embed_block(blk, params, with_cache=True)
             pooled.append(h.sum(axis=1) / sizes[:, None])
             if with_grad:
                 # d loss / d node row: the graph's coefficient on each of
@@ -186,7 +182,7 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
     else:
         landmark_graphs, factor, gamma = mmd_state
         uniq = {g.graph_id: g for g in [*graphs, *landmark_graphs]}
-        embedded = _embed(uniq.values(), params, with_grad)
+        embedded = list(_embed(uniq.values(), params, with_grad))
         sets = _sets(embedded)
         bsets = [sets[g.graph_id] for g in graphs]
         lsets = [sets[g.graph_id] for g in landmark_graphs]

@@ -3,8 +3,9 @@
 Bookkeeping for the acceptance suite: every acceptance test records a
 verdict so the run ends with one pass/fail line per criterion, even when
 a test aborts half way.  Oracles used by several test files: a parameter
-flattener, central finite differences, the one-graph embedding, the mean
-readout, squared MMD and a per-edge TU writer.
+flattener, central finite differences, the one-graph embedding, an
+``np.where`` encoder step, the mean readout, squared MMD and a per-edge TU
+writer.
 """
 
 from pathlib import Path
@@ -72,6 +73,38 @@ def embed_one(graph, params: ParamSet) -> EmbeddingSet:
     no row is padded)."""
     return EmbeddingSet(graph_id=graph.graph_id,
                         vectors=embed_block([graph], params)[0])
+
+
+def where_encoder_step(graphs, params: ParamSet, d_out: np.ndarray):
+    """A block's forward and backward pass with ``np.where`` ReLUs and
+    ``h + A @ h`` aggregation, GEMM for GEMM as in :mod:`glad.encoder`:
+    the padded output ``h``, the per-layer ``(z, a)`` and the weight
+    gradients of ``sum(h * d_out)``."""
+    n_b, n_max = len(graphs), max(g.node_count for g in graphs)
+    h = np.zeros((n_b, n_max, params.d_in))
+    adj = np.zeros((n_b, n_max, n_max))
+    for b, g in enumerate(graphs):
+        h[b, :g.node_count] = g.features
+        adj[b, :g.node_count, :g.node_count] = g.adjacency
+    layers = []
+    for w1, w2 in params.layers:
+        z = (h + adj @ h).reshape(-1, h.shape[2])
+        m = z @ w1
+        a = np.where(m > 0, m, 0.0)
+        h = (a @ w2).reshape(n_b, n_max, -1)
+        layers.append((z, a, m > 0))
+    grads = GradSet.zeros_like(params)
+    dh = d_out.reshape(n_b * n_max, -1)
+    for l in range(params.n_layers - 1, -1, -1):
+        (w1, w2), (z, a, mask) = params.layers[l], layers[l]
+        g1, g2 = grads.layers[l]
+        g2 += a.T @ dh
+        dm = np.where(mask, dh @ w2.T, 0.0)
+        g1 += z.T @ dm
+        if l:
+            dz = (dm @ w1.T).reshape(n_b, n_max, -1)
+            dh = (dz + adj @ dz).reshape(n_b * n_max, -1)
+    return h, [(z, a) for z, a, _ in layers], grads
 
 
 def mean_pool(s: EmbeddingSet) -> np.ndarray:

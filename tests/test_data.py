@@ -80,6 +80,12 @@ class TestGraph:
         (((0, 1, 1.0), (7, 7, 0.0)), "self loop on node 7"),
         (((0, 1, 1.0), (5, 4, 0.0)), "edge (5, 4) outside node range"),
         (((-1, 2, 1.0), (0, 1, 1.0)), "edge (-1, 2) outside node range"),
+        # a non-integral node id is not truncated: its rule comes first
+        (((0, 1.5, 1.0),), "edge (0, 1.5) has a non-integral node id"),
+        (((1, 1.5, 1.0),), "edge (1, 1.5) has a non-integral node id"),
+        (((0, 1, 1.0), (2, 2, 1.0), (0.5, 3, 1.0)), "self loop on node 2"),
+        (((0, 1, 1.0), (2.25, 3, 1.0), (1, 1, 1.0)),
+         "edge (2.25, 3) has a non-integral node id"),
     ])
     def test_first_bad_edge_in_input_order_wins(self, edges, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -94,6 +100,10 @@ class TestGraph:
         assert Graph(graph_id=1, node_count=4, edges=g.edges).edges.tolist() \
             == g.edges.tolist()
         assert Graph(graph_id=2, node_count=1, edges=()).edges.shape == (0,)
+        # integral floats are node ids like any other
+        assert Graph(graph_id=3, node_count=4,
+                     edges=((0.0, 1.0, 1.0), (1, 3, 2))).edges.tolist() \
+            == [(0, 1, 1.0), (1, 3, 2.0)]
 
     def test_non_finite_weight_rejected(self):
         for w in (math.inf, math.nan, -math.inf):

@@ -3,7 +3,7 @@ blocks of stacked graphs."""
 
 import numpy as np
 import pytest
-from conftest import embed_one, finite_diff_grad, flatten
+from conftest import embed_one, finite_diff_grad, flatten, where_encoder_step
 
 from glad import encoder
 from glad.data import Graph, GraphDatabase, derive_features, generate_mixhop
@@ -193,3 +193,28 @@ class TestBlocks:
         fd = finite_diff_grad(loss, params, h=1e-6)
         np.testing.assert_allclose(flatten(grads), flatten(fd),
                                    rtol=1e-5, atol=1e-7)
+
+    def test_bit_equal_to_where_reference(self):
+        graphs = self._ragged()
+        params = init_params(3, 5, 2, seed=25)
+        # Zero columns make that hidden unit's pre-activation exactly +-0.
+        for w1, _ in params.layers:
+            w1[:, 1], w1[:, 3] = 0.0, -0.0
+        d_out = np.random.default_rng(26).standard_normal((3, 20, 5))
+        # Padded rows are masked in every unit: NaN and inf must not pass.
+        d_out[0, 1:, :] = np.nan
+        d_out[1, 7:, :] = [np.inf, -np.inf, np.nan, 1.0, -np.inf]
+        h, cache = embed_block(graphs, params, with_cache=True)
+        grads = GradSet.zeros_like(params)
+        with np.errstate(invalid="ignore"):
+            backprop_block(params, cache, d_out, grads)
+            ref_h, ref_layers, ref_grads = where_encoder_step(graphs, params,
+                                                              d_out)
+        assert h.tobytes() == ref_h.tobytes()
+        for got, ref in zip(cache[1], ref_layers):
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
+        for got, ref in zip(grads.layers, ref_grads.layers):
+            assert [g.tobytes() for g in got] == [g.tobytes() for g in ref]
+        # Only the last layer's w2 gradient sees the padded rows directly.
+        for g in (*grads.layers[0], grads.layers[1][0]):
+            assert np.isfinite(g).all()

@@ -292,6 +292,34 @@ class TestTrainCandidate:
         for ids in refreshes:
             assert sorted(ids) == sorted(train.graph_ids)
 
+    def test_mean_caches_only_in_steps(self, bench, monkeypatch):
+        # The initial center pass and scoring take no gradient, so they
+        # embed without backward caches; a training step keeps them.
+        import glad.trainer as gt
+        train, test = bench
+        objective, embed = gt.batch_objective, gt.embed_block
+        in_step, calls = [False], []
+
+        def objective_spy(graphs, params, mmd_state=None, center=None):
+            in_step[0] = center is not None
+            return objective(graphs, params, mmd_state, center)
+
+        def embed_spy(graphs, params, with_cache=False):
+            calls.append((in_step[0], with_cache))
+            return embed(graphs, params, with_cache)
+
+        monkeypatch.setattr(gt, "batch_objective", objective_spy)
+        monkeypatch.setattr(gt, "embed_block", embed_spy)
+        cfg = ModelConfig(pooling="mean", layers=2, lr=1e-3, seed=0,
+                          epochs=2, batch_size=8, d_hidden=8)
+        score_graphs(test, train_candidate(train, cfg))
+        outside = [cached for step, cached in calls if not step]
+        assert outside == [False] * (
+            len(blocks([g.node_count for g in train.graphs]))
+            + len(blocks([g.node_count for g in test.graphs])))
+        assert all(cached for step, cached in calls if step)
+        assert len(calls) > len(outside)
+
     def test_divergence_marks_failed(self, bench):
         train, _ = bench
         cfg = ModelConfig(pooling="mean", layers=2, lr=1e9, seed=0,
