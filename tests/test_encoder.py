@@ -215,6 +215,7 @@ class TestBlocks:
             assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
         for got, ref in zip(grads.layers, ref_grads.layers):
             assert [g.tobytes() for g in got] == [g.tobytes() for g in ref]
-        # Only the last layer's w2 gradient sees the padded rows directly.
+        # The last w2 gradient takes 0 * NaN from the padded rows (NaN on
+        # both sides); no masked NaN may reach any other gradient.
         for g in (*grads.layers[0], grads.layers[1][0]):
             assert np.isfinite(g).all()
