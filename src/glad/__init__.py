@@ -7,7 +7,7 @@ plus label-free model selection over hyperparameter pools.
 
 from .data import (Graph, GraphDatabase, derive_features, generate_mixhop,
                    load_tu_dataset, make_split, write_tu_dataset)
-from .encoder import EmbeddingSet, backprop_block, embed_block
+from .encoder import backprop_block, embed_block
 from .errors import (DegenerateInputError, FormatError, GladError, LoadError,
                      MethodError, SplitError)
 from .metrics import midrank, roc_auc, wilcoxon_one_sided

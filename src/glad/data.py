@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
+from itertools import islice, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,6 @@ from .errors import FormatError, LoadError, SplitError
 FEATURE_KINDS = ("one_hot_label", "attributes", "one_hot_degree")
 DEFAULT_DEGREE_CAP = 10
 EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
-_FLOAT_EDGE = np.dtype([("u", np.float64), ("v", np.float64), ("w", np.float64)])
 
 
 def _edge_array(u, v, w=1.0) -> np.ndarray:
@@ -29,6 +28,18 @@ def _edge_array(u, v, w=1.0) -> np.ndarray:
     e = np.empty(np.size(u), EDGE_DTYPE)
     e["u"], e["v"], e["w"] = u, v, w
     return e
+
+
+def _id_fault(edge) -> str:
+    """The rule an edge's node ids break unless both are whole numbers
+    inside int64 ('' then); NaN and +-inf are not integral."""
+    try:
+        ids = int(edge[0]), int(edge[1])
+    except (ValueError, OverflowError):
+        ids = None
+    if ids != (edge[0], edge[1]):
+        return "has a non-integral node id"
+    return "" if -2**63 <= min(ids) and max(ids) < 2**63 else "outside node range"
 
 
 def _first_bad(checks):
@@ -77,19 +88,16 @@ class Graph:
         edges = self.edges
         if isinstance(edges, np.ndarray) and edges.dtype == EDGE_DTYPE:
             rows = e = edges
-            frac = np.zeros(e.size, bool)
         else:
-            # fromiter truncates a fractional node id, so the ids are also
-            # read as floats and compared.
+            # fromiter truncates a fractional id and fails on NaN, +-inf or
+            # past int64: read up to the first such row, which raises below.
             rows = list(edges)
-            e = np.fromiter(rows, EDGE_DTYPE, len(rows))
-            f = np.fromiter(rows, _FLOAT_EDGE, len(rows))
-            frac = (f["u"] != e["u"]) | (f["v"] != e["v"])
+            e = np.fromiter(takewhile(lambda r: not _id_fault(r), rows),
+                            EDGE_DTYPE)
         u, v, w, n = e["u"], e["v"], e["w"], self.node_count
         # First copies in (u, v) order; ids out of range break an earlier rule.
         first = np.unique(u * n + v, return_index=True)[1]
         hit = _first_bad([
-            (frac, "edge ({3}, {4}) has a non-integral node id"),
             (u == v, "self loop on node {0}"),
             ((u < 0) | (u >= n) | (v < 0) | (v >= n),
              "edge ({0}, {1}) outside node range"),
@@ -98,8 +106,10 @@ class Graph:
             (~((0 < w) & (w < np.inf)),
              "edge ({0}, {1}) has weight {2}, not finite and > 0")])
         if hit:
-            raise ValueError(hit[1].format(*e[hit[0]].tolist(),
-                                           *rows[hit[0]]))
+            raise ValueError(hit[1].format(*e[hit[0]].tolist()))
+        if e.size < len(rows):  # named as given
+            u, v = rows[e.size][:2]
+            raise ValueError(f"edge ({u}, {v}) {_id_fault(rows[e.size])}")
         object.__setattr__(self, "edges", e[first])
         for name in ("node_labels", "node_attributes", "features"):
             arr = getattr(self, name)
@@ -583,8 +593,12 @@ def _grow_homophily_ba(n_nodes: int, ba_m: int, homophily: float,
                 pool = existing[avail]
             w = snapshot[pool]
             total = w.sum()
-            p = None if total == 0 else w / total
-            t = int(rng.choice(pool, p=p))
+            # The draws rng.choice(pool, p=w / total) makes, minus its checks.
+            if total == 0:
+                t = int(pool[rng.integers(0, pool.size)])
+            else:
+                c = np.cumsum(w / total)
+                t = int(pool[np.searchsorted(c / c[-1], rng.random(), "right")])
             chosen.append(t)
         targets[s - ba_m] = chosen
         degrees[chosen] += 1

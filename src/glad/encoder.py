@@ -15,8 +15,6 @@ from reaching a weight, so no masking is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numkit import GradSet, ParamSet
@@ -25,18 +23,6 @@ from .numkit import GradSet, ParamSet
 # small enough for the allocator to reuse their memory: larger blocks
 # map fresh pages on each call and page-fault through them.
 BLOCK_ROWS = 400
-
-
-@dataclass(eq=False)
-class EmbeddingSet:
-    """Node embedding matrix of one graph: (node_count, d_hidden)."""
-
-    graph_id: int
-    vectors: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.vectors.shape[0]
 
 
 def blocks(sizes) -> list:

@@ -2,8 +2,9 @@
 
 A Gaussian kernel between embedding sets (mean of all pairwise node
 kernels), its bandwidth rule, and a Nystrom approximation anchored on
-landmark graphs that compresses it to finite coordinates.  The plain
-mean readout is a per-block sum in :mod:`glad.trainer`.
+landmark graphs that compresses it to finite coordinates.  Sets come
+packed: rows ``x`` (set after set) and int64 offsets ``o`` from 0, set
+i being ``x[o[i]:o[i + 1]]``.  Mean pooling lives in :mod:`glad.trainer`.
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ DEFAULT_SAMPLE_CAP = 100_000
 class NystromMap:
     """Finite-dimensional surrogate for the set-kernel feature space.
 
-    ``factor`` has one column per retained eigenpair; mapping a set's
-    kernel row against the landmarks through ``factor`` yields coordinates
-    whose inner products approximate the set kernel.  ``gamma`` is the
-    exponent coefficient in ``exp(-gamma * ||x - y||^2)``.
+    ``landmarks`` and ``offsets`` pack the landmark sets.  ``factor`` has
+    one column per retained eigenpair; mapping a set's kernel row against
+    the landmarks through ``factor`` yields coordinates whose inner
+    products approximate the set kernel.  ``gamma`` is the exponent
+    coefficient in ``exp(-gamma * ||x - y||^2)``.
     """
 
-    landmarks: list
+    landmarks: np.ndarray
+    offsets: np.ndarray
     factor: np.ndarray
     gamma: float
 
@@ -45,19 +48,12 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(xx + yy - 2.0 * (x @ y.T), 0.0)
 
 
-def _stack(sets):
-    """Concatenate set vectors; returns (matrix, sizes, row offsets)."""
-    sizes = np.array([s.vectors.shape[0] for s in sets], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    return np.concatenate([s.vectors for s in sets], axis=0), sizes, offsets
-
-
-def set_kernel_matrix(sets_a, sets_b, gamma: float,
-                      with_pullback: bool = False):
-    """All set-kernel values between two lists of embedding sets.
+def set_kernel(xa, oa, xb, ob, gamma: float, with_pullback: bool = False):
+    """All set-kernel values between the packed sets ``(xa, oa)`` and
+    ``(xb, ob)``.
 
     Entry (a, b) is the mean of ``exp(-gamma * ||x - y||^2)`` over all
-    node pairs x in set a, y in set b.  ``sets_a`` is processed in blocks
+    node pairs x in set a, y in set b.  The sets a are processed in blocks
     of consecutive sets (:func:`glad.encoder.blocks`).  A block's
     node-pair kernel is one product of augmented operands, ``[2 gamma x,
     -gamma ||x||^2, 1] @ [y, 1, -gamma ||y||^2]^T``, clipped at 0 (so
@@ -66,20 +62,18 @@ def set_kernel_matrix(sets_a, sets_b, gamma: float,
     set a.  Every set must have at least one row.
 
     With ``with_pullback`` returns ``(k, pullback)``.  ``pullback(coeffs)``
-    gives the gradients of ``sum(coeffs * k)`` w.r.t. the node vectors of
-    both lists as ``(grads_a, grads_b)``, lists of arrays shaped like each
-    set's vectors; it reuses the node-pair kernel computed here, runs
-    set by set through ``sets_a``, sums the ``sets_b`` gradients in that
-    order and may be called any number of times.  Every block's node-pair
+    gives the gradients of ``sum(coeffs * k)`` w.r.t. ``xa`` and ``xb``,
+    shaped like them; it reuses the node-pair kernel computed here, runs
+    set by set through ``xa``, sums the ``xb`` gradients in that order
+    and may be called any number of times.  Every block's node-pair
     kernel stays alive with the pullback, so a caller bounds memory by
-    passing one block of ``sets_a`` per call.  When a set object appears
-    on both sides the caller must add the two contributions.
+    passing one block of sets a per call.  When a set appears on both
+    sides the caller must add the two contributions.
     """
-    for s in (*sets_a, *sets_b):
-        if s.size == 0:
-            raise ValueError(f"embedding set of graph {s.graph_id} has no rows")
-    sa = np.array([s.size for s in sets_a], dtype=np.int64)
-    xb, sb, ob = _stack(sets_b)
+    sa, sb = np.diff(oa), np.diff(ob)
+    for name, sizes in (("xa", sa), ("xb", sb)):
+        if not np.all(sizes > 0):
+            raise ValueError(f"set {np.argmin(sizes > 0)} of {name} has no rows")
     d = xb.shape[1]
     bm = np.empty((xb.shape[0], d + 2))
     bm[:, :d] = xb
@@ -88,51 +82,49 @@ def set_kernel_matrix(sets_a, sets_b, gamma: float,
     spans = encoder.blocks(sa)
     parts, ks = [], []
     for lo, hi in spans:
-        xa, _, oa = _stack(sets_a[lo:hi])
-        am = np.empty((xa.shape[0], d + 2))
-        np.multiply(xa, 2.0 * gamma, out=am[:, :d])
-        am[:, d] = -gamma * np.sum(xa * xa, axis=1)
+        x, o = xa[oa[lo]:oa[hi]], oa[lo:hi + 1] - oa[lo]
+        am = np.empty((x.shape[0], d + 2))
+        np.multiply(x, 2.0 * gamma, out=am[:, :d])
+        am[:, d] = -gamma * np.sum(x * x, axis=1)
         am[:, d + 1] = 1.0
         e = am @ bm.T
         np.minimum(e, 0.0, out=e)
         np.exp(e, out=e)
         cols = np.add.reduceat(e, ob[:-1], axis=1)
-        ks.append(np.add.reduceat(cols, oa[:-1], axis=0))
+        ks.append(np.add.reduceat(cols, o[:-1], axis=0))
         if with_pullback:
-            parts.append((xa, oa, e, cols))
+            parts.append((o, e, cols))
         del e  # without a pullback, free this block's kernel before the next
     norm = sa[:, None] * sb[None, :]
     k = np.concatenate(ks) / norm
     if not with_pullback:
         return k
 
-    owner = np.repeat(np.arange(len(sets_b)), sb)  # set b of each column
+    owner = np.repeat(np.arange(len(sb)), sb)  # set b of each column
 
     def pullback(coeffs):
         # Per-node-pair coefficient upstream / (n_a * m_b).  One set a at
         # a time, its rows of e scaled by its coefficients spread over
         # columns: e is never written and no block-sized temporary is made.
         c = coeffs / norm
-        grads_a, gsum, gx = [], np.zeros(len(xb)), np.zeros_like(xb)
-        for (lo, hi), (xa, oa, e, cols) in zip(spans, parts):
-            for i in range(hi - lo):
-                r = slice(oa[i], oa[i + 1])
-                g = e[r] * c[lo + i, owner]
-                row_sums = cols[r] @ c[lo + i]
-                grads_a.append(-2.0 * gamma
-                               * (xa[r] * row_sums[:, None] - g @ xb))
+        ga, gsum, gx = np.zeros_like(xa), np.zeros(len(xb)), np.zeros_like(xb)
+        for (lo, hi), (o, e, cols) in zip(spans, parts):
+            for i in range(lo, hi):
+                r, s = slice(oa[i], oa[i + 1]), slice(o[i - lo], o[i - lo + 1])
+                g = e[s] * c[i, owner]
+                row_sums = cols[s] @ c[i]
+                ga[r] = -2.0 * gamma * (xa[r] * row_sums[:, None] - g @ xb)
                 gsum += g.sum(axis=0)
                 gx += g.T @ xa[r]
-        db = -2.0 * gamma * (xb * gsum[:, None] - gx)
-        return grads_a, np.split(db, ob[1:-1])
+        return ga, -2.0 * gamma * (xb * gsum[:, None] - gx)
 
     return k, pullback
 
 
-def median_heuristic(sets, sample_cap: int = DEFAULT_SAMPLE_CAP,
+def median_heuristic(x, sample_cap: int = DEFAULT_SAMPLE_CAP,
                      rng=None) -> float:
     """Bandwidth rule: ``gamma = 1 / median(squared pairwise distances)``
-    over all node vectors in ``sets``.
+    over all node rows ``x``.
 
     All distinct pairs are used when their count is at most
     ``sample_cap``; otherwise ``sample_cap`` pairs are sampled with
@@ -140,7 +132,6 @@ def median_heuristic(sets, sample_cap: int = DEFAULT_SAMPLE_CAP,
     distances computed ``BLOCK_ROWS`` pairs at a time.  Falls back to
     ``gamma = 1`` when the median vanishes.
     """
-    x, _, _ = _stack(sets)
     n = x.shape[0]
     if n < 2:
         return 1.0
@@ -166,10 +157,10 @@ def median_heuristic(sets, sample_cap: int = DEFAULT_SAMPLE_CAP,
     return 1.0 / med
 
 
-def nystrom_fit(landmarks, gamma: float,
+def nystrom_fit(x, offsets, gamma: float,
                 rank: int | None = None) -> NystromMap:
-    """Eigendecompose the landmark set-kernel matrix at bandwidth
-    ``gamma`` and keep the well-conditioned part.
+    """Eigendecompose the set-kernel matrix of the packed landmark sets
+    ``(x, offsets)`` at bandwidth ``gamma``; keep the well-conditioned part.
 
     With ``rank=None`` all eigenvalues above ``EIGEN_CUTOFF * lambda_max``
     (and above zero) are retained.  With a fixed ``rank`` the top that
@@ -178,9 +169,9 @@ def nystrom_fit(landmarks, gamma: float,
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if not landmarks:
+    if len(offsets) < 2:
         raise ValueError("need at least one landmark set")
-    k = set_kernel_matrix(landmarks, landmarks, gamma)
+    k = set_kernel(x, offsets, x, offsets, gamma)
     evals, evecs = np.linalg.eigh(k)
     evals, evecs = evals[::-1], evecs[:, ::-1]
     floor = EIGEN_CUTOFF * max(evals[0], 0.0)
@@ -197,12 +188,12 @@ def nystrom_fit(landmarks, gamma: float,
     signs[signs == 0] = 1.0
     factor = (vecs * signs) / np.sqrt(vals)
     if rank is not None and n_keep < rank:
-        factor = np.hstack([factor, np.zeros((len(landmarks), rank - n_keep))])
-    return NystromMap(landmarks=list(landmarks), factor=factor, gamma=gamma)
+        factor = np.hstack([factor, np.zeros((len(k), rank - n_keep))])
+    return NystromMap(landmarks=x, offsets=offsets, factor=factor, gamma=gamma)
 
 
-def mmd_pool_batch(sets, nmap: NystromMap) -> np.ndarray:
-    """Nystrom coordinates of each set, (len(sets), rank): its kernel
-    row against the landmarks pushed through the eigen factor."""
-    krows = set_kernel_matrix(sets, nmap.landmarks, nmap.gamma)
+def mmd_pool_batch(x, offsets, nmap: NystromMap) -> np.ndarray:
+    """Nystrom coordinates of each packed set of ``(x, offsets)``, (sets,
+    rank): its kernel row against the landmarks through the eigen factor."""
+    krows = set_kernel(x, offsets, nmap.landmarks, nmap.offsets, nmap.gamma)
     return krows @ nmap.factor

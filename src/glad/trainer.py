@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import GraphDatabase, check_rows, first_row, read_table, table_rows
-from .encoder import EmbeddingSet, backprop_block, blocks, embed_block
+from .encoder import backprop_block, blocks, embed_block
 from .errors import DegenerateInputError, FormatError, GladError
 from .numkit import GradSet, ParamSet, init_params, sgd_step
 from .pooling import (NystromMap, median_heuristic, mmd_pool_batch,
-                      nystrom_fit, set_kernel_matrix)
+                      nystrom_fit, set_kernel)
 
 POOLINGS = ("mean", "mmd")
 
@@ -124,21 +124,32 @@ class CandidatePool:
 
 def _embed(graphs, params: ParamSet, with_cache: bool):
     """Embed ``graphs`` block by block (:func:`glad.encoder.blocks`) at
-    ``params``, yielding ``(block_graphs, h, cache)`` per block as it is
-    embedded, with ``h`` the zero-padded node embeddings; ``cache`` is
-    None without ``with_cache``."""
+    ``params``, yielding ``(sizes, h, cache)`` per block as it is
+    embedded: the block's node counts, ``h`` the zero-padded node
+    embeddings and ``cache`` None without ``with_cache``."""
     graphs = list(graphs)
-    for lo, hi in blocks([g.node_count for g in graphs]):
+    sizes = [g.node_count for g in graphs]
+    for lo, hi in blocks(sizes):
         h = embed_block(graphs[lo:hi], params, with_cache)
-        yield (graphs[lo:hi], *(h if with_cache else (h, None)))
+        yield (np.array(sizes[lo:hi]), *(h if with_cache else (h, None)))
 
 
-def _sets(embedded) -> dict:
-    """``{graph_id: EmbeddingSet}`` for each embedded graph, in block
-    order; the vectors are views into the block stacks."""
-    return {g.graph_id: EmbeddingSet(graph_id=g.graph_id,
-                                     vectors=h[b, :g.node_count])
-            for blk, h, _ in embedded for b, g in enumerate(blk)}
+def _packed(graphs, params: ParamSet, with_cache: bool = False):
+    """Node embeddings of ``graphs`` as packed rows (a block's rows are
+    ``h[mask]``), their row offsets and each block's ``(mask, cache)``."""
+    rows, blks, sizes = [], [], [0]
+    for n_b, h, cache in _embed(graphs, params, with_cache):
+        mask = np.arange(h.shape[1]) < n_b[:, None]
+        rows.append(h[mask])
+        blks.append((mask, cache))
+        sizes.extend(n_b)
+    return np.concatenate(rows), np.cumsum(sizes), blks
+
+
+def _gather(offsets, idx):
+    """Row index of the sets ``idx`` of packed rows, and their offsets."""
+    rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in idx])
+    return rows, np.cumsum(np.r_[0, np.diff(offsets)[idx]])
 
 
 def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
@@ -149,8 +160,8 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
     distribution readout: landmark node embeddings are recomputed at
     ``params`` while the eigen factor and bandwidth stay frozen.  With
     ``mmd_state=None`` the mean readout is used.  Graphs are embedded in
-    blocks, each graph id once, batch graphs first, with backward caches
-    only when a center is given.
+    blocks, each graph id once, batch graphs (distinct ids) first, with
+    backward caches only when a center is given.
 
     Returns ``(pooled, data_loss, grads)``; the last two are None without
     a center.  ``data_loss`` is the mean squared center distance and
@@ -167,8 +178,7 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
         # A graph's gradient needs only its own pooled row, so each block
         # is pulled back before the next one is embedded.
         pooled = []
-        for blk, h, cache in _embed(graphs, params, with_grad):
-            sizes = np.array([g.node_count for g in blk])
+        for sizes, h, cache in _embed(graphs, params, with_grad):
             pooled.append(h.sum(axis=1) / sizes[:, None])
             if with_grad:
                 # d loss / d node row: the graph's coefficient on each of
@@ -182,39 +192,36 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
     else:
         landmark_graphs, factor, gamma = mmd_state
         uniq = {g.graph_id: g for g in [*graphs, *landmark_graphs]}
-        embedded = list(_embed(uniq.values(), params, with_grad))
-        sets = _sets(embedded)
-        bsets = [sets[g.graph_id] for g in graphs]
-        lsets = [sets[g.graph_id] for g in landmark_graphs]
+        x, offs, blks = _packed(uniq.values(), params, with_grad)
+        at = {gid: i for i, gid in enumerate(uniq)}  # batch rows first
+        li, ol = _gather(offs, [at[g.graph_id] for g in landmark_graphs])
+        xl = x[li]
         if not with_grad:
-            return set_kernel_matrix(bsets, lsets, gamma) @ factor, None, None
+            return (set_kernel(x[:offs[n]], offs[:n + 1], xl, ol, gamma)
+                    @ factor, None, None)
         # A batch graph's Nystrom row and loss coefficient need only its
         # own kernel row, so each block is pooled and pulled back while
-        # its node-pair kernel is live; the landmark gradients add up
-        # across blocks in block order.
-        pooled, da, db = [], [], None
+        # its node-pair kernel is live.  Gradients add up in one packed
+        # array, the batch's before the landmarks' (summed over blocks).
+        pooled, dx, dl = [], np.zeros_like(x), 0.0
         for lo, hi in blocks([g.node_count for g in graphs]):
-            k, pullback = set_kernel_matrix(bsets[lo:hi], lsets, gamma,
-                                            with_pullback=True)
+            r = slice(offs[lo], offs[hi])
+            k, pullback = set_kernel(x[r], offs[lo:hi + 1] - offs[lo], xl, ol,
+                                     gamma, with_pullback=True)
             pooled.append(k @ factor)
-            ga, gb = pullback((2.0 / n) * (pooled[-1] - center) @ factor.T)
-            da.extend(ga)
-            db = gb if db is None else [x + y for x, y in zip(db, gb)]
+            ga, gl = pullback((2.0 / n) * (pooled[-1] - center) @ factor.T)
+            dx[r] += ga
+            dl += gl
             # Free this block's node-pair kernel before the next is built,
             # so the allocator hands the same memory back.
             del k, pullback
         pooled = np.concatenate(pooled)
-        where = {g.graph_id: (i, b) for i, (blk, _, _) in enumerate(embedded)
-                 for b, g in enumerate(blk)}
-        d_out = [None] * len(embedded)
-        for g, d in zip([*graphs, *landmark_graphs], da + db):
-            i, b = where[g.graph_id]
-            if d_out[i] is None:
-                d_out[i] = np.zeros_like(embedded[i][1])
-            d_out[i][b, :g.node_count] += d
-        for (_, _, cache), d in zip(embedded, d_out):
-            if d is not None:
-                backprop_block(params, cache, d, grads)
+        np.add.at(dx, li, dl)
+        ends = np.cumsum([np.count_nonzero(mask) for mask, _ in blks])
+        for (mask, cache), rows in zip(blks, np.split(dx, ends)):
+            d = np.zeros(mask.shape + x.shape[1:])
+            d[mask] = rows
+            backprop_block(params, cache, d, grads)
     if not with_grad:
         return pooled, None, None
     diffs = pooled - center
@@ -225,13 +232,13 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
 # Training
 # ---------------------------------------------------------------------------
 
-def _refresh_map(graphs, params, landmark_graphs, rng, rank):
+def _refresh_map(graphs, params, land_idx, rng, rank):
     """Bandwidth and eigen factor from the embeddings of every training
-    graph at ``params``, computed here without backward caches."""
-    sets = _sets(_embed(graphs, params, with_cache=False))
-    gamma = median_heuristic(list(sets.values()), rng=rng)
-    return nystrom_fit([sets[g.graph_id] for g in landmark_graphs], gamma,
-                       rank=rank)
+    graph at ``params`` (without backward caches), landmarks at land_idx."""
+    x, offs, _ = _packed(graphs, params)
+    gamma = median_heuristic(x, rng=rng)
+    li, ol = _gather(offs, land_idx)
+    return nystrom_fit(x[li], ol, gamma, rank=rank)
 
 
 def train_candidate(train_db: GraphDatabase, config: ModelConfig,
@@ -262,7 +269,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
         k = min(config.nystrom_k, n)
         land_idx = np.sort(rng.choice(n, size=k, replace=False))
         landmark_graphs = [graphs[i] for i in land_idx]
-        nmap = _refresh_map(graphs, params, landmark_graphs, rng, rank=None)
+        nmap = _refresh_map(graphs, params, land_idx, rng, rank=None)
         rank = nmap.rank
         state = (landmark_graphs, nmap.factor, nmap.gamma)
     center = batch_objective(graphs, params, state)[0].mean(axis=0)
@@ -282,8 +289,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
         with np.errstate(over="ignore", invalid="ignore"):
             if is_mmd and epoch > 0:
                 try:
-                    nmap = _refresh_map(graphs, params, landmark_graphs, rng,
-                                        rank)
+                    nmap = _refresh_map(graphs, params, land_idx, rng, rank)
                 except (DegenerateInputError, ValueError,
                         np.linalg.LinAlgError) as exc:
                     return fail(f"refresh failed in epoch {epoch}: {exc}")
@@ -306,7 +312,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
     if is_mmd:
         # Scoring snapshot: factor and bandwidth consistent with the
         # final weights, landmark embeddings stored inside the map.
-        nmap = _refresh_map(graphs, params, landmark_graphs, rng, rank)
+        nmap = _refresh_map(graphs, params, land_idx, rng, rank)
     return TrainedCandidate(config=config, params=params, center=center,
                             nystrom=nmap, final_loss=final_loss)
 
@@ -318,9 +324,8 @@ def score_graphs(db: GraphDatabase, candidate: TrainedCandidate) -> np.ndarray:
     if candidate.config.pooling == "mean":
         pooled = batch_objective(db.graphs, candidate.params)[0]
     else:
-        embedded = _embed(db.graphs, candidate.params, with_cache=False)
-        pooled = mmd_pool_batch(list(_sets(embedded).values()),
-                                candidate.nystrom)
+        x, offs, _ = _packed(db.graphs, candidate.params)
+        pooled = mmd_pool_batch(x, offs, candidate.nystrom)
     return np.linalg.norm(pooled - candidate.center, axis=1)
 
 

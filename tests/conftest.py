@@ -4,17 +4,17 @@ Bookkeeping for the acceptance suite: every acceptance test records a
 verdict so the run ends with one pass/fail line per criterion, even when
 a test aborts half way.  Oracles used by several test files: a parameter
 flattener, central finite differences, the one-graph embedding, an
-``np.where`` encoder step, the mean readout, squared MMD and a per-edge TU
-writer.
+``np.where`` encoder step, set packing, the mean readout, squared MMD and
+a per-edge TU writer.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from glad.encoder import EmbeddingSet, embed_block
+from glad.encoder import embed_block
 from glad.numkit import GradSet, ParamSet
-from glad.pooling import set_kernel_matrix
+from glad.pooling import set_kernel
 
 RESULTS = {}
 
@@ -68,11 +68,10 @@ def finite_diff_grad(loss_fn, params: ParamSet, h: float = 1e-5,
     return grads
 
 
-def embed_one(graph, params: ParamSet) -> EmbeddingSet:
-    """Node embeddings of one graph, from a block that holds only it (so
-    no row is padded)."""
-    return EmbeddingSet(graph_id=graph.graph_id,
-                        vectors=embed_block([graph], params)[0])
+def embed_one(graph, params: ParamSet) -> np.ndarray:
+    """Node embeddings of one graph, (node_count, d_hidden), from a block
+    that holds only it (so no row is padded)."""
+    return embed_block([graph], params)[0]
 
 
 def where_encoder_step(graphs, params: ParamSet, d_out: np.ndarray):
@@ -107,16 +106,23 @@ def where_encoder_step(graphs, params: ParamSet, d_out: np.ndarray):
     return h, [(z, a) for z, a, _ in layers], grads
 
 
-def mean_pool(s: EmbeddingSet) -> np.ndarray:
-    """Average of the node embedding vectors."""
-    return s.vectors.mean(axis=0)
+def pack(sets):
+    """Packed rows and int64 row offsets of a list of ``(n_i, d)`` node
+    row arrays, the form :mod:`glad.pooling` takes."""
+    sizes = [len(s) for s in sets]
+    return np.concatenate(sets), np.concatenate([[0], np.cumsum(sizes)])
 
 
-def mmd_squared(s_i, s_j, gamma: float) -> float:
-    """Biased squared maximum mean discrepancy between two embedding
-    sets: ``k(i,i) + k(j,j) - 2 k(i,j)`` with the mean-pairwise set
+def mean_pool(x: np.ndarray) -> np.ndarray:
+    """Average of one set's node embedding rows."""
+    return x.mean(axis=0)
+
+
+def mmd_squared(x_i, x_j, gamma: float) -> float:
+    """Biased squared maximum mean discrepancy between two sets of node
+    rows: ``k(i,i) + k(j,j) - 2 k(i,j)`` with the mean-pairwise set
     kernel."""
-    k = set_kernel_matrix([s_i, s_j], [s_i, s_j], gamma)
+    k = set_kernel(*pack([x_i, x_j]), *pack([x_i, x_j]), gamma)
     return float(k[0, 0] + k[1, 1] - 2.0 * k[0, 1])
 
 

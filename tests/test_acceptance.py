@@ -11,15 +11,14 @@ import time
 import numpy as np
 import pytest
 from conftest import (embed_one, finite_diff_grad, flatten, mean_pool,
-                      mmd_squared, record)
+                      mmd_squared, pack, record)
 
 from glad.data import Graph, GraphDatabase, derive_features, generate_mixhop
-from glad.encoder import EmbeddingSet
 from glad.metrics import midrank, roc_auc, wilcoxon_one_sided
 from glad.numkit import GradSet, init_params
 from glad.pipeline import BenchmarkParams, PipelineConfig, run_pipeline
 from glad.pooling import (median_heuristic, mmd_pool_batch, nystrom_fit,
-                          set_kernel_matrix)
+                          set_kernel)
 from glad.selection import hits
 from glad.trainer import ModelConfig, batch_objective, run_grid
 
@@ -84,22 +83,20 @@ def test_criterion_2_mmd_brute_force():
         worst = 0.0
         for _ in range(50):
             dim = int(rng.integers(2, 9))
-            a = EmbeddingSet(graph_id=0, vectors=rng.standard_normal(
-                (int(rng.integers(1, 11)), dim)))
-            b = EmbeddingSet(graph_id=1, vectors=rng.standard_normal(
-                (int(rng.integers(1, 11)), dim)))
+            a = rng.standard_normal((int(rng.integers(1, 11)), dim))
+            b = rng.standard_normal((int(rng.integers(1, 11)), dim))
             gamma = float(rng.uniform(0.1, 2.0))
 
             def brute(s, t):
                 total = 0.0
-                for x in s.vectors:
-                    for y in t.vectors:
+                for x in s:
+                    for y in t:
                         d = x - y
                         total += np.exp(-gamma * float(d @ d))
-                return total / (s.size * t.size)
+                return total / (len(s) * len(t))
 
             worst = max(worst,
-                        abs(set_kernel_matrix([a], [b], gamma)[0, 0]
+                        abs(set_kernel(*pack([a]), *pack([b]), gamma)[0, 0]
                             - brute(a, b)),
                         abs(mmd_squared(a, b, gamma)
                             - (brute(a, a) + brute(b, b) - 2 * brute(a, b))))
@@ -114,18 +111,18 @@ def test_criterion_3_nystrom_reconstruction():
     ok = False
     try:
         rng = np.random.default_rng(303)
-        sets = [EmbeddingSet(graph_id=i, vectors=rng.standard_normal(
-            (int(rng.integers(2, 7)), 3))) for i in range(12)]
-        gamma = median_heuristic(sets)
-        k_full = set_kernel_matrix(sets, sets, gamma)
+        arrays = [rng.standard_normal((int(rng.integers(2, 7)), 3))
+                  for _ in range(12)]
+        sets, landmarks = pack(arrays), pack(arrays[:5])
+        gamma = median_heuristic(sets[0])
+        k_full = set_kernel(*sets, *sets, gamma)
 
-        h_full = mmd_pool_batch(sets, nystrom_fit(sets, gamma))
+        h_full = mmd_pool_batch(*sets, nystrom_fit(*sets, gamma))
         err_full = float(np.max(np.abs(k_full - h_full @ h_full.T)))
 
-        landmarks = sets[:5]
-        h_sub = mmd_pool_batch(sets, nystrom_fit(landmarks, gamma))
-        k_gb = set_kernel_matrix(sets, landmarks, gamma)
-        k_bb = set_kernel_matrix(landmarks, landmarks, gamma)
+        h_sub = mmd_pool_batch(*sets, nystrom_fit(*landmarks, gamma))
+        k_gb = set_kernel(*sets, *landmarks, gamma)
+        k_bb = set_kernel(*landmarks, *landmarks, gamma)
         dense = k_gb @ np.linalg.pinv(k_bb) @ k_gb.T
         err_sub = float(np.max(np.abs(h_sub @ h_sub.T - dense)))
 
@@ -148,8 +145,8 @@ def test_criterion_4_gradient_check():
         wd = 1e-3
 
         sets = [embed_one(g, params) for g in graphs]
-        gamma = median_heuristic(sets)
-        nmap = nystrom_fit(sets[:2], gamma)
+        gamma = median_heuristic(np.concatenate(sets))
+        nmap = nystrom_fit(*pack(sets[:2]), gamma)
         mmd_state = (graphs[:2], nmap.factor, gamma)
 
         worst = 0.0
@@ -260,8 +257,8 @@ def test_criterion_7_pooling_complementarity():
         # (a) equal means, different spread: invisible to mean pooling
         v = np.zeros(4)
         v[0] = 1.0
-        narrow = EmbeddingSet(graph_id=0, vectors=np.stack([v, -v]))
-        wide = EmbeddingSet(graph_id=1, vectors=np.stack([3 * v, -3 * v]))
+        narrow = np.stack([v, -v])
+        wide = np.stack([3 * v, -3 * v])
         mean_gap = float(np.linalg.norm(mean_pool(narrow) - mean_pool(wide)))
         spread_mmd = mmd_squared(narrow, wide, gamma=0.5)
         part_a = mean_gap == 0.0 and spread_mmd > 0.01
@@ -274,9 +271,8 @@ def test_criterion_7_pooling_complementarity():
         for t in (1.0, 2.0):
             shifted = base.copy()
             shifted[0] += t * u
-            gaps.append(float(np.linalg.norm(
-                mean_pool(EmbeddingSet(graph_id=0, vectors=base))
-                - mean_pool(EmbeddingSet(graph_id=1, vectors=shifted)))))
+            gaps.append(float(np.linalg.norm(mean_pool(base)
+                                             - mean_pool(shifted))))
         part_b = (gaps[0] == pytest.approx(np.linalg.norm(u) / 6)
                   and gaps[1] == pytest.approx(2 * gaps[0]))
 

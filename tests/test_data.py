@@ -1,5 +1,6 @@
 """Graph model, disk format, feature derivation, splits, generator."""
 
+import hashlib
 import math
 import re
 import warnings
@@ -86,6 +87,17 @@ class TestGraph:
         (((0, 1, 1.0), (2, 2, 1.0), (0.5, 3, 1.0)), "self loop on node 2"),
         (((0, 1, 1.0), (2.25, 3, 1.0), (1, 1, 1.0)),
          "edge (2.25, 3) has a non-integral node id"),
+        # NaN and +-inf are not integral; past int64 is outside the range
+        (((0, 1, 1.0), (0, math.nan, 1.0), (2, 2, 1.0)),
+         "edge (0, nan) has a non-integral node id"),
+        (((0, 1, 1.0), (-math.inf, 3, 1.0)),
+         "edge (-inf, 3) has a non-integral node id"),
+        (((0, 2**70, 1.0), (1, 1, 1.0)),
+         "edge (0, 1180591620717411303424) outside node range"),
+        (((3, 3, 1.0), (0, math.inf, 1.0), (2**64, 1.5, 1.0)),
+         "self loop on node 3"),
+        (((0, 1, 1.0), (2**64, 1.5, 1.0)),
+         "edge (18446744073709551616, 1.5) has a non-integral node id"),
     ])
     def test_first_bad_edge_in_input_order_wins(self, edges, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -593,6 +605,19 @@ class TestGenerateMixhop:
         for g, h in zip(a.graphs, b.graphs):
             assert g.edges.tolist() == h.edges.tolist()
             np.testing.assert_array_equal(g.node_labels, h.node_labels)
+
+    def test_pinned_draws(self):
+        # Digests of the edge and label bytes from the generator that
+        # picked targets with rng.choice; both pick paths (uniform while
+        # every weight is zero, degree-proportional after) are taken.
+        want = {3: "692fa8e76d3b09048cef696812e287938fb34ac711e106d6620ee01368fc7bfe",
+                11: "e0923a9a0554b167f5a665e932b239fd04ab71d8f03469c939eac71341027fd6"}
+        for seed, digest in want.items():
+            h = hashlib.sha256()
+            for g in generate_mixhop(6, 40, 3, 0.7, 4, seed=seed).graphs:
+                h.update(g.edges.tobytes())
+                h.update(g.node_labels.tobytes())
+            assert h.hexdigest() == digest
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):

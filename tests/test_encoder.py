@@ -48,14 +48,14 @@ class TestForward:
         params = init_params(2, 4, 1, seed=0)
         w1, w2 = params.layers[0]
         expected = np.maximum(x @ w1, 0.0) @ w2
-        np.testing.assert_allclose(embed_one(g, params).vectors, expected)
+        np.testing.assert_allclose(embed_one(g, params), expected)
 
     def test_output_is_last_layer_only(self):
         db = generate_mixhop(1, 10, 2, 0.5, 3, seed=0)
         db = derive_features(db, "one_hot_label")
         params = init_params(db.d_in, 7, 3, seed=1)
         out = embed_one(db.graphs[0], params)
-        assert out.vectors.shape == (10, 7)
+        assert out.shape == (10, 7)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
@@ -71,8 +71,8 @@ class TestForward:
         h = Graph(graph_id=1, node_count=g.node_count, edges=edges,
                   features=g.features[inv])
         params = init_params(db.d_in, 5, 2, seed=4)
-        out_g = embed_one(g, params).vectors
-        out_h = embed_one(h, params).vectors
+        out_g = embed_one(g, params)
+        out_h = embed_one(h, params)
         np.testing.assert_allclose(out_h, out_g[inv], atol=1e-10)
 
     def test_errors(self):
@@ -135,8 +135,8 @@ class TestLocality:
             bumped = feats.copy()
             bumped[0] += 0.7
             g1 = Graph(graph_id=1, node_count=n, edges=edges, features=bumped)
-            delta = np.abs(embed_one(g1, params).vectors
-                           - embed_one(g0, params).vectors)
+            delta = np.abs(embed_one(g1, params)
+                           - embed_one(g0, params))
             changed = np.any(delta > 1e-12, axis=1)
             assert not changed[n_layers + 1:].any()
             assert changed[0]
@@ -174,7 +174,7 @@ class TestBlocks:
         assert h.shape == (3, 20, 5)
         for b, g in enumerate(graphs):
             np.testing.assert_allclose(h[b, :g.node_count],
-                                       embed_one(g, params).vectors,
+                                       embed_one(g, params),
                                        rtol=0, atol=1e-12)
             assert np.all(h[b, g.node_count:] == 0.0)
 

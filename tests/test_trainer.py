@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import embed_one, finite_diff_grad, flatten, mean_pool
+from conftest import embed_one, finite_diff_grad, flatten, mean_pool, pack
 
 from glad.data import (Graph, GraphDatabase, derive_features,
                        generate_mixhop)
@@ -113,8 +113,8 @@ class TestObjective:
         graphs = list(toy_db.graphs)
         params = init_params(toy_db.d_in, 5, 2, seed=4)
         sets = [embed_one(g, params) for g in graphs]
-        gamma = median_heuristic(sets)
-        nmap = nystrom_fit(sets[:2], gamma)
+        gamma = median_heuristic(np.concatenate(sets))
+        nmap = nystrom_fit(*pack(sets[:2]), gamma)
         state = (graphs[:2], nmap.factor, gamma)
         center = batch_objective(graphs, params, state)[0].mean(axis=0) + 0.05
         wd = 1e-3
@@ -132,9 +132,9 @@ class TestObjective:
         params = init_params(graphs[0].features.shape[1], d_hidden, layers,
                              seed=4)
         sets = [embed_one(g, params) for g in graphs]
-        gamma = median_heuristic(sets)
-        nmap = nystrom_fit([embed_one(g, params) for g in landmark_graphs],
-                           gamma)
+        gamma = median_heuristic(np.concatenate(sets))
+        nmap = nystrom_fit(*pack([embed_one(g, params)
+                                  for g in landmark_graphs]), gamma)
         state = (landmark_graphs, nmap.factor, gamma)
         center = batch_objective(graphs, params, state)[0].mean(axis=0) + 0.05
         return params, state, center
@@ -241,7 +241,7 @@ class TestTrainCandidate:
         cand = train_candidate(train, cfg)
         assert not cand.failed
         assert cand.nystrom is not None
-        assert len(cand.nystrom.landmarks) == 6
+        assert len(cand.nystrom.offsets) == 6 + 1
         assert cand.center.shape == (cand.nystrom.rank,)
         assert math.isfinite(cand.final_loss)
         assert score_graphs(test, cand).shape == (20,)
