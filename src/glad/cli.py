@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -76,47 +75,44 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _read_csv_column(path, value_name: str, cast):
-    def parse(s):
+def _read_column(path, name: str, dtype, bad, message: str) -> dict:
+    """``graph_id,<name>`` rows as a dict; ``bad(values)`` masks the rows
+    whose value breaks the rule ``message`` states."""
+    ln, head = gdata.first_row(path)
+    if head != f"graph_id,{name}":
+        raise FormatError(f"{path}:{ln}: expected header 'graph_id,{name}'")
+
+    def tokenize(s):
         parts = s.split(",")
         if len(parts) != 2:
             raise ValueError("expected two columns")
-        return parts[0].strip(), cast(parts[1].strip())
+        return parts[0], dtype(parts[1])
 
-    rows = gdata.table_rows(path, f"{value_name} row", parse, header=True)
-    ln, head = next(rows, (1, ""))
-    if head != f"graph_id,{value_name}":
-        raise FormatError(f"{path}:{ln}: expected header 'graph_id,{value_name}'")
-    out = {}
-    for ln, (gid, value) in rows:
-        if gid in out:
-            raise FormatError(f"{path}:{ln}: duplicate graph id {gid}")
-        out[gid] = value
-    if not out:
+    t = gdata.read_table(path, f"{name} row", tokenize,
+                         [("id", object), ("v", dtype)], header=True)
+    ids, v = np.char.strip(t["id"].astype(str)), t["v"]
+    if not ids.size:
         raise FormatError(f"{path}: no data rows")
-    return out
-
-
-def _finite_score(s: str) -> float:
-    v = float(s)
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite value {s}")
-    return v
+    first = np.unique(ids, return_index=True)[1]
+    gdata.check_rows(path, f"{name} row", [
+        (bad(v), lambda r, s: message.format(v[r])),
+        (~np.isin(np.arange(ids.size), first),
+         lambda r, s: f"duplicate graph id {ids[r]}")], header=True)
+    return dict(zip(ids.tolist(), v.tolist()))
 
 
 def _cmd_evaluate(args) -> int:
-    scores = _read_csv_column(args.scores, "score", _finite_score)
-    flags = _read_csv_column(args.flags, "flag", gdata.parse_flag)
+    scores = _read_column(args.scores, "score", float,
+                          lambda v: ~np.isfinite(v), "non-finite value {}")
+    flags = _read_column(args.flags, "flag", np.int64,
+                         lambda v: (v < 0) | (v > 1), "must be 0 or 1, got {}")
     if set(scores) != set(flags):
         gid = sorted(set(scores) ^ set(flags))[0]
         raise FormatError(f"{args.scores} and {args.flags} cover different "
                           f"graph ids: {gid} is only in "
                           f"{args.scores if gid in scores else args.flags}")
-    gids = list(scores)
-    auc = roc_auc(np.array([scores[g] for g in gids]),
-                  np.array([flags[g] for g in gids]))
-    n_flagged = sum(flags[g] for g in gids)
-    text = (f"graphs = {len(gids)}\nflagged = {n_flagged}\n"
+    auc = roc_auc(list(scores.values()), [flags[g] for g in scores])
+    text = (f"graphs = {len(scores)}\nflagged = {sum(flags.values())}\n"
             f"roc_auc = {auc:.9g}\n")
     Path(args.out).write_text(text)
     print(text, end="")

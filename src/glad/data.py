@@ -70,9 +70,9 @@ class Graph:
     node_labels : ndarray or None
         Integer label per node.
     node_attributes : ndarray or None
-        (node_count, d_attr) float array of raw attributes.
+        (node_count, d_attr) finite float array of raw attributes.
     features : ndarray or None
-        (node_count, d_in) float array of derived model inputs.
+        (node_count, d_in) finite float array of derived model inputs.
     """
 
     graph_id: int
@@ -116,6 +116,11 @@ class Graph:
             if arr is not None and arr.shape[0] != self.node_count:
                 raise ValueError(f"{name} has {arr.shape[0]} rows for "
                                  f"{self.node_count} nodes")
+            if name != "node_labels" and arr is not None:
+                ok = np.isfinite(arr.reshape(len(arr), -1)).all(axis=1)
+                if not ok.all():
+                    raise ValueError(f"graph {self.graph_id}: {name} row "
+                                     f"{ok.argmin()} is not finite")
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -278,14 +283,6 @@ def check_rows(path, what: str, checks, header: bool = False) -> None:
         ln, s = next(islice(table_rows(path, what, str, header),
                             hit[0] + header, None))
         raise FormatError(f"{path}:{ln}: bad {what}: {hit[1](hit[0], s)}")
-
-
-def parse_flag(s: str) -> bool:
-    """Parse an anomaly flag, which must be 0 or 1."""
-    v = int(s)
-    if v not in (0, 1):
-        raise ValueError(f"must be 0 or 1, got {v}")
-    return bool(v)
 
 
 def _edge(s: str) -> tuple:

@@ -28,10 +28,6 @@ STAGE_TEST_ANOMALIES = 2
 STAGE_SPLIT = 3
 STAGE_TRAINING = 4
 
-GRID_INT_KEYS = ("layers", "seed", "epochs", "batch_size", "d_hidden",
-                 "nystrom_k")
-GRID_FLOAT_KEYS = ("weight_decay", "lr", "nystrom_mult")
-
 
 def stage_seed(master_seed: int, stage: int) -> int:
     """Derive a stage seed from the master seed."""
@@ -131,47 +127,48 @@ def generate_benchmark(params: BenchmarkParams, master_seed: int):
 # Grid files
 # ---------------------------------------------------------------------------
 
+def _read_ini(cp: configparser.ConfigParser, path, what: str):
+    """``cp`` after reading ``path``; an unreadable file or a syntax error
+    raises FormatError."""
+    try:
+        if cp.read(str(path)):
+            return cp
+    except configparser.Error as exc:  # names the file and the line
+        raise FormatError(" ".join(str(exc).split())) from None
+    raise FormatError(f"cannot read {what} {path}")
+
+
 def parse_grid_file(path) -> dict:
-    """Parse a line-oriented grid file into a grid specification.
+    """Parse an INI grid file into a grid specification.
 
     Sections ``[mean]``, ``[mmd]`` and ``[common]`` hold ``key = v1, v2,
-    ...`` lines; ``#`` starts a comment.  Keys are typed by name (counts
-    are integers, rates are floats).  A grid that does not expand into
-    valid configs raises FormatError.
+    ...`` lines; ``#`` at a line's start or after a space starts a comment.
+    Keys are case-sensitive and typed by the ModelConfig field they set.
+    A grid that does not expand into valid configs, or into more than
+    ``MAX_CONFIGS``, raises FormatError.
     """
+    cp = configparser.ConfigParser(
+        delimiters="=", comment_prefixes="#", inline_comment_prefixes="#",
+        default_section="", interpolation=None)  # no [DEFAULT] section
+    cp.optionxform = str
     spec = {}
-    section = None
-    lines = Path(path).read_text().splitlines()
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in ("mean", "mmd", "common"):
-                raise FormatError(f"{path}:{ln}: unknown section [{section}]")
-            spec.setdefault(section, {})
-            continue
-        if section is None:
-            raise FormatError(f"{path}:{ln}: entry before any section")
-        if "=" not in line:
-            raise FormatError(f"{path}:{ln}: expected 'key = values'")
-        key, _, rest = line.partition("=")
-        key = key.strip()
-        if key in GRID_INT_KEYS:
-            cast = int
-        elif key in GRID_FLOAT_KEYS:
-            cast = float
-        else:
-            raise FormatError(f"{path}:{ln}: unknown grid key {key!r}")
-        try:
-            values = [cast(v.strip()) for v in rest.split(",") if v.strip()]
-        except ValueError:
-            raise FormatError(f"{path}:{ln}: bad value for {key}") from None
-        if not values:
-            raise FormatError(f"{path}:{ln}: no values for {key}")
-        spec[section][key] = values
-    if not spec or not ({"mean", "mmd"} & set(spec)):
+    for section in _read_ini(cp, path, "grid file").sections():
+        if section not in ("mean", "mmd", "common"):
+            raise FormatError(f"{path}: unknown section [{section}]")
+        spec[section] = {}
+        for key, raw in cp[section].items():
+            where = f"{path}: [{section}] {key}"
+            if key not in gtrain.CONFIG_TYPES or key == "pooling":
+                raise FormatError(f"{where}: unknown grid key")
+            try:
+                values = [gtrain.CONFIG_TYPES[key](v)
+                          for v in raw.split(",") if v.strip()]
+            except ValueError:
+                raise FormatError(f"{where}: bad value {raw!r}") from None
+            if not values:
+                raise FormatError(f"{where}: no values")
+            spec[section][key] = values
+    if not {"mean", "mmd"} & set(spec):
         raise FormatError(f"{path}: grid file defines no model family")
     # Expanding for one training graph runs every config check: the
     # training-set size only clamps the landmark count.
@@ -212,13 +209,7 @@ def parse_pipeline_config(path) -> PipelineConfig:
     is parsed here (:func:`parse_grid_file`); without one the default
     grid is used.
     """
-    cp = configparser.ConfigParser()
-    try:
-        read = cp.read(str(path))
-    except configparser.Error as exc:  # names the file and the line
-        raise FormatError(" ".join(str(exc).split())) from None
-    if not read:
-        raise FormatError(f"cannot read pipeline config {path}")
+    cp = _read_ini(configparser.ConfigParser(), path, "pipeline config")
     if "run" not in cp or "out_dir" not in cp["run"]:
         raise FormatError(f"{path}: [run] section with out_dir is required")
 

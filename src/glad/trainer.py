@@ -10,9 +10,10 @@ of candidates, each scoring every test graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -24,9 +25,9 @@ from .pooling import (NystromMap, median_heuristic, mmd_pool_batch,
                       nystrom_fit, set_kernel)
 
 POOLINGS = ("mean", "mmd")
-
-CONFIG_FIELDS = ("pooling", "layers", "weight_decay", "lr", "seed",
-                 "nystrom_k", "epochs", "batch_size", "d_hidden")
+# Most configs a grid may expand to: the README grid has 378, and 10,000
+# candidates at ~2 s each (BENCH data) is over five hours of training.
+MAX_CONFIGS = 10_000
 
 # Default search grids; the landmark count is swept as a multiplier on
 # log(n_train), resolved by nystrom_size().
@@ -73,8 +74,14 @@ class ModelConfig:
 
     def hyper_key(self):
         """Everything except the seed; candidates sharing it are siblings."""
-        return (self.pooling, self.layers, self.weight_decay, self.lr,
-                self.nystrom_k, self.epochs, self.batch_size, self.d_hidden)
+        return tuple(getattr(self, f) for f in HYPER_FIELDS)
+
+
+CONFIG_FIELDS = tuple(f.name for f in fields(ModelConfig))
+HYPER_FIELDS = tuple(f for f in CONFIG_FIELDS if f != "seed")
+# Field value types (an optional field's other type), plus nystrom_mult.
+CONFIG_TYPES = {**{k: (get_args(t) or (t,))[0] for k, t in
+                   get_type_hints(ModelConfig).items()}, "nystrom_mult": float}
 
 
 @dataclass(eq=False)
@@ -352,18 +359,16 @@ def expand_grid(spec: dict, n_train: int) -> list:
     lists, with a ``common`` section merged into both.  The ``mmd``
     family takes either ``nystrom_k`` (absolute) or ``nystrom_mult``
     (resolved by :func:`nystrom_size`).  Expansion order is fixed:
-    mean family first, keys in canonical order, values in given order.
+    mean family first, then the product of the keys in field order with
+    the seed last, values in given order.  A grid of more than
+    ``MAX_CONFIGS`` configurations is refused before any is built.
     """
-    known = {"layers", "weight_decay", "lr", "seed", "epochs",
-             "batch_size", "d_hidden", "nystrom_k", "nystrom_mult"}
-    common = spec.get("common", {})
-    configs = []
+    families = []
     for family in ("mean", "mmd"):
         if family not in spec:
             continue
-        merged = dict(common)
-        merged.update(spec[family])
-        bad = set(merged) - known
+        merged = {**spec.get("common", {}), **spec[family]}
+        bad = set(merged) - (CONFIG_TYPES.keys() - {"pooling"})
         if bad:
             raise ValueError(f"unknown grid keys {sorted(bad)}")
         if family == "mean":
@@ -380,15 +385,16 @@ def expand_grid(spec: dict, n_train: int) -> list:
                                    for m in merged.pop("nystrom_mult")]
         else:
             raise ValueError("mmd family needs nystrom_k or nystrom_mult")
-        keys = [k for k in ("layers", "weight_decay", "lr", "nystrom_k",
-                            "epochs", "batch_size", "d_hidden", "seed")
-                if k in merged]
-        for values in product(*(merged[k] for k in keys)):
-            kwargs = dict(zip(keys, values))
-            configs.append(ModelConfig(pooling=family, **kwargs))
-    if not configs:
+        keys = [k for k in (*HYPER_FIELDS, "seed") if k in merged]
+        families.append((family, keys, [merged[k] for k in keys]))
+    count = sum(math.prod(map(len, values)) for _, _, values in families)
+    if count > MAX_CONFIGS:
+        raise ValueError(f"grid expands to {count} configurations, "
+                         f"more than {MAX_CONFIGS}")
+    if not count:
         raise ValueError("grid specification expands to no configurations")
-    return configs
+    return [ModelConfig(pooling=family, **dict(zip(keys, combo)))
+            for family, keys, values in families for combo in product(*values)]
 
 
 def _train_and_score(train_db, test_db, config, base_seed):
@@ -508,13 +514,10 @@ def load_pool(directory) -> CandidatePool:
         parts = s.split(",")
         if len(parts) != 1 + len(CONFIG_FIELDS):
             raise ValueError(f"expected {1 + len(CONFIG_FIELDS)} columns")
-        return parts[0], ModelConfig(
-            pooling=parts[1], layers=int(parts[2]),
-            weight_decay=float(parts[3]), lr=float(parts[4]),
-            seed=int(parts[5]),
-            nystrom_k=None if parts[6] == "" else int(parts[6]),
-            epochs=int(parts[7]), batch_size=int(parts[8]),
-            d_hidden=int(parts[9]))
+        return parts[0], ModelConfig(**{
+            f.name: None if v == "" and f.default is None
+            else CONFIG_TYPES[f.name](v)
+            for f, v in zip(fields(ModelConfig), parts[1:])})
 
     rows = table_rows(cfg_path, "config row", config_row, header=True)
     ln, head = next(rows, (1, ""))

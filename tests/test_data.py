@@ -122,6 +122,14 @@ class TestGraph:
             with pytest.raises(ValueError, match="not finite and > 0"):
                 Graph(graph_id=0, node_count=2, edges=((0, 1, w),))
 
+    @pytest.mark.parametrize("field", ["node_attributes", "features"])
+    def test_non_finite_node_rows_rejected(self, field):
+        for bad in (math.nan, math.inf):
+            rows = np.array([[1.0, 0.0], [0.5, bad], [2.0, 1.0]])
+            with pytest.raises(ValueError,
+                               match=f"graph 7: {field} row 1 is not finite"):
+                Graph(graph_id=7, node_count=3, edges=(), **{field: rows})
+
     def test_adjacency_symmetric_weighted(self):
         g = tri()
         a = g.adjacency

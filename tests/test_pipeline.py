@@ -1,6 +1,7 @@
 """Orchestration: benchmark generation, config files, full runs, CLI."""
 
 import functools
+import time
 
 import numpy as np
 import pytest
@@ -115,19 +116,26 @@ nystrom_mult = 4.0
 
     @pytest.mark.parametrize("body,msg", [
         ("[bogus]\n", "unknown section"),
-        ("layers = 1\n", "before any section"),
-        ("[mean]\nlayers\n", "expected 'key = values'"),
+        ("layers = 1\n", "no section headers.*line: 1"),
+        ("[mean]\nlayers\n", "parsing errors.*line 2"),
         ("[mean]\ncolor = red\n", "unknown grid key"),
         ("[mean]\nlayers = one\n", "bad value"),
         ("[mean]\nlayers =\n", "no values"),
         ("[common]\nepochs = 5\n", "no model family"),
         ("# nothing\n", "no model family"),
+        ("[mean]\nseed = 0\nseed = 1\n", "line 3.*option 'seed'"),
+        ("[mean]\nseed = 0\n[mean]\n", "line 3.*section 'mean'"),
+        ("[DEFAULT]\nseed = 0\n[mean]\n", r"unknown section \[DEFAULT\]"),
+        ("[mean]\nLayers = 1\n", r"\[mean\] Layers: unknown grid key"),
+        ("[mmd]\npooling = mean\n", r"\[mmd\] pooling: unknown grid key"),
+        ("[mean]\nlr = 0.1#x\n", r"\[mean\] lr: bad value '0.1#x'"),
     ])
     def test_errors(self, tmp_path, body, msg):
         path = tmp_path / "grid.txt"
         path.write_text(body)
-        with pytest.raises(FormatError, match=msg):
+        with pytest.raises(FormatError, match=msg) as exc:
             parse_grid_file(path)
+        assert str(path) in str(exc.value)
 
 
 class TestPipelineConfig:
@@ -421,6 +429,53 @@ labels = 2
         assert cli.main(["pipeline", "--config", str(ini)]) == 0
         assert (tmp_path / "out" / "report.txt").exists()
         assert "auc[hits]" in capsys.readouterr().out
+
+    def test_huge_grid_fails_fast(self, tmp_path, capsys):
+        # four 1,000-value keys: 10^12 configs, 19.6 KB of text
+        values = ", ".join(str(v) for v in range(1, 1001))
+        grid = tmp_path / "huge.txt"
+        grid.write_text("[mean]\n" + "".join(
+            f"{k} = {values}\n"
+            for k in ("layers", "epochs", "batch_size", "d_hidden")))
+        data = tmp_path / "data"
+        assert cli.main(["generate", "--out", str(data), "--n-train", "6",
+                         "--n-test", "6", "--nodes", "10", "--labels", "2",
+                         "--anomaly-rate", "0.2"]) == 0
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nout_dir = {tmp_path / 'out'}\n\n"
+                       f"[grid]\nfile = {grid}\n")
+        for argv in (["train", "--data", str(data), "--grid", str(grid),
+                      "--out", str(tmp_path / "pool")],
+                     ["pipeline", "--config", str(ini)]):
+            t0 = time.perf_counter()
+            assert cli.main(argv) == 2
+            assert time.perf_counter() - t0 < 1.0
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {grid}: grid expands to "
+                                  "1000000000000 configurations")
+
+    def test_evaluate_rejects_bad_rows(self, tmp_path, capsys):
+        scores, flags = tmp_path / "scores.csv", tmp_path / "flags.csv"
+        argv = ["evaluate", "--scores", str(scores), "--flags", str(flags),
+                "--out", str(tmp_path / "e.txt")]
+        scores.write_text("graph_id,score\n1,0.5\n 2 ,0.25\n")
+        for body, want in [
+                ("1,0\n2,2\n", ":3: bad flag row: must be 0 or 1, got 2"),
+                ("1,0\n2,1.0\n", ":3: bad flag row: invalid literal"),
+                ("1,0\n1,1\n", ":3: bad flag row: duplicate graph id 1"),
+                ("1,0\n\n2,1,3\n", ":4: bad flag row: expected two"),
+                ("", ": no data rows")]:
+            flags.write_text("graph_id,flag\n" + body)
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {flags}{want}")
+        flags.write_text("graph_id,flag\n2,1\n1,0\n")
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("graphs = 2\nflagged = 1\nroc_auc = 0")
+        scores.write_text("graph_id,score\n1,0.5\n2,-inf\n")
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {scores}:3: bad score row: non-finite value -inf")
 
     def test_domain_errors_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nothing"

@@ -2,7 +2,8 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from glad.encoder import blocks
 from glad.errors import FormatError, GladError
 from glad.numkit import GradSet, ParamSet, init_params
 from glad.pooling import median_heuristic, nystrom_fit
-from glad.trainer import (DEFAULT_GRID, CandidatePool, ModelConfig,
-                          batch_objective, expand_grid, load_pool,
+from glad.trainer import (DEFAULT_GRID, MAX_CONFIGS, CandidatePool,
+                          ModelConfig, batch_objective, expand_grid, load_pool,
                           nystrom_size, run_grid, save_pool, score_graphs,
                           train_candidate)
 
@@ -359,6 +360,33 @@ class TestGrids:
         assert all(c.pooling == "mean" for c in configs[:first_mmd])
         assert all(c.pooling == "mmd" for c in configs[first_mmd:])
 
+    def test_expansion_order_pinned(self):
+        # Model ids and UDR's sibling groups follow this order.
+        want, c = [], DEFAULT_GRID["common"]
+        for family, ks in (("mean", [None]), ("mmd", [21, 41, 81])):
+            g = DEFAULT_GRID[family]
+            for layers, wd, lr, k, epochs, bs, d, seed in product(
+                    g["layers"], g["weight_decay"], g["lr"], ks,
+                    c["epochs"], c["batch_size"], c["d_hidden"], g["seed"]):
+                want.append((family, layers, wd, lr, seed, k, epochs, bs, d))
+        got = [astuple(c) for c in expand_grid(DEFAULT_GRID, n_train=150)]
+        assert got == want
+
+    def test_config_count_limit(self):
+        seeds = list(range(MAX_CONFIGS // 4))
+        spec = {"mean": {"layers": [1, 2], "seed": seeds, "d_hidden": [3, 4]}}
+        assert len(expand_grid(spec, 10)) == MAX_CONFIGS
+        spec["mmd"] = {"nystrom_k": [2]}
+        with pytest.raises(ValueError, match=f"expands to {MAX_CONFIGS + 1} "):
+            expand_grid(spec, 10)
+        # the count comes before any config is built
+        big = {"mean": {k: list(range(1, 1001)) for k in
+                        ("layers", "seed", "epochs", "d_hidden")}}
+        with pytest.raises(ValueError, match="expands to 1000000000000 "):
+            expand_grid(big, 10)
+        with pytest.raises(ValueError, match="unknown grid keys.*pooling"):
+            expand_grid({"mean": {"pooling": ["mmd"]}}, 10)
+
     def test_family_overrides_common(self):
         spec = {"common": {"epochs": [10], "batch_size": [8],
                            "d_hidden": [4]},
@@ -563,6 +591,25 @@ class TestPoolFiles:
         with pytest.raises(FormatError, match="no scores for m001"):
             load_pool(tmp_path)
 
+
+    def test_pool_files_round_trip_byte_for_byte(self, tmp_path):
+        configs = ("model_id,pooling,layers,weight_decay,lr,seed,nystrom_k,"
+                   "epochs,batch_size,d_hidden\n"
+                   "m000,mean,1,1e-05,0.0001,0,,2,8,6\n"
+                   "m003,mmd,4,0.0,0.1,2,21,150,64,64\n")
+        scores = ("model_id,7,3,12\n"
+                  "m000,0.123456789,1e-05,3\n"
+                  "m003,2.5e-300,1.23456789e+10,0\n")
+        (tmp_path / "pool_configs.csv").write_text(configs)
+        (tmp_path / "pool_scores.csv").write_text(scores)
+        pool = load_pool(tmp_path)
+        for cfg in pool.configs:
+            assert all(type(v) in (int, float, str, type(None))
+                       for v in astuple(cfg))
+        assert pool.configs[0].nystrom_k is None
+        save_pool(pool, tmp_path / "again")
+        assert (tmp_path / "again" / "pool_configs.csv").read_text() == configs
+        assert (tmp_path / "again" / "pool_scores.csv").read_text() == scores
 
     def test_line_reader_matches_whole_table_and_finds_duplicates(self, tmp_path):
         pool = self.make_pool()
