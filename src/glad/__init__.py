@@ -17,8 +17,7 @@ from .pipeline import (BenchmarkParams, EvalReport, PipelineConfig,
                        parse_pipeline_config, run_pipeline)
 from .pooling import NystromMap, median_heuristic, nystrom_fit
 from .selection import (SelectionResult, hits, hits_ens, hits_select,
-                        mc_select, normalize_rows, select, spearman,
-                        udr_select)
+                        mc_select, normalize_rows, select, udr_select)
 from .trainer import (CandidatePool, ModelConfig, TrainedCandidate,
                       batch_objective, expand_grid, load_pool, run_grid,
                       save_pool, score_graphs, train_candidate)

@@ -52,8 +52,8 @@ def _load_split_dir(data_dir: Path):
 
 
 def _cmd_train(args) -> int:
-    train_db, test_db = _load_split_dir(Path(args.data))
     grid = gpipe.parse_grid_file(args.grid)
+    train_db, test_db = _load_split_dir(Path(args.data))
     configs = gtrain.expand_grid(grid, len(train_db))
     pool = gtrain.run_grid(train_db, test_db, configs, workers=args.workers,
                            base_seed=args.seed)

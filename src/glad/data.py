@@ -9,9 +9,10 @@ graphs plus database-level annotations (class labels, anomaly flags).
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice, takewhile
+from itertools import chain, islice, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import FormatError, LoadError, SplitError
 FEATURE_KINDS = ("one_hot_label", "attributes", "one_hot_degree")
 DEFAULT_DEGREE_CAP = 10
 EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+_FLOAT_EDGE = np.dtype([("u", np.float64), ("v", np.float64), ("w", np.float64)])
 
 
 def _edge_array(u, v, w=1.0) -> np.ndarray:
@@ -40,6 +42,22 @@ def _id_fault(edge) -> str:
     if ids != (edge[0], edge[1]):
         return "has a non-integral node id"
     return "" if -2**63 <= min(ids) and max(ids) < 2**63 else "outside node range"
+
+
+def _plain_edges(rows):
+    """``rows`` as an edge array when every field is a Python int or
+    float and every node id is whole and below 2**53 in magnitude, so that
+    reading it as a float is exact; else None."""
+    try:
+        if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+            return None
+        f = np.fromiter(rows, _FLOAT_EDGE, len(rows))
+    except (TypeError, ValueError):
+        return None
+    ids = np.stack([f["u"], f["v"]])
+    if not np.all((np.abs(ids) < 2**53) & (ids == np.trunc(ids))):
+        return None
+    return _edge_array(f["u"], f["v"], f["w"])
 
 
 def _first_bad(checks):
@@ -90,10 +108,13 @@ class Graph:
             rows = e = edges
         else:
             # fromiter truncates a fractional id and fails on NaN, +-inf or
-            # past int64: read up to the first such row, which raises below.
+            # past int64: the per-edge scan reads up to the first such row,
+            # which raises below.
             rows = list(edges)
-            e = np.fromiter(takewhile(lambda r: not _id_fault(r), rows),
-                            EDGE_DTYPE)
+            e = _plain_edges(rows)
+            if e is None:
+                e = np.fromiter(takewhile(lambda r: not _id_fault(r), rows),
+                                EDGE_DTYPE)
         u, v, w, n = e["u"], e["v"], e["w"], self.node_count
         # First copies in (u, v) order; ids out of range break an earlier rule.
         first = np.unique(u * n + v, return_index=True)[1]
@@ -228,9 +249,10 @@ def table_rows(path, what: str, parse, header: bool = False):
     line of a text table, reading only as far as the caller iterates;
     with ``header`` the first such line is yielded unparsed.  A
     ``ValueError`` or ``OverflowError`` (an integer past int64) from
-    ``parse`` becomes a FormatError ``"<path>:<line>: bad <what>: <reason>"``.
+    ``parse`` becomes a FormatError ``"<path>:<line>: bad <what>: <reason>"``,
+    and so does text the file's encoding cannot decode (:func:`decoded`).
     """
-    with open(path) as f:
+    with decoded(path), open(path) as f:
         for ln, raw in enumerate(f, start=1):
             s = raw.strip()
             if not s:
@@ -246,9 +268,20 @@ def table_rows(path, what: str, parse, header: bool = False):
 
 def first_row(path):
     """``(line_number, stripped text)`` of a table's first non-blank line."""
-    with open(path) as f:
+    with decoded(path), open(path) as f:
         return next(((ln, s.strip()) for ln, s in enumerate(f, 1)
                      if s.strip()), (1, ""))
+
+
+@contextmanager
+def decoded(path):
+    """Turn a byte sequence that reading ``path`` as text cannot decode
+    into a FormatError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not {exc.encoding} text "
+                          f"({exc.reason})") from None
 
 
 def read_table(path, what: str, tokenize, *dtypes, header: bool = False):
@@ -258,7 +291,8 @@ def read_table(path, what: str, tokenize, *dtypes, header: bool = False):
     columns), else line by line with ``tokenize``, which returns a record
     of the last dtype and raises for a malformed line.  Numpy refuses
     some lines the format allows (``1_0``, mixed edge widths, lines of
-    spaces).  Rules on values are for :func:`check_rows`."""
+    spaces) and all of a file it cannot decode, which the line reader
+    reports.  Rules on values are for :func:`check_rows`."""
     skip = first_row(path)[0] if header else 0
     for dtype in dtypes:
         try:

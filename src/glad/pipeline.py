@@ -128,11 +128,12 @@ def generate_benchmark(params: BenchmarkParams, master_seed: int):
 # ---------------------------------------------------------------------------
 
 def _read_ini(cp: configparser.ConfigParser, path, what: str):
-    """``cp`` after reading ``path``; an unreadable file or a syntax error
-    raises FormatError."""
+    """``cp`` after reading ``path``; an unreadable or undecodable file or
+    a syntax error raises FormatError."""
     try:
-        if cp.read(str(path)):
-            return cp
+        with gdata.decoded(path):
+            if cp.read(str(path)):
+                return cp
     except configparser.Error as exc:  # names the file and the line
         raise FormatError(" ".join(str(exc).split())) from None
     raise FormatError(f"cannot read {what} {path}")

@@ -5,6 +5,8 @@ seed-variation method).  The consensus route runs a hub/authority
 recursion on min-max normalized scores: reliable models are those that
 agree with the pooled opinion, and the authority vector doubles as an
 ensemble anomaly ranking.  Two rank-correlation baselines are included.
+A pool's rank-correlation matrix and HITS result are computed once and
+kept on the pool, so every method run on it shares them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, MethodError
 from .metrics import midrank
-from .trainer import CandidatePool
+from .trainer import CandidatePool, format_rows
 
 METHODS = ("hits", "hits-ens", "mc", "udr")
 HITS_TOL = 1e-9
@@ -105,9 +107,25 @@ def _pick(pool: CandidatePool, method: str, reliability: np.ndarray,
                            selected_index=best, **extra)
 
 
+def _shared(pool: CandidatePool, name: str, compute):
+    """``compute()`` the first time ``pool`` is asked for ``name``, kept
+    in ``pool.stats`` with its arrays made read-only: every later call on
+    the pool gets the same result.  The pool's scores are read-only, so it
+    cannot go stale."""
+    if name not in pool.stats:
+        out = compute()
+        for arr in out if isinstance(out, tuple) else (out,):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        pool.stats[name] = out
+    return pool.stats[name]
+
+
 def hits_select(pool: CandidatePool) -> SelectionResult:
-    """Pick the model with the largest hub weight."""
-    h, a, iters, residual = hits(normalize_rows(pool.scores))
+    """Pick the model with the largest hub weight.  The recursion runs
+    once per pool; ``hits-ens`` reuses it."""
+    h, a, iters, residual = _shared(
+        pool, "hits", lambda: hits(normalize_rows(pool.scores)))
     return _pick(pool, "hits", h, authority=a, iterations=iters,
                  residual=residual)
 
@@ -139,19 +157,6 @@ def _pairwise_spearman(scores: np.ndarray) -> np.ndarray:
     return corr
 
 
-def spearman(x, y) -> float:
-    """Rank correlation (midranks + Pearson); errors on constant input."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("need two equal-length vectors of size >= 2")
-    r = _pairwise_spearman(np.stack([x, y]))[0, 1]
-    if np.isnan(r):
-        raise DegenerateInputError("rank correlation undefined for "
-                                   "constant input")
-    return float(r)
-
-
 def _row_stat(corr: np.ndarray, stat) -> np.ndarray:
     """``stat`` (``np.nanmean`` or ``np.nanmedian``) of each row's
     non-NaN entries; -inf for a row with none."""
@@ -166,7 +171,8 @@ def mc_select(pool: CandidatePool) -> SelectionResult:
     correlation with every other model; the most agreeable model wins."""
     if pool.scores.shape[0] < 2:
         raise MethodError("consistency selection needs at least two models")
-    reliability = _row_stat(_pairwise_spearman(pool.scores), np.nanmean)
+    reliability = _row_stat(_shared(
+        pool, "spearman", lambda: _pairwise_spearman(pool.scores)), np.nanmean)
     if not np.any(np.isfinite(reliability)):
         raise MethodError("no model pair admits a rank correlation")
     return _pick(pool, "mc", reliability)
@@ -186,7 +192,8 @@ def udr_select(pool: CandidatePool) -> SelectionResult:
         raise MethodError("seed-variation selection needs some "
                           "hyperparameter setting trained under "
                           "several seeds")
-    corr = np.where(sibling, _pairwise_spearman(pool.scores), np.nan)
+    corr = np.where(sibling, _shared(
+        pool, "spearman", lambda: _pairwise_spearman(pool.scores)), np.nan)
     reliability = _row_stat(corr, np.nanmedian)
     if not np.any(np.isfinite(reliability)):
         raise MethodError("no sibling pair admits a rank correlation")
@@ -206,13 +213,14 @@ def select(pool: CandidatePool, method: str) -> SelectionResult:
 
 def write_selection(result: SelectionResult, out_path,
                     meta_path=None) -> None:
-    """Write ``graph_id,score`` rows plus a small metadata sidecar
-    (method, selected model, iteration count, convergence residual)."""
+    """Write ``graph_id,score`` rows, each score exactly as ``'%.9g'``
+    writes it (:func:`glad.trainer.format_rows`), plus a small metadata
+    sidecar (method, selected model, iteration count, convergence
+    residual)."""
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["graph_id,score"] + [
-        "%s,%.9g" % pair
-        for pair in zip(result.graph_ids, result.final_scores.tolist())]
+    lines = ["graph_id,score"] + format_rows(result.graph_ids,
+                                             result.final_scores[:, None])
     out_path.write_text("\n".join(lines) + "\n")
     if meta_path is None:
         meta_path = out_path.parent / "selection_meta.txt"

@@ -101,11 +101,13 @@ class TrainedCandidate:
     diagnostic: str = ""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CandidatePool:
     """Score matrix of all surviving candidates over one test set.
 
-    ``scores[i, j]`` is model ``model_ids[i]`` on graph ``graph_ids[j]``.
+    ``scores[i, j]`` is model ``model_ids[i]`` on graph ``graph_ids[j]``;
+    it is a read-only view of the given matrix.  ``stats`` holds what
+    :mod:`glad.selection` computes from the scores once per pool.
     """
 
     model_ids: list
@@ -113,6 +115,7 @@ class CandidatePool:
     scores: np.ndarray
     graph_ids: list
     dropped: list = field(default_factory=list)
+    stats: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.scores.shape != (len(self.model_ids), len(self.graph_ids)):
@@ -123,6 +126,9 @@ class CandidatePool:
             raise ValueError("one config per model id required")
         if not np.all(np.isfinite(self.scores)):
             raise ValueError("pool scores must be finite")
+        scores = self.scores.view()
+        scores.flags.writeable = False
+        object.__setattr__(self, "scores", scores)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +485,104 @@ def _fmt(x) -> str:
     return "" if x is None else (repr(x) if isinstance(x, float) else str(x))
 
 
+def _nine_digit_tables():
+    """Tables of :func:`_nine_digit_chunk`, whose slot for a value is
+    ``,`` ``-`` nine integer digits ``.`` twelve fraction digits: six
+    4-byte ``words`` (four digits, ``,-`` and two digits, or three digits
+    and ``.``), the bytes ``'%.9g'`` keeps by ``keep[(neg * 13 + exponent
+    + 4) * 13 + fraction digits]`` (none in the last row), and ``lead[i,
+    g]``, the fraction digits up to the last non-zero one of four-digit
+    group ``g`` when it is word ``3 + i`` (0 for ``g == 0``)."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
+    words = np.concatenate([
+        digits,
+        np.c_[np.full((100, 2), [ord(","), ord("-")]), digits[:100, 2:]],
+        np.c_[digits[:1000, 1:], np.full(1000, ord("."))]]).astype(np.uint8)
+    g = np.arange(10000)
+    lead = 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0)
+    lead = np.where(g > 0, lead + [[0], [4], [8]], 0)
+    neg, x = np.arange(2)[:, None, None, None], np.arange(-4, 9)[:, None, None]
+    frac, at = np.arange(13)[:, None], np.arange(24)
+    keep = ((at == 0) | ((at == 1) & (neg == 1))
+            | ((11 - np.maximum(x + 1, 1) <= at) & (at < 11))
+            | ((frac > 0) & (11 <= at) & (at <= 11 + frac)))
+    keep = np.concatenate([keep.reshape(-1, 24), np.zeros((1, 24), bool)])
+    return (words.view(np.uint32)[:, 0], keep, keep.sum(axis=1),
+            lead.astype(np.uint8))
+
+
+_WORDS, _KEEP, _KEPT, _LEAD = _nine_digit_tables()
+_POW10 = 10.0 ** np.arange(14)  # exact doubles
+_CHUNK_VALUES = 1 << 15  # keeps a chunk's temporaries at a few MiB
+
+
+def _nine_digit_chunk(x: np.ndarray):
+    """``,v`` for each value of the rows of ``x`` as ``'%.9g'`` writes it,
+    as one string; each row's end in it; and which rows it holds.
+
+    The nine-digit mantissa is ``rint(|v| * 10**k)``, one rounding of an
+    exact product (error below 6e-8), so it rounds as ``'%.9g'`` unless
+    the product is within 1e-6 of a tie.  Rows holding such a value, or
+    one whose rounded exponent ``8 - k`` is outside [-4, 8] (where ``%g``
+    writes e-notation; zero, subnormals and non-finite values too), are
+    left out.
+    """
+    a = np.abs(x).ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = 8 - np.floor(np.log10(a))
+        ok = (k >= 0) & (k <= 13)
+        k = np.where(ok, k, 0).astype(np.intp)
+        scaled = a * _POW10[k]
+        m = np.rint(scaled)
+        ok &= (scaled >= 1e8) & (m <= 1e9) & (np.abs(scaled - m) < 0.499999)
+    carry = m == 1e9
+    k -= carry
+    ok &= (k >= 0) & (k <= 12)
+    rows = ok.reshape(x.shape).all(axis=1)
+    ok = np.repeat(rows, x.shape[1])
+    k[~ok] = 0
+    m = np.where(ok & ~carry, m, 1e8)
+    # Integer part and fraction (exact below 2**53) as the slot's words.
+    p, q = _POW10[k], np.empty((6, a.size))
+    q[2] = np.floor(m / p)
+    q[5] = (m - q[2] * p) * _POW10[12 - k]
+    q[0], q[1] = np.floor(q[2] / 1e7), np.floor(q[2] / 1e3)
+    q[3], q[4] = np.floor(q[5] / 1e8), np.floor(q[5] / 1e4)
+    q[1:] -= q[:-1] * [[1e4], [1e3], [0], [1e4], [1e4]]
+    q[0] += 10000
+    q[2] += 10100
+    g = q.astype(np.intp)
+    frac = _LEAD[[[0], [1], [2]], g[3:]].max(axis=0)
+    key = np.where(ok, ((x.ravel() < 0) * 13 + 12 - k) * 13 + frac, -1)
+    slots = np.take(_WORDS, g).T.copy().view(np.uint8).ravel()
+    text = np.compress(np.take(_KEEP, key, axis=0).ravel(), slots)
+    ends = np.cumsum(np.take(_KEPT, key).reshape(x.shape).sum(axis=1))
+    return text.tobytes().decode("ascii"), ends.tolist(), rows.tolist()
+
+
+def format_rows(labels, values) -> list:
+    """Lines ``label,v1,...,vn`` for the rows of the 2-d ``values``, each
+    value exactly as ``'%.9g'`` writes it: in numpy, a fixed number of
+    values at a time, and by ``%`` for a row that path cannot prove."""
+    values = np.asarray(values, dtype=float)
+    step = max(1, _CHUNK_VALUES // max(values.shape[1], 1))
+    row_fmt = "%s" + ",%.9g" * values.shape[1]
+    lines = []
+    for lo in range(0, len(values), step):
+        x = values[lo:lo + step]
+        text, ends, fast = _nine_digit_chunk(x)
+        for label, row, start, end, ok in zip(labels[lo:lo + step], x,
+                                              [0] + ends, ends, fast):
+            lines.append(str(label) + text[start:end] if ok
+                         else row_fmt % (label, *row.tolist()))
+    return lines
+
+
 def save_pool(pool: CandidatePool, directory) -> None:
-    """Write ``pool_configs.csv`` and ``pool_scores.csv`` (scores at nine
-    significant digits, LF endings)."""
+    """Write ``pool_configs.csv`` and ``pool_scores.csv`` (LF endings).
+
+    Scores are written exactly as ``'%.9g'`` writes them (nine
+    significant digits), through :func:`format_rows`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     cfg_lines = ["model_id," + ",".join(CONFIG_FIELDS)]
@@ -491,9 +592,7 @@ def save_pool(pool: CandidatePool, directory) -> None:
     (directory / "pool_configs.csv").write_text("\n".join(cfg_lines) + "\n")
 
     head = "model_id," + ",".join(str(g) for g in pool.graph_ids)
-    row_fmt = "%s" + ",%.9g" * len(pool.graph_ids)
-    score_lines = [head] + [row_fmt % (mid, *row.tolist())
-                            for mid, row in zip(pool.model_ids, pool.scores)]
+    score_lines = [head] + format_rows(pool.model_ids, pool.scores)
     (directory / "pool_scores.csv").write_text("\n".join(score_lines) + "\n")
 
 

@@ -4,8 +4,8 @@ Bookkeeping for the acceptance suite: every acceptance test records a
 verdict so the run ends with one pass/fail line per criterion, even when
 a test aborts half way.  Oracles used by several test files: a parameter
 flattener, central finite differences, the one-graph embedding, an
-``np.where`` encoder step, set packing, the mean readout, squared MMD and
-a per-edge TU writer.
+``np.where`` encoder step, set packing, the mean readout, squared MMD,
+a per-edge TU writer and a two-vector rank correlation.
 """
 
 from pathlib import Path
@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from glad.encoder import embed_block
+from glad.metrics import midrank
 from glad.numkit import GradSet, ParamSet
 from glad.pooling import set_kernel
 
@@ -156,3 +157,12 @@ def write_tu_reference(db, directory, name: str) -> None:
         if lines or suffix in ("A", "graph_indicator"):
             (directory / f"{name}_{suffix}.txt").write_text(
                 "\n".join(lines) + "\n")
+
+
+def spearman(x, y) -> float:
+    """Rank correlation of two vectors: the Pearson correlation of their
+    midranks, NaN when either is constant."""
+    rx = midrank(x) - np.mean(midrank(x))
+    ry = midrank(y) - np.mean(midrank(y))
+    den = np.sqrt(np.sum(rx * rx) * np.sum(ry * ry))
+    return float(np.sum(rx * ry) / den) if den else float("nan")

@@ -444,8 +444,12 @@ labels = 2
         ini = tmp_path / "run.ini"
         ini.write_text(f"[run]\nout_dir = {tmp_path / 'out'}\n\n"
                        f"[grid]\nfile = {grid}\n")
+        # The grid is checked before the data is loaded, so a missing data
+        # directory does not hide it.
         for argv in (["train", "--data", str(data), "--grid", str(grid),
                       "--out", str(tmp_path / "pool")],
+                     ["train", "--data", str(tmp_path / "no_data"), "--grid",
+                      str(grid), "--out", str(tmp_path / "pool")],
                      ["pipeline", "--config", str(ini)]):
             t0 = time.perf_counter()
             assert cli.main(argv) == 2
@@ -617,3 +621,32 @@ labels = 2
         err = capsys.readouterr().err
         assert str(good) in err and str(other) in err
         assert "2 is only in " + str(good) in err
+
+        # A byte that is not UTF-8 in a grid file, a pipeline config, an
+        # evaluate CSV or a TU file names the file instead of a traceback.
+        grid.write_bytes(b"[mean]\nepochs = 1\xff\n")
+        ini.write_bytes(f"[run]\nout_dir = {tmp_path / 'out'}\n".encode()
+                        + b"# \xff\n")
+        scores = tmp_path / "latin.csv"
+        scores.write_bytes(b"graph_id,score\n1,0.5\n2,0.7\xff\n")
+        tu = tmp_path / "tu"
+        for part in ("train", "test"):
+            (tu / part).mkdir(parents=True)
+            for f in (data / part).iterdir():
+                (tu / part / f.name).write_bytes(f.read_bytes())
+        edges = tu / "train" / "synthetic_A.txt"
+        edges.write_bytes(edges.read_bytes().replace(b"\n", b"\xff\n", 1))
+        grid_ok = tmp_path / "ok_grid.txt"
+        grid_ok.write_text("[mean]\nepochs = 1\n")
+        for argv, named in (
+                (["train", "--data", str(data), "--grid", str(grid),
+                  "--out", str(tmp_path / "pool")], grid),
+                (["pipeline", "--config", str(ini)], ini),
+                (["evaluate", "--scores", str(scores), "--flags", str(flags),
+                  "--out", str(tmp_path / "e.txt")], scores),
+                (["train", "--data", str(tu), "--grid", str(grid_ok),
+                  "--out", str(tmp_path / "pool")], edges)):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {named}: not utf-8 text"), err
+        assert not (tmp_path / "pool").exists()

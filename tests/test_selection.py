@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from conftest import spearman
 
+from glad import selection
 from glad.errors import DegenerateInputError, MethodError
-from glad.selection import (METHODS, SelectionResult, hits, hits_ens,
-                            hits_select, mc_select, normalize_rows, select,
-                            spearman, udr_select, write_selection)
+from glad.selection import (METHODS, SelectionResult, _pairwise_spearman,
+                            hits, hits_ens, hits_select, mc_select,
+                            normalize_rows, select, udr_select,
+                            write_selection)
 from glad.trainer import CandidatePool, ModelConfig
 
 
@@ -106,27 +109,43 @@ class TestHitsSelect:
 
 
 class TestSpearman:
+    """The pool-wide rank correlation matrix, against hand values and the
+    two-vector oracle."""
+
     def test_perfect_and_reversed(self):
-        assert spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
-        assert spearman([1, 2, 3], [5, 4, 3]) == pytest.approx(-1.0)
+        corr = _pairwise_spearman(np.array([[1.0, 2.0, 3.0],
+                                            [10.0, 20.0, 30.0],
+                                            [5.0, 4.0, 3.0]]))
+        assert corr[0, 1] == pytest.approx(1.0)
+        assert corr[0, 2] == pytest.approx(-1.0)
+        assert np.array_equal(corr, corr.T, equal_nan=True)
 
     def test_tied_hand_value(self):
         # ranks [1, 2.5, 2.5, 4] vs [1, 2, 3, 4]:
         # cov 1.125, stds sqrt(1.125), sqrt(1.25) -> sqrt(0.9)
-        got = spearman([1.0, 2.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+        x, y = [1.0, 2.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]
+        got = _pairwise_spearman(np.array([x, y]))[0, 1]
         assert got == pytest.approx(np.sqrt(0.9), abs=1e-12)
+        assert spearman(x, y) == pytest.approx(np.sqrt(0.9), abs=1e-12)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=20)
         y = rng.normal(size=20)
-        assert spearman(np.exp(x), y) == pytest.approx(spearman(x, y))
+        corr = _pairwise_spearman(np.array([np.exp(x), x, y]))
+        assert corr[0, 2] == pytest.approx(corr[1, 2])
+        assert corr[1, 2] == pytest.approx(spearman(x, y), abs=1e-12)
 
     def test_errors(self):
-        with pytest.raises(DegenerateInputError):
-            spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            spearman([1.0, 2.0], [1.0, 2.0, 3.0])
+        # Undefined correlations read NaN: the diagonal and every entry
+        # of a constant row.
+        corr = _pairwise_spearman(np.array([[1.0, 1.0, 1.0],
+                                            [1.0, 2.0, 3.0],
+                                            [3.0, 1.0, 2.0]]))
+        assert np.isnan(np.diag(corr)).all()
+        assert np.isnan(corr[0]).all() and np.isnan(corr[:, 0]).all()
+        assert np.isfinite(corr[1, 2])
+        assert np.isnan(spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
 
 
 class TestMcSelect:
@@ -195,6 +214,46 @@ class TestDispatch:
             assert res.method == method
         with pytest.raises(ValueError, match="unknown method"):
             select(pool, "oracle")
+
+
+class TestSharedWork:
+    def test_each_statistic_computed_once_per_pool(self, monkeypatch):
+        calls = {"_pairwise_spearman": 0, "hits": 0}
+
+        def spy(name):
+            orig = getattr(selection, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return orig(*args)
+            monkeypatch.setattr(selection, name, counted)
+        spy("_pairwise_spearman")
+        spy("hits")
+        rng = np.random.default_rng(14)
+        scores = rng.random((6, 15))
+        seeds = [0, 1, 2, 0, 1, 2]
+        pool = make_pool(scores, seeds=seeds, lrs=[1e-3] * 3 + [1e-2] * 3)
+        shared = {m: select(pool, m) for m in ("mc", "udr", "hits", "hits-ens")}
+        assert calls == {"_pairwise_spearman": 1, "hits": 1}
+        # Each method alone on a fresh pool gives the same bits.
+        for method, res in shared.items():
+            alone = select(make_pool(scores, seeds=seeds,
+                                     lrs=[1e-3] * 3 + [1e-2] * 3), method)
+            assert res.reliability.tobytes() == alone.reliability.tobytes()
+            assert res.final_scores.tobytes() == alone.final_scores.tobytes()
+        assert calls == {"_pairwise_spearman": 3, "hits": 3}
+
+    def test_scores_cannot_change_under_kept_statistics(self):
+        scores = np.random.default_rng(15).random((3, 5))
+        pool = make_pool(scores)
+        mc_select(pool)
+        assert np.shares_memory(pool.scores, scores)
+        with pytest.raises(ValueError, match="read-only"):
+            pool.scores[0, 0] = 2.0
+        with pytest.raises(AttributeError):
+            pool.scores = scores
+        with pytest.raises(ValueError, match="read-only"):
+            pool.stats["spearman"][0, 1] = 0.0
 
 
 class TestWriteSelection:
@@ -295,10 +354,9 @@ def pair_loop_reliability(scores, siblings, reduce):
         for j in range(m):
             if j == i or not siblings(i, j):
                 continue
-            try:
-                vals.append(spearman(scores[i], scores[j]))
-            except DegenerateInputError:
-                pass
+            r = spearman(scores[i], scores[j])
+            if not np.isnan(r):
+                vals.append(r)
         if vals:
             out[i] = reduce(vals)
     return out

@@ -16,9 +16,9 @@ from glad.errors import FormatError, GladError
 from glad.numkit import GradSet, ParamSet, init_params
 from glad.pooling import median_heuristic, nystrom_fit
 from glad.trainer import (DEFAULT_GRID, MAX_CONFIGS, CandidatePool,
-                          ModelConfig, batch_objective, expand_grid, load_pool,
-                          nystrom_size, run_grid, save_pool, score_graphs,
-                          train_candidate)
+                          ModelConfig, _nine_digit_chunk, batch_objective,
+                          expand_grid, format_rows, load_pool, nystrom_size,
+                          run_grid, save_pool, score_graphs, train_candidate)
 
 
 @pytest.fixture(scope="module")
@@ -556,6 +556,32 @@ class TestPoolFiles:
         back = load_pool(tmp_path)
         np.testing.assert_allclose(back.scores, scores, rtol=1e-8)
         assert back.scores[0, 1] == 5e-324
+
+    def test_writer_matches_per_value_format(self):
+        # 200 rows x 5,000 values, as '%.9g' writes each one.  Rows 0-149
+        # hold values the vectorized path proves exact: both signs, nine
+        # decades, integers, rounding carries and the ends of the fixed
+        # notation range.  Each of rows 150-199 holds one value that makes
+        # its row fall back to '%'.
+        rng = np.random.default_rng(20)
+        values = (10.0 ** rng.uniform(-4, 9, (200, 5000))
+                  * rng.choice([-1.0, 1.0], (200, 5000)))
+        for i in range(20):
+            values[i] = np.round(10.0 ** rng.uniform(0, 6, 5000), i % 4)
+        values[20:40] = rng.integers(-10**6, 10**6, (20, 5000))
+        edges = [9.99999999995, 0.99999999995, -99999.99999995, 1e-4,
+                 -1.00000000049e-4, 9.9999999995e-5, 999999999.4, 1.5, 0.5]
+        values[40:150, :len(edges)] = edges
+        slow = [0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e300, 1e9,
+                -999999999.5, 123456789.5, 1.000000005, 9.99e-5, 7e15]
+        for i, v in enumerate(slow * 4 + slow[:2]):
+            values[150 + i, rng.integers(5000)] = v
+        labels = [f"m{i:03d}" for i in range(200)]
+        want = [("%s" + ",%.9g" * 5000) % (lab, *row)
+                for lab, row in zip(labels, values.tolist())]
+        assert format_rows(labels, values) == want
+        fast = _nine_digit_chunk(values[140:160])[2]
+        assert fast == [True] * 10 + [False] * 10
 
     def test_config_header(self, tmp_path):
         save_pool(self.make_pool(), tmp_path)
