@@ -12,7 +12,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, islice, takewhile
+from itertools import islice, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ from .errors import FormatError, LoadError, SplitError
 FEATURE_KINDS = ("one_hot_label", "attributes", "one_hot_degree")
 DEFAULT_DEGREE_CAP = 10
 EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
-_FLOAT_EDGE = np.dtype([("u", np.float64), ("v", np.float64), ("w", np.float64)])
 
 
 def _edge_array(u, v, w=1.0) -> np.ndarray:
@@ -42,22 +41,6 @@ def _id_fault(edge) -> str:
     if ids != (edge[0], edge[1]):
         return "has a non-integral node id"
     return "" if -2**63 <= min(ids) and max(ids) < 2**63 else "outside node range"
-
-
-def _plain_edges(rows):
-    """``rows`` as an edge array when every field is a Python int or
-    float and every node id is whole and below 2**53 in magnitude, so that
-    reading it as a float is exact; else None."""
-    try:
-        if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-            return None
-        f = np.fromiter(rows, _FLOAT_EDGE, len(rows))
-    except (TypeError, ValueError):
-        return None
-    ids = np.stack([f["u"], f["v"]])
-    if not np.all((np.abs(ids) < 2**53) & (ids == np.trunc(ids))):
-        return None
-    return _edge_array(f["u"], f["v"], f["w"])
 
 
 def _first_bad(checks):
@@ -108,13 +91,10 @@ class Graph:
             rows = e = edges
         else:
             # fromiter truncates a fractional id and fails on NaN, +-inf or
-            # past int64: the per-edge scan reads up to the first such row,
-            # which raises below.
+            # past int64: read up to the first such row, which raises below.
             rows = list(edges)
-            e = _plain_edges(rows)
-            if e is None:
-                e = np.fromiter(takewhile(lambda r: not _id_fault(r), rows),
-                                EDGE_DTYPE)
+            e = np.fromiter(takewhile(lambda r: not _id_fault(r), rows),
+                            EDGE_DTYPE)
         u, v, w, n = e["u"], e["v"], e["w"], self.node_count
         # First copies in (u, v) order; ids out of range break an earlier rule.
         first = np.unique(u * n + v, return_index=True)[1]

@@ -110,8 +110,9 @@ def _pick(pool: CandidatePool, method: str, reliability: np.ndarray,
 def _shared(pool: CandidatePool, name: str, compute):
     """``compute()`` the first time ``pool`` is asked for ``name``, kept
     in ``pool.stats`` with its arrays made read-only: every later call on
-    the pool gets the same result.  The pool's scores are read-only, so it
-    cannot go stale."""
+    the pool gets the same result.  It holds while the pool's scores are
+    unchanged: they are read-only through the pool, and the pool takes the
+    matrix it was given (see :class:`CandidatePool`)."""
     if name not in pool.stats:
         out = compute()
         for arr in out if isinstance(out, tuple) else (out,):

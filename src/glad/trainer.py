@@ -106,7 +106,9 @@ class CandidatePool:
     """Score matrix of all surviving candidates over one test set.
 
     ``scores[i, j]`` is model ``model_ids[i]`` on graph ``graph_ids[j]``;
-    it is a read-only view of the given matrix.  ``stats`` holds what
+    it is a read-only view of the given matrix, not a copy: the pool
+    takes the matrix, and writing to it through another reference after
+    construction is not supported.  ``stats`` holds what
     :mod:`glad.selection` computes from the scores once per pool.
     """
 

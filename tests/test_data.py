@@ -117,20 +117,6 @@ class TestGraph:
                      edges=((0.0, 1.0, 1.0), (1, 3, 2))).edges.tolist() \
             == [(0, 1, 1.0), (1, 3, 2.0)]
 
-    def test_list_edges_keep_exact_ids_and_rules(self):
-        # Ids past 2**53 are named exactly, not as their nearest float;
-        # strings and numpy scalars are judged as the per-edge rules judge
-        # them.
-        with pytest.raises(ValueError, match=re.escape(
-                "edge (0, 9007199254740993) outside node range")):
-            Graph(graph_id=0, node_count=4, edges=((0, 2**53 + 1, 1.0),))
-        with pytest.raises(ValueError, match="non-integral node id"):
-            Graph(graph_id=0, node_count=4, edges=(("0", "1", 1.0),))
-        g = Graph(graph_id=0, node_count=4,
-                  edges=[(np.int64(2), np.int32(3), np.float32(0.5)),
-                         (0, 1.0, 2)])
-        assert g.edges.tolist() == [(0, 1, 2.0), (2, 3, 0.5)]
-
     def test_non_finite_weight_rejected(self):
         for w in (math.inf, math.nan, -math.inf):
             with pytest.raises(ValueError, match="not finite and > 0"):
