@@ -19,7 +19,7 @@ from .pooling import NystromMap, median_heuristic, nystrom_fit
 from .selection import (SelectionResult, hits, hits_ens, hits_select,
                         mc_select, normalize_rows, select, udr_select)
 from .trainer import (CandidatePool, ModelConfig, TrainedCandidate,
-                      batch_objective, expand_grid, load_pool, run_grid,
-                      save_pool, score_graphs, train_candidate)
+                      batch_objective, expand_grid, load_pool, pool_graphs,
+                      run_grid, save_pool, score_graphs, train_candidate)
 
 __version__ = "0.1.0"

@@ -96,8 +96,11 @@ class Graph:
             e = np.fromiter(takewhile(lambda r: not _id_fault(r), rows),
                             EDGE_DTYPE)
         u, v, w, n = e["u"], e["v"], e["w"], self.node_count
-        # First copies in (u, v) order; ids out of range break an earlier rule.
-        first = np.unique(u * n + v, return_index=True)[1]
+        # First copies in (u, v) order, as pairs: a u * n + v key wraps.
+        order = np.lexsort((v, u))
+        su, sv, keep = u[order], v[order], np.ones(e.size, bool)
+        keep[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
+        first = order[keep]
         hit = _first_bad([
             (u == v, "self loop on node {0}"),
             ((u < 0) | (u >= n) | (v < 0) | (v >= n),

@@ -48,7 +48,7 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(xx + yy - 2.0 * (x @ y.T), 0.0)
 
 
-def set_kernel(xa, oa, xb, ob, gamma: float, with_pullback: bool = False):
+def set_kernel(xa, oa, xb, ob, gamma: float, d_k=None):
     """All set-kernel values between the packed sets ``(xa, oa)`` and
     ``(xb, ob)``.
 
@@ -59,16 +59,15 @@ def set_kernel(xa, oa, xb, ob, gamma: float, with_pullback: bool = False):
     -gamma ||x||^2, 1] @ [y, 1, -gamma ||y||^2]^T``, clipped at 0 (so
     rounding cannot push a squared distance below zero) and exponentiated
     in place.  Block sums reduce columns per set b first, then rows per
-    set a.  Every set must have at least one row.
+    set a.  Every set must have at least one row; rows of ``xa`` past
+    ``oa[-1]`` are in no set.
 
-    With ``with_pullback`` returns ``(k, pullback)``.  ``pullback(coeffs)``
-    gives the gradients of ``sum(coeffs * k)`` w.r.t. ``xa`` and ``xb``,
-    shaped like them; it reuses the node-pair kernel computed here, runs
-    set by set through ``xa``, sums the ``xb`` gradients in that order
-    and may be called any number of times.  Every block's node-pair
-    kernel stays alive with the pullback, so a caller bounds memory by
-    passing one block of sets a per call.  When a set appears on both
-    sides the caller must add the two contributions.
+    With ``d_k`` returns ``(k, ga, gb)``: the gradients of ``sum(c * k)``
+    w.r.t. ``xa`` and ``xb``, shaped like them, where a block's rows of
+    the coefficients ``c`` are ``d_k`` of its rows of ``k``.  Each block
+    is pulled back set by set, and its node-pair kernel freed, before the
+    next block is built; ``gb`` adds up block by block.  When a set
+    appears on both sides the caller must add the two contributions.
     """
     sa, sb = np.diff(oa), np.diff(ob)
     for name, sizes in (("xa", sa), ("xb", sb)):
@@ -79,9 +78,11 @@ def set_kernel(xa, oa, xb, ob, gamma: float, with_pullback: bool = False):
     bm[:, :d] = xb
     bm[:, d] = 1.0
     bm[:, d + 1] = -gamma * np.sum(xb * xb, axis=1)
-    spans = encoder.blocks(sa)
-    parts, ks = [], []
-    for lo, hi in spans:
+    ks = []
+    if d_k is not None:
+        owner = np.repeat(np.arange(len(sb)), sb)  # set b of each column
+        ga, gb = np.zeros_like(xa), np.zeros_like(xb)
+    for lo, hi in encoder.blocks(sa):
         x, o = xa[oa[lo]:oa[hi]], oa[lo:hi + 1] - oa[lo]
         am = np.empty((x.shape[0], d + 2))
         np.multiply(x, 2.0 * gamma, out=am[:, :d])
@@ -91,34 +92,26 @@ def set_kernel(xa, oa, xb, ob, gamma: float, with_pullback: bool = False):
         np.minimum(e, 0.0, out=e)
         np.exp(e, out=e)
         cols = np.add.reduceat(e, ob[:-1], axis=1)
-        ks.append(np.add.reduceat(cols, o[:-1], axis=0))
-        if with_pullback:
-            parts.append((o, e, cols))
-        del e  # without a pullback, free this block's kernel before the next
-    norm = sa[:, None] * sb[None, :]
-    k = np.concatenate(ks) / norm
-    if not with_pullback:
-        return k
-
-    owner = np.repeat(np.arange(len(sb)), sb)  # set b of each column
-
-    def pullback(coeffs):
-        # Per-node-pair coefficient upstream / (n_a * m_b).  One set a at
-        # a time, its rows of e scaled by its coefficients spread over
-        # columns: e is never written and no block-sized temporary is made.
-        c = coeffs / norm
-        ga, gsum, gx = np.zeros_like(xa), np.zeros(len(xb)), np.zeros_like(xb)
-        for (lo, hi), (o, e, cols) in zip(spans, parts):
-            for i in range(lo, hi):
-                r, s = slice(oa[i], oa[i + 1]), slice(o[i - lo], o[i - lo + 1])
+        norm = sa[lo:hi, None] * sb[None, :]
+        ks.append(np.add.reduceat(cols, o[:-1], axis=0) / norm)
+        if d_k is not None:
+            # Per-node-pair coefficient upstream / (n_a * m_b).  One set a at
+            # a time, its rows of e scaled by its coefficients spread over
+            # columns: e is never written and no block-sized temporary is made.
+            c = d_k(ks[-1]) / norm
+            gsum, gx = np.zeros(len(xb)), np.zeros_like(xb)
+            for i in range(hi - lo):
+                r, s = slice(oa[lo + i], oa[lo + i + 1]), slice(o[i], o[i + 1])
                 g = e[s] * c[i, owner]
-                row_sums = cols[s] @ c[i]
-                ga[r] = -2.0 * gamma * (xa[r] * row_sums[:, None] - g @ xb)
+                ga[r] += -2.0 * gamma * (x[s] * (cols[s] @ c[i])[:, None]
+                                         - g @ xb)
                 gsum += g.sum(axis=0)
-                gx += g.T @ xa[r]
-        return ga, -2.0 * gamma * (xb * gsum[:, None] - gx)
-
-    return k, pullback
+                gx += g.T @ x[s]
+            gb += -2.0 * gamma * (xb * gsum[:, None] - gx)
+            del g  # the last set's rows, before the next block's kernel
+        del e  # free this block's kernel before the next is built
+    k = np.concatenate(ks)
+    return k if d_k is None else (k, ga, gb)
 
 
 def median_heuristic(x, sample_cap: int = DEFAULT_SAMPLE_CAP,

@@ -167,78 +167,66 @@ def _gather(offsets, idx):
     return rows, np.cumsum(np.r_[0, np.diff(offsets)[idx]])
 
 
-def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
-    """Pooled vectors for a batch at the given parameters and, given a
-    center, the data-term loss and its gradient.
+def pool_graphs(graphs, params: ParamSet, nmap: NystromMap | None = None):
+    """Pooled rows of ``graphs`` at ``params``, without gradients: block
+    means of the node embeddings, or with ``nmap`` their Nystrom
+    coordinates (:func:`glad.pooling.mmd_pool_batch`)."""
+    if nmap is not None:
+        return mmd_pool_batch(*_packed(graphs, params)[:2], nmap)
+    return np.concatenate([h.sum(axis=1) / sizes[:, None]
+                           for sizes, h, _ in _embed(graphs, params, False)])
+
+
+def batch_objective(graphs, params: ParamSet, mmd_state, center):
+    """Pooled vectors for a batch at the given parameters, the data-term
+    loss and its gradient.
 
     ``mmd_state = (landmark_graphs, factor, gamma)`` selects the
     distribution readout: landmark node embeddings are recomputed at
     ``params`` while the eigen factor and bandwidth stay frozen.  With
     ``mmd_state=None`` the mean readout is used.  Graphs are embedded in
-    blocks, each graph id once, batch graphs (distinct ids) first, with
-    backward caches only when a center is given.
+    blocks with backward caches, each graph id once, batch graphs
+    (distinct ids) first.
 
-    Returns ``(pooled, data_loss, grads)``; the last two are None without
-    a center.  ``data_loss`` is the mean squared center distance and
-    ``grads`` its gradient, excluding the ridge term (the optimizer
-    applies decay itself).  For the distribution readout the gradient
-    flows through every node embedding the kernel matrix touches,
-    landmark graphs included.
+    Returns ``(pooled, data_loss, grads)``: ``data_loss`` is the mean
+    squared distance to ``center`` and ``grads`` its gradient, excluding
+    the ridge term (the optimizer applies decay itself).  For the
+    distribution readout the gradient flows through every node embedding
+    the kernel matrix touches, landmark graphs included.
     """
-    with_grad = center is not None
     graphs = list(graphs)
     n = len(graphs)
-    grads = GradSet.zeros_like(params) if with_grad else None
+    grads = GradSet.zeros_like(params)
     if mmd_state is None:
         # A graph's gradient needs only its own pooled row, so each block
         # is pulled back before the next one is embedded.
         pooled = []
-        for sizes, h, cache in _embed(graphs, params, with_grad):
+        for sizes, h, cache in _embed(graphs, params, True):
             pooled.append(h.sum(axis=1) / sizes[:, None])
-            if with_grad:
-                # d loss / d node row: the graph's coefficient on each of
-                # its rows; padded rows carry it too, but their ReLU mask
-                # drops it.
-                coef = (2.0 / (n * sizes))[:, None] * (pooled[-1] - center)
-                backprop_block(params, cache,
-                               np.broadcast_to(coef[:, None, :], h.shape),
-                               grads)
+            # d loss / d node row: the graph's coefficient on each of its
+            # rows; padded rows carry it too, but their ReLU mask drops it.
+            coef = (2.0 / (n * sizes))[:, None] * (pooled[-1] - center)
+            backprop_block(params, cache,
+                           np.broadcast_to(coef[:, None, :], h.shape), grads)
         pooled = np.concatenate(pooled)
     else:
         landmark_graphs, factor, gamma = mmd_state
         uniq = {g.graph_id: g for g in [*graphs, *landmark_graphs]}
-        x, offs, blks = _packed(uniq.values(), params, with_grad)
+        x, offs, blks = _packed(uniq.values(), params, True)
         at = {gid: i for i, gid in enumerate(uniq)}  # batch rows first
         li, ol = _gather(offs, [at[g.graph_id] for g in landmark_graphs])
-        xl = x[li]
-        if not with_grad:
-            return (set_kernel(x[:offs[n]], offs[:n + 1], xl, ol, gamma)
-                    @ factor, None, None)
-        # A batch graph's Nystrom row and loss coefficient need only its
-        # own kernel row, so each block is pooled and pulled back while
-        # its node-pair kernel is live.  Gradients add up in one packed
-        # array, the batch's before the landmarks' (summed over blocks).
-        pooled, dx, dl = [], np.zeros_like(x), 0.0
-        for lo, hi in blocks([g.node_count for g in graphs]):
-            r = slice(offs[lo], offs[hi])
-            k, pullback = set_kernel(x[r], offs[lo:hi + 1] - offs[lo], xl, ol,
-                                     gamma, with_pullback=True)
-            pooled.append(k @ factor)
-            ga, gl = pullback((2.0 / n) * (pooled[-1] - center) @ factor.T)
-            dx[r] += ga
-            dl += gl
-            # Free this block's node-pair kernel before the next is built,
-            # so the allocator hands the same memory back.
-            del k, pullback
-        pooled = np.concatenate(pooled)
+        # set_kernel pulls each block back while its node-pair kernel is
+        # live; dx is shaped like x, and the landmarks' gradient adds in.
+        k, dx, dl = set_kernel(
+            x, offs[:n + 1], x[li], ol, gamma,
+            lambda k: (2.0 / n) * (k @ factor - center) @ factor.T)
+        pooled = k @ factor
         np.add.at(dx, li, dl)
         ends = np.cumsum([np.count_nonzero(mask) for mask, _ in blks])
         for (mask, cache), rows in zip(blks, np.split(dx, ends)):
             d = np.zeros(mask.shape + x.shape[1:])
             d[mask] = rows
             backprop_block(params, cache, d, grads)
-    if not with_grad:
-        return pooled, None, None
     diffs = pooled - center
     return pooled, float(np.mean(np.sum(diffs * diffs, axis=1))), grads
 
@@ -249,11 +237,12 @@ def batch_objective(graphs, params: ParamSet, mmd_state=None, center=None):
 
 def _refresh_map(graphs, params, land_idx, rng, rank):
     """Bandwidth and eigen factor from the embeddings of every training
-    graph at ``params`` (without backward caches), landmarks at land_idx."""
+    graph at ``params`` (without backward caches), landmarks at land_idx;
+    returns the map and the packed rows and offsets it was fitted on."""
     x, offs, _ = _packed(graphs, params)
     gamma = median_heuristic(x, rng=rng)
     li, ol = _gather(offs, land_idx)
-    return nystrom_fit(x[li], ol, gamma, rank=rank)
+    return nystrom_fit(x[li], ol, gamma, rank=rank), x, offs
 
 
 def train_candidate(train_db: GraphDatabase, config: ModelConfig,
@@ -279,15 +268,18 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
     batch_size = min(config.batch_size, n)
     is_mmd = config.pooling == "mmd"
 
-    landmark_graphs, nmap, rank, state = [], None, None, None
+    nmap = None
     if is_mmd:
         k = min(config.nystrom_k, n)
         land_idx = np.sort(rng.choice(n, size=k, replace=False))
         landmark_graphs = [graphs[i] for i in land_idx]
-        nmap = _refresh_map(graphs, params, land_idx, rng, rank=None)
+        nmap, x, offs = _refresh_map(graphs, params, land_idx, rng, rank=None)
         rank = nmap.rank
-        state = (landmark_graphs, nmap.factor, nmap.gamma)
-    center = batch_objective(graphs, params, state)[0].mean(axis=0)
+        # The center pools the refresh's rows, which are released after.
+        center = mmd_pool_batch(x, offs, nmap).mean(axis=0)
+        del x, offs
+    else:
+        center = pool_graphs(graphs, params).mean(axis=0)
 
     def fail(msg: str) -> TrainedCandidate:
         return TrainedCandidate(config=config, params=None, center=None,
@@ -304,7 +296,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
         with np.errstate(over="ignore", invalid="ignore"):
             if is_mmd and epoch > 0:
                 try:
-                    nmap = _refresh_map(graphs, params, land_idx, rng, rank)
+                    nmap = _refresh_map(graphs, params, land_idx, rng, rank)[0]
                 except (DegenerateInputError, ValueError,
                         np.linalg.LinAlgError) as exc:
                     return fail(f"refresh failed in epoch {epoch}: {exc}")
@@ -327,7 +319,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
     if is_mmd:
         # Scoring snapshot: factor and bandwidth consistent with the
         # final weights, landmark embeddings stored inside the map.
-        nmap = _refresh_map(graphs, params, land_idx, rng, rank)
+        nmap = _refresh_map(graphs, params, land_idx, rng, rank)[0]
     return TrainedCandidate(config=config, params=params, center=center,
                             nystrom=nmap, final_loss=final_loss)
 
@@ -336,11 +328,7 @@ def score_graphs(db: GraphDatabase, candidate: TrainedCandidate) -> np.ndarray:
     """Anomaly scores: pooled distance to the candidate's center."""
     if candidate.failed:
         raise ValueError("cannot score with a failed candidate")
-    if candidate.config.pooling == "mean":
-        pooled = batch_objective(db.graphs, candidate.params)[0]
-    else:
-        x, offs, _ = _packed(db.graphs, candidate.params)
-        pooled = mmd_pool_batch(x, offs, candidate.nystrom)
+    pooled = pool_graphs(db.graphs, candidate.params, candidate.nystrom)
     return np.linalg.norm(pooled - candidate.center, axis=1)
 
 

@@ -20,7 +20,7 @@ from glad.pipeline import BenchmarkParams, PipelineConfig, run_pipeline
 from glad.pooling import (median_heuristic, mmd_pool_batch, nystrom_fit,
                           set_kernel)
 from glad.selection import hits
-from glad.trainer import ModelConfig, batch_objective, run_grid
+from glad.trainer import ModelConfig, batch_objective, pool_graphs, run_grid
 
 # Reduced grid for the synthetic benchmark runs: 12 candidates spanning
 # both poolings, two seeds each.
@@ -150,8 +150,8 @@ def test_criterion_4_gradient_check():
         mmd_state = (graphs[:2], nmap.factor, gamma)
 
         worst = 0.0
-        for state in (None, mmd_state):
-            center = batch_objective(graphs, params, state)[0].mean(axis=0) + 0.1
+        for state, pool_map in ((None, None), (mmd_state, nmap)):
+            center = pool_graphs(graphs, params, pool_map).mean(axis=0) + 0.1
             _, _, grads = batch_objective(graphs, params, state, center)
             full = GradSet.zeros_like(params)
             for (f1, f2), (g1, g2), (w1, w2) in zip(

@@ -117,6 +117,16 @@ class TestGraph:
                      edges=((0.0, 1.0, 1.0), (1, 3, 2))).edges.tolist() \
             == [(0, 1, 1.0), (1, 3, 2.0)]
 
+    def test_duplicates_past_two_to_the_32_nodes(self):
+        # (0, b) and (a, b) share the key u * n + v modulo 2**64 at n = 2**33
+        a, b = 2**31, 2**31 + 5
+        g = Graph(graph_id=0, node_count=2**33,
+                  edges=((a, b, 1.0), (0, b, 2.0)))
+        assert g.edges.tolist() == [(0, b, 2.0), (a, b, 1.0)]
+        with pytest.raises(ValueError, match=rf"^duplicate edge \({a}, {b}\)$"):
+            Graph(graph_id=0, node_count=2**33,
+                  edges=((0, b, 1.0), (a, b, 1.0), (a, b, 3.0)))
+
     def test_non_finite_weight_rejected(self):
         for w in (math.inf, math.nan, -math.inf):
             with pytest.raises(ValueError, match="not finite and > 0"):

@@ -14,11 +14,12 @@ from glad.data import (Graph, GraphDatabase, derive_features,
 from glad.encoder import blocks
 from glad.errors import FormatError, GladError
 from glad.numkit import GradSet, ParamSet, init_params
-from glad.pooling import median_heuristic, nystrom_fit
+from glad.pooling import median_heuristic, mmd_pool_batch, nystrom_fit
 from glad.trainer import (DEFAULT_GRID, MAX_CONFIGS, CandidatePool,
                           ModelConfig, _nine_digit_chunk, batch_objective,
                           expand_grid, format_rows, load_pool, nystrom_size,
-                          run_grid, save_pool, score_graphs, train_candidate)
+                          pool_graphs, run_grid, save_pool, score_graphs,
+                          train_candidate)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,7 @@ class TestObjective:
     def test_svdd_loss_hand_value(self, toy_db):
         graphs = self._point_graphs([[0.0, 0.0], [2.0, 0.0]])
         pooled, loss, _ = batch_objective(graphs, self._identity_params(),
-                                          center=np.array([1.0, 0.0]))
+                                          None, np.array([1.0, 0.0]))
         np.testing.assert_array_equal(pooled, [[0.0, 0.0], [2.0, 0.0]])
         # data term: mean(1, 1) = 1; the ridge term is left to the optimizer
         assert loss == pytest.approx(1.0)
@@ -66,7 +67,7 @@ class TestObjective:
         params = init_params(toy_db.d_in, 5, 2, seed=4)
         rows = np.stack([mean_pool(embed_one(g, params)) for g in graphs])
         center = rows.mean(axis=0) + 0.1
-        pooled, loss, _ = batch_objective(graphs, params, center=center)
+        pooled, loss, _ = batch_objective(graphs, params, None, center)
         np.testing.assert_array_equal(pooled, rows)
         want = sum(float((r - center) @ (r - center)) for r in rows) / len(rows)
         assert loss == pytest.approx(want, rel=1e-12)
@@ -74,16 +75,14 @@ class TestObjective:
     def test_init_center_is_mean(self, toy_db):
         # train_candidate's center is the mean of the initial pooled rows
         graphs = self._point_graphs([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])
-        pooled, loss, grads = batch_objective(graphs, self._identity_params())
-        assert loss is None and grads is None
+        pooled = pool_graphs(graphs, self._identity_params())
         np.testing.assert_allclose(pooled.mean(axis=0), [3.0, 2.0])
 
         graphs = list(toy_db.graphs)
         params = init_params(toy_db.d_in, 5, 2, seed=4)
         rows = np.stack([mean_pool(embed_one(g, params)) for g in graphs])
-        pooled, loss, grads = batch_objective(graphs, params)
+        pooled = pool_graphs(graphs, params)
         np.testing.assert_array_equal(pooled, rows)
-        assert loss is None and grads is None
         np.testing.assert_array_equal(pooled.mean(axis=0), rows.mean(axis=0))
 
     def _full_grad(self, grads, params, wd):
@@ -100,10 +99,10 @@ class TestObjective:
         center = np.stack([mean_pool(embed_one(g, params))
                            for g in graphs]).mean(axis=0) + 0.1
         wd = 1e-3
-        _, _, grads = batch_objective(graphs, params, center=center)
+        _, _, grads = batch_objective(graphs, params, None, center)
         full = self._full_grad(grads, params, wd)
         fd = finite_diff_grad(
-            lambda p: batch_objective(graphs, p, center=center)[1]
+            lambda p: batch_objective(graphs, p, None, center)[1]
             + 0.5 * wd * p.sq_norm(), params, h=1e-5)
         af, ff = flatten(full), flatten(fd)
         rel = np.abs(af - ff) / np.maximum(np.abs(ff), 1e-8)
@@ -117,7 +116,7 @@ class TestObjective:
         gamma = median_heuristic(np.concatenate(sets))
         nmap = nystrom_fit(*pack(sets[:2]), gamma)
         state = (graphs[:2], nmap.factor, gamma)
-        center = batch_objective(graphs, params, state)[0].mean(axis=0) + 0.05
+        center = pool_graphs(graphs, params, nmap).mean(axis=0) + 0.05
         wd = 1e-3
         _, loss, grads = batch_objective(graphs, params, state, center)
         full = self._full_grad(grads, params, wd)
@@ -137,7 +136,7 @@ class TestObjective:
         nmap = nystrom_fit(*pack([embed_one(g, params)
                                   for g in landmark_graphs]), gamma)
         state = (landmark_graphs, nmap.factor, gamma)
-        center = batch_objective(graphs, params, state)[0].mean(axis=0) + 0.05
+        center = pool_graphs(graphs, params, nmap).mean(axis=0) + 0.05
         return params, state, center
 
     def test_mmd_blocks_match_one_block(self, monkeypatch):
@@ -235,6 +234,17 @@ class TestTrainCandidate:
             pooled = mean_pool(embed_one(g, cand.params))
             assert s == pytest.approx(np.linalg.norm(pooled - cand.center))
 
+    def test_mmd_scores_are_center_distances(self, bench):
+        train, test = bench
+        cfg = ModelConfig(pooling="mmd", layers=2, lr=0.01, seed=1,
+                          nystrom_k=6, epochs=2, d_hidden=8)
+        cand = train_candidate(train, cfg)
+        pooled = mmd_pool_batch(*pack([embed_one(g, cand.params)
+                                       for g in test.graphs]), cand.nystrom)
+        want = np.linalg.norm(pooled - cand.center, axis=1)
+        for s, w in zip(score_graphs(test, cand), want):
+            assert s == pytest.approx(w, rel=1e-12)
+
     def test_mmd_candidate_shapes(self, bench):
         train, test = bench
         cfg = ModelConfig(pooling="mmd", layers=1, lr=0.01, seed=0,
@@ -301,9 +311,12 @@ class TestTrainCandidate:
         objective, embed = gt.batch_objective, gt.embed_block
         in_step, calls = [False], []
 
-        def objective_spy(graphs, params, mmd_state=None, center=None):
-            in_step[0] = center is not None
-            return objective(graphs, params, mmd_state, center)
+        def objective_spy(graphs, params, mmd_state, center):
+            in_step[0] = True
+            try:
+                return objective(graphs, params, mmd_state, center)
+            finally:
+                in_step[0] = False
 
         def embed_spy(graphs, params, with_cache=False):
             calls.append((in_step[0], with_cache))
