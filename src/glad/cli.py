@@ -40,14 +40,19 @@ def _cmd_generate(args) -> int:
 
 
 def _load_split_dir(data_dir: Path):
+    """The ``train/`` and ``test/`` datasets under ``data_dir``, with the
+    feature kind both carry (labels over one alphabet)."""
     train = gdata.load_tu_dataset(data_dir / "train")
     test = gdata.load_tu_dataset(data_dir / "test")
-    kind = gpipe.pick_feature_kind(train)
+    kind = gpipe.pick_feature_kind(train, test)
     alphabet = None
     if kind == "one_hot_label":
         alphabet = gdata.node_label_alphabet(train, test)
     train = gdata.derive_features(train, kind, label_alphabet=alphabet)
     test = gdata.derive_features(test, kind, label_alphabet=alphabet)
+    if train.d_in != test.d_in:
+        raise FormatError(f"{data_dir}: {kind} features are {train.d_in} "
+                          f"wide in train/ but {test.d_in} in test/")
     return train, test
 
 

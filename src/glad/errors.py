@@ -18,7 +18,8 @@ class SplitError(GladError):
 
 
 class DegenerateInputError(GladError):
-    """Numerical input admits no valid result (e.g. no positive eigenvalues)."""
+    """Numerical input admits no valid result (e.g. no positive eigenvalues),
+    or a candidate diverged: a non-finite center, loss or score."""
 
 
 class MethodError(GladError):

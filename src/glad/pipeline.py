@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import data as gdata
 from . import selection as gsel
 from . import trainer as gtrain
-from .errors import FormatError, GladError, MethodError
+from .errors import FormatError, GladError
 from .metrics import roc_auc
 
 STAGE_TRAIN_GRAPHS = 0
@@ -189,7 +189,7 @@ class PipelineConfig:
     out_dir: Path
     master_seed: int = 0
     workers: int = 1
-    methods: tuple = ("hits", "hits-ens", "mc", "udr")
+    methods: tuple = gsel.METHODS
     source: str = "generate"
     bench: BenchmarkParams = field(default_factory=BenchmarkParams)
     tu_directory: Path | None = None
@@ -214,8 +214,9 @@ def parse_pipeline_config(path) -> PipelineConfig:
     if "run" not in cp or "out_dir" not in cp["run"]:
         raise FormatError(f"{path}: [run] section with out_dir is required")
 
-    def value(section, key, default, low=0):
-        """``[section] key`` cast to the type of ``default``."""
+    def value(section, key, low=0, of=PipelineConfig):
+        """``[section] key`` cast to the type of ``of``'s default for it."""
+        default = getattr(of, key)
         raw = cp.get(section, key, fallback=None)
         if raw is None:
             return default
@@ -229,8 +230,8 @@ def parse_pipeline_config(path) -> PipelineConfig:
         return v
 
     kwargs = dict(out_dir=Path(cp["run"]["out_dir"]),
-                  master_seed=value("run", "master_seed", 0),
-                  workers=value("run", "workers", 1, low=1))
+                  master_seed=value("run", "master_seed"),
+                  workers=value("run", "workers", low=1))
     if "selection" in cp and "methods" in cp["selection"]:
         methods = tuple(m.strip() for m in
                         cp["selection"]["methods"].split(",") if m.strip())
@@ -245,8 +246,8 @@ def parse_pipeline_config(path) -> PipelineConfig:
     source = d.get("source", "generate")
     kwargs["source"] = source
     if source == "generate":
-        shape = {k: value("data", k, v)
-                 for k, v in vars(BenchmarkParams()).items()}
+        shape = {f.name: value("data", f.name, of=BenchmarkParams)
+                 for f in fields(BenchmarkParams)}
         try:
             kwargs["bench"] = BenchmarkParams(**shape)
         except ValueError as exc:
@@ -259,21 +260,21 @@ def parse_pipeline_config(path) -> PipelineConfig:
             raise FormatError(f"{path}: bad value for [data] feature_kind: "
                               f"{kind!r}, expected one of {gdata.FEATURE_KINDS}")
         kwargs.update(tu_directory=Path(d["directory"]), feature_kind=kind,
-                      degree_cap=value("data", "degree_cap",
-                                       gdata.DEFAULT_DEGREE_CAP, low=1),
-                      inlier_class=value("data", "inlier_class", 0),
-                      train_fraction=value("data", "train_fraction", 0.7),
-                      anomaly_rate=value("data", "anomaly_rate", 0.05))
+                      degree_cap=value("data", "degree_cap", low=1),
+                      inlier_class=value("data", "inlier_class"),
+                      train_fraction=value("data", "train_fraction"),
+                      anomaly_rate=value("data", "anomaly_rate"))
     else:
         raise FormatError(f"{path}: unknown data source {source!r}")
     return PipelineConfig(**kwargs)
 
 
-def pick_feature_kind(db: gdata.GraphDatabase) -> str:
-    """Prefer labels, then attributes, then degrees."""
-    if all(g.node_labels is not None for g in db.graphs):
+def pick_feature_kind(*dbs: gdata.GraphDatabase) -> str:
+    """Labels, else attributes, else degrees: the first all ``dbs`` carry."""
+    graphs = [g for db in dbs for g in db.graphs]
+    if all(g.node_labels is not None for g in graphs):
         return "one_hot_label"
-    if all(g.node_attributes is not None for g in db.graphs):
+    if all(g.node_attributes is not None for g in graphs):
         return "attributes"
     return "one_hot_degree"
 
@@ -284,7 +285,10 @@ def build_dataset(cfg: PipelineConfig):
         return generate_benchmark(cfg.bench, cfg.master_seed)
     db = gdata.load_tu_dataset(cfg.tu_directory)
     kind = cfg.feature_kind or pick_feature_kind(db)
-    db = gdata.derive_features(db, kind, degree_cap=cfg.degree_cap)
+    try:
+        db = gdata.derive_features(db, kind, degree_cap=cfg.degree_cap)
+    except ValueError as exc:  # a kind the data lacks
+        raise FormatError(f"{cfg.tu_directory}: {exc}") from None
     return gdata.make_split(db, cfg.inlier_class, cfg.anomaly_rate,
                             cfg.train_fraction,
                             stage_seed(cfg.master_seed, STAGE_SPLIT))
@@ -355,7 +359,7 @@ def run_pipeline(cfg: PipelineConfig):
     for method in cfg.methods:
         try:
             result = gsel.select(pool, method)
-        except (MethodError, GladError) as exc:
+        except GladError as exc:
             notices.append(f"selection {method} skipped: {exc}")
             continue
         selections[method] = result

@@ -86,19 +86,13 @@ CONFIG_TYPES = {**{k: (get_args(t) or (t,))[0] for k, t in
 
 @dataclass(eq=False)
 class TrainedCandidate:
-    """A trained scorer.  ``nystrom`` is None for the mean readout.
-
-    On failure (non-finite loss during training) ``failed`` is set and
-    ``diagnostic`` explains; such candidates never enter a pool.
-    """
+    """A trained scorer.  ``nystrom`` is None for the mean readout."""
 
     config: ModelConfig
-    params: ParamSet | None
-    center: np.ndarray | None
+    params: ParamSet
+    center: np.ndarray
     nystrom: NystromMap | None
     final_loss: float
-    failed: bool = False
-    diagnostic: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,16 +229,6 @@ def batch_objective(graphs, params: ParamSet, mmd_state, center):
 # Training
 # ---------------------------------------------------------------------------
 
-def _refresh_map(graphs, params, land_idx, rng, rank):
-    """Bandwidth and eigen factor from the embeddings of every training
-    graph at ``params`` (without backward caches), landmarks at land_idx;
-    returns the map and the packed rows and offsets it was fitted on."""
-    x, offs, _ = _packed(graphs, params)
-    gamma = median_heuristic(x, rng=rng)
-    li, ol = _gather(offs, land_idx)
-    return nystrom_fit(x[li], ol, gamma, rank=rank), x, offs
-
-
 def train_candidate(train_db: GraphDatabase, config: ModelConfig,
                     base_seed: int = 0) -> TrainedCandidate:
     """Train one candidate on a clean training database.
@@ -254,9 +238,11 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
     batch order and bandwidth sampling use a stream derived from
     ``(base_seed, config.seed)``.  The center is the mean pooled
     embedding under the initial weights and never moves.  The MMD
-    readout embeds every training graph once per epoch, without backward
-    caches, to refit the bandwidth and the Nystrom factor; a training
-    step embeds only its batch and the landmarks, with caches.
+    readout embeds every training graph once per epoch and once more for
+    the scoring snapshot, without backward caches, to refit the bandwidth
+    and the Nystrom factor; a training step embeds only its batch and
+    the landmarks, with caches.  A non-finite center or loss, or a
+    failed refit, raises DegenerateInputError naming the epoch.
     """
     if train_db.d_in is None:
         raise ValueError("training database has no derived features")
@@ -266,42 +252,40 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
                          config.seed)
     rng = np.random.default_rng(np.random.SeedSequence((base_seed, config.seed)))
     batch_size = min(config.batch_size, n)
-    is_mmd = config.pooling == "mmd"
-
-    nmap = None
-    if is_mmd:
-        k = min(config.nystrom_k, n)
-        land_idx = np.sort(rng.choice(n, size=k, replace=False))
+    nmap = state = None
+    if config.pooling == "mmd":
+        land_idx = np.sort(rng.choice(n, size=min(config.nystrom_k, n),
+                                      replace=False))
         landmark_graphs = [graphs[i] for i in land_idx]
-        nmap, x, offs = _refresh_map(graphs, params, land_idx, rng, rank=None)
-        rank = nmap.rank
-        # The center pools the refresh's rows, which are released after.
-        center = mmd_pool_batch(x, offs, nmap).mean(axis=0)
-        del x, offs
-    else:
-        center = pool_graphs(graphs, params).mean(axis=0)
-
-    def fail(msg: str) -> TrainedCandidate:
-        return TrainedCandidate(config=config, params=None, center=None,
-                                nystrom=None, final_loss=math.nan,
-                                failed=True, diagnostic=msg)
-
-    if not np.all(np.isfinite(center)):
-        return fail("non-finite center at initialization")
 
     final_loss = math.nan
-    for epoch in range(config.epochs):
-        # Divergence shows up as inf/nan and is caught below; silence the
-        # overflow warnings it produces on the way.
+    # Pass e refits the MMD map at the current weights and trains epoch e;
+    # pass 0 also fixes the center, and the last pass trains nothing: its
+    # refit is the scoring snapshot.  Divergence shows up as inf/nan and
+    # is caught below; silence the overflow warnings it produces.
+    for epoch in range(config.epochs + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            if is_mmd and epoch > 0:
+            if config.pooling == "mmd":
                 try:
-                    nmap = _refresh_map(graphs, params, land_idx, rng, rank)[0]
+                    x, offs = _packed(graphs, params)[:2]
+                    gamma = median_heuristic(x, rng=rng)
+                    li, ol = _gather(offs, land_idx)
+                    nmap = nystrom_fit(x[li], ol, gamma,
+                                       rank=getattr(nmap, "rank", None))
                 except (DegenerateInputError, ValueError,
                         np.linalg.LinAlgError) as exc:
-                    return fail(f"refresh failed in epoch {epoch}: {exc}")
-            state = (landmark_graphs, nmap.factor, nmap.gamma) \
-                if is_mmd else None
+                    raise DegenerateInputError(
+                        f"refresh failed in epoch {epoch}: {exc}") from None
+                state = (landmark_graphs, nmap.factor, nmap.gamma)
+            if epoch == 0:
+                center = (pool_graphs(graphs, params) if nmap is None
+                          else mmd_pool_batch(x, offs, nmap)).mean(axis=0)
+                if not np.all(np.isfinite(center)):
+                    raise DegenerateInputError(
+                        "non-finite center at initialization")
+            x = offs = None  # the refit's rows, before any training step
+            if epoch == config.epochs:
+                break
             order = rng.permutation(n)
             batch_losses = []
             for start in range(0, n, batch_size):
@@ -310,26 +294,24 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
                                                       center)
                 loss = data_loss + 0.5 * config.weight_decay * params.sq_norm()
                 if not math.isfinite(loss):
-                    return fail(f"non-finite loss in epoch {epoch}")
+                    raise DegenerateInputError(
+                        f"non-finite loss in epoch {epoch}")
                 params = sgd_step(params, grads, config.lr,
                                   config.weight_decay)
                 batch_losses.append(loss)
         final_loss = float(np.mean(batch_losses))
-
-    if is_mmd:
-        # Scoring snapshot: factor and bandwidth consistent with the
-        # final weights, landmark embeddings stored inside the map.
-        nmap = _refresh_map(graphs, params, land_idx, rng, rank)[0]
     return TrainedCandidate(config=config, params=params, center=center,
                             nystrom=nmap, final_loss=final_loss)
 
 
 def score_graphs(db: GraphDatabase, candidate: TrainedCandidate) -> np.ndarray:
-    """Anomaly scores: pooled distance to the candidate's center."""
-    if candidate.failed:
-        raise ValueError("cannot score with a failed candidate")
+    """Anomaly scores: pooled distance to the candidate's center.  A
+    score that is not finite raises DegenerateInputError."""
     pooled = pool_graphs(db.graphs, candidate.params, candidate.nystrom)
-    return np.linalg.norm(pooled - candidate.center, axis=1)
+    scores = np.linalg.norm(pooled - candidate.center, axis=1)
+    if not np.all(np.isfinite(scores)):
+        raise DegenerateInputError("non-finite test scores")
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +376,12 @@ def expand_grid(spec: dict, n_train: int) -> list:
 
 
 def _train_and_score(train_db, test_db, config, base_seed):
-    cand = train_candidate(train_db, config, base_seed=base_seed)
-    if cand.failed:
-        return None, cand.diagnostic
-    scores = score_graphs(test_db, cand)
-    if not np.all(np.isfinite(scores)):
-        return None, "non-finite test scores"
-    return scores, ""
+    """A candidate's test scores and ``""``, or None and why it failed."""
+    try:
+        cand = train_candidate(train_db, config, base_seed=base_seed)
+        return score_graphs(test_db, cand), ""
+    except DegenerateInputError as exc:
+        return None, str(exc)
 
 
 _worker_inputs = None  # (train_db, test_db, base_seed) in a run_grid worker

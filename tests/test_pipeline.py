@@ -402,6 +402,69 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"error: {ind}:1: bad graph id: ")
 
+    @staticmethod
+    def generate_split(data, **attribute_rows):
+        """A generated split; each side named in ``attribute_rows`` trades
+        its node labels for that attribute row on every node."""
+        assert cli.main(["generate", "--out", str(data), "--n-train", "6",
+                         "--n-test", "6", "--nodes", "10", "--labels", "2",
+                         "--anomaly-rate", "0.2"]) == 0
+        for side, row in attribute_rows.items():
+            (data / side / "synthetic_node_labels.txt").unlink()
+            n_nodes = len((data / side / "synthetic_graph_indicator.txt")
+                          .read_text().split())
+            (data / side / "synthetic_node_attributes.txt").write_text(
+                f"{row}\n" * n_nodes)
+
+    def test_huge_attributes_exit_2(self, tmp_path, capsys):
+        # Finite attributes of 1e300 overflow the embeddings, so the first
+        # Nystrom refit gets a NaN bandwidth.
+        data, grid = tmp_path / "data", tmp_path / "grid.txt"
+        self.generate_split(data, train="1e300, 1, 2", test="1e300, 1, 2")
+        grid.write_text("[mmd]\nnystrom_k = 4\nepochs = 2\nd_hidden = 6\n")
+        assert cli.main(["train", "--data", str(data), "--grid", str(grid),
+                         "--out", str(tmp_path / "pool")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: all 1 candidates failed; first dropped m000: refresh "
+            "failed in epoch 0: gamma must be positive, got nan\n")
+        assert not (tmp_path / "pool").exists()
+
+    def test_attribute_widths_differ_exit_2(self, tmp_path, capsys):
+        data, grid = tmp_path / "data", tmp_path / "grid.txt"
+        self.generate_split(data, train="1, 2, 3", test="1, 2, 3, 4")
+        self.write_grid(grid)
+        assert cli.main(["train", "--data", str(data), "--grid", str(grid),
+                         "--out", str(tmp_path / "pool")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}: attributes features are 3 wide in train/ but "
+            f"4 in test/\n")
+        assert not (tmp_path / "pool").exists()
+
+    def test_labels_in_train_only_use_degrees(self, tmp_path, capsys):
+        # The feature kind is the first one both sides carry: here degrees,
+        # since test/ has neither labels nor attributes.
+        data, grid = tmp_path / "data", tmp_path / "grid.txt"
+        self.generate_split(data)
+        (data / "test" / "synthetic_node_labels.txt").unlink()
+        train, test = cli._load_split_dir(data)
+        assert train.feature_kind == test.feature_kind == "one_hot_degree"
+        self.write_grid(grid)
+        assert cli.main(["train", "--data", str(data), "--grid", str(grid),
+                         "--out", str(tmp_path / "pool")]) == 0
+        assert "trained 2 of 2 candidates" in capsys.readouterr().out
+
+    def test_pipeline_kind_the_data_lacks_exits_2(self, tmp_path, capsys):
+        data, ini = tmp_path / "data", tmp_path / "run.ini"
+        self.generate_split(data)
+        ini.write_text(f"[run]\nout_dir = {tmp_path / 'out'}\n\n[data]\n"
+                       f"source = tu\ndirectory = {data / 'train'}\n"
+                       f"feature_kind = attributes\n")
+        capsys.readouterr()
+        assert cli.main(["pipeline", "--config", str(ini)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data / 'train'}: attributes kind requires node "
+            f"attributes\n")
+
     def test_pipeline_subcommand(self, tmp_path, capsys):
         grid = tmp_path / "grid.txt"
         self.write_grid(grid)

@@ -12,7 +12,7 @@ from conftest import embed_one, finite_diff_grad, flatten, mean_pool, pack
 from glad.data import (Graph, GraphDatabase, derive_features,
                        generate_mixhop)
 from glad.encoder import blocks
-from glad.errors import FormatError, GladError
+from glad.errors import DegenerateInputError, FormatError, GladError
 from glad.numkit import GradSet, ParamSet, init_params
 from glad.pooling import median_heuristic, mmd_pool_batch, nystrom_fit
 from glad.trainer import (DEFAULT_GRID, MAX_CONFIGS, CandidatePool,
@@ -250,7 +250,6 @@ class TestTrainCandidate:
         cfg = ModelConfig(pooling="mmd", layers=1, lr=0.01, seed=0,
                           nystrom_k=6, epochs=2, d_hidden=8)
         cand = train_candidate(train, cfg)
-        assert not cand.failed
         assert cand.nystrom is not None
         assert len(cand.nystrom.offsets) == 6 + 1
         assert cand.center.shape == (cand.nystrom.rank,)
@@ -289,7 +288,7 @@ class TestTrainCandidate:
                           nystrom_k=k, epochs=epochs, batch_size=batch_size,
                           d_hidden=8)
         assert batch_size < len(train)
-        assert not train_candidate(train, cfg).failed
+        train_candidate(train, cfg)
 
         cached = [(ids, at) for ids, with_cache, at in calls if with_cache]
         assert len(cached) == epochs * math.ceil(len(train) / batch_size)
@@ -338,9 +337,22 @@ class TestTrainCandidate:
         train, _ = bench
         cfg = ModelConfig(pooling="mean", layers=2, lr=1e9, seed=0,
                           epochs=5, d_hidden=8)
-        cand = train_candidate(train, cfg)
-        assert cand.failed
-        assert "non-finite" in cand.diagnostic or "failed" in cand.diagnostic
+        with pytest.raises(DegenerateInputError,
+                           match=r"^non-finite loss in epoch \d+$"):
+            train_candidate(train, cfg)
+
+    def test_huge_attributes_fail_the_first_refit(self, bench):
+        # Finite inputs of 1e300 overflow the node distances, so the first
+        # bandwidth is not positive; the refit before training reports it.
+        train, _ = bench
+        huge = GraphDatabase(graphs=tuple(
+            replace(g, features=g.features * 1e300) for g in train.graphs))
+        cfg = ModelConfig(pooling="mmd", layers=2, lr=0.01, seed=0,
+                          nystrom_k=6, epochs=2, d_hidden=8)
+        with pytest.raises(DegenerateInputError,
+                           match="^refresh failed in epoch 0: gamma must be "
+                                 "positive"):
+            train_candidate(huge, cfg)
 
 
 class TestGrids:
@@ -485,6 +497,43 @@ class TestRunGrid:
         serial = run_grid(train, test, configs, workers=1, base_seed=3)
         parallel = run_grid(train, test, configs, workers=2, base_seed=3)
         np.testing.assert_array_equal(serial.scores, parallel.scores)
+
+    def test_workers_drop_as_serial(self, bench):
+        # A diverging candidate is dropped inside its worker; only the
+        # reason crosses the process boundary.
+        train, test = bench
+        configs = expand_grid(SMALL_GRID, len(train))
+        bad = ModelConfig(pooling="mean", layers=2, lr=1e9, seed=0,
+                          epochs=5, d_hidden=8)
+        configs = [configs[0], bad, configs[2]]
+        serial = run_grid(train, test, configs, workers=1, base_seed=3)
+        parallel = run_grid(train, test, configs, workers=2, base_seed=3)
+        assert parallel.model_ids == serial.model_ids == ["m000", "m002"]
+        assert parallel.dropped == serial.dropped
+        assert serial.dropped[0][1].startswith("non-finite loss in epoch")
+        np.testing.assert_array_equal(serial.scores, parallel.scores)
+
+    def test_failed_last_refit_drops_its_candidate(self, bench, monkeypatch):
+        # The refit after the last epoch (the scoring snapshot) fails for
+        # the first MMD candidate only; the grid keeps the others.
+        import glad.trainer as gt
+        train, test = bench
+        mean, _, mmd = expand_grid(SMALL_GRID, len(train))
+        configs = [mean, mmd, replace(mmd, seed=1)]
+        fit, calls = gt.nystrom_fit, []
+
+        def failing_fit(*args, **kw):
+            calls.append(args)
+            if len(calls) == mmd.epochs + 1:
+                raise np.linalg.LinAlgError("eigh did not converge")
+            return fit(*args, **kw)
+
+        monkeypatch.setattr(gt, "nystrom_fit", failing_fit)
+        pool = run_grid(train, test, configs, base_seed=3)
+        assert len(calls) == 2 * (mmd.epochs + 1)
+        assert pool.model_ids == ["m000", "m002"]
+        assert pool.dropped == [("m001", f"refresh failed in epoch "
+                                         f"{mmd.epochs}: eigh did not converge")]
 
     def test_worker_count_capped_at_config_count(self, bench, monkeypatch):
         # A recorder stands in for the executor and runs the tasks in this
@@ -693,7 +742,6 @@ class TestPlantedOutliers:
             cfg = ModelConfig(pooling="mean", layers=layers, lr=1e-3,
                               seed=0, epochs=3, d_hidden=8)
             cand = train_candidate(train, cfg)
-            assert not cand.failed
             scores = score_graphs(test, cand)
             assert scores.min() >= 0.0 and np.isfinite(scores).all()
             assert scores[flags].min() > np.median(scores[~flags])
