@@ -101,12 +101,14 @@ class Graph:
         su, sv, keep = u[order], v[order], np.ones(e.size, bool)
         keep[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
         first = order[keep]
+        dup = np.ones(e.size, bool)
+        dup[first] = False
         hit = _first_bad([
             (u == v, "self loop on node {0}"),
             ((u < 0) | (u >= n) | (v < 0) | (v >= n),
              "edge ({0}, {1}) outside node range"),
             (u > v, "edge ({0}, {1}) not stored with u < v"),
-            (~np.isin(np.arange(e.size), first), "duplicate edge ({0}, {1})"),
+            (dup, "duplicate edge ({0}, {1})"),
             (~((0 < w) & (w < np.inf)),
              "edge ({0}, {1}) has weight {2}, not finite and > 0")])
         if hit:

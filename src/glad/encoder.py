@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numkit import GradSet, ParamSet
+from .numkit import GradSet, ParamSet, Workspace
 
-# Padded rows per block, B * n_max.  A block's temporaries must stay
-# small enough for the allocator to reuse their memory: larger blocks
-# map fresh pages on each call and page-fault through them.
+# Padded rows per block, B * n_max.  The block size sets how graphs are
+# grouped into GEMMs and set-kernel sums, so it fixes the score bits:
+# 800 changes them.
 BLOCK_ROWS = 400
 
 
@@ -41,7 +41,8 @@ def blocks(sizes) -> list:
     return spans
 
 
-def embed_block(graphs, params: ParamSet, with_cache: bool = False):
+def embed_block(graphs, params: ParamSet, with_cache: bool = False,
+                ws: Workspace | None = None, slot: int = 0):
     """Embed the nodes of a block of graphs.
 
     Returns ``h`` of shape ``(B, n_max, d_hidden)``: node i of
@@ -51,6 +52,8 @@ def embed_block(graphs, params: ParamSet, with_cache: bool = False):
     :func:`backprop_block` needs: the MLP input ``z`` and the hidden
     activation ``a``, bit-equal to ``np.where(m > 0, m, 0.0)`` for the
     pre-activation ``m = z @ w1`` (NaN and -0.0 map to +0.0).
+    Arrays live in ``ws`` (a fresh :class:`Workspace` if omitted): ``h``
+    until the next block is embedded, the cache until the next one at ``slot``.
     """
     for g in graphs:
         if g.features is None:
@@ -58,29 +61,30 @@ def embed_block(graphs, params: ParamSet, with_cache: bool = False):
         if g.features.shape[1] != params.d_in:
             raise ValueError(f"graph {g.graph_id} features width "
                              f"{g.features.shape[1]} != d_in {params.d_in}")
-    n_max = max(g.node_count for g in graphs)
-    h = np.zeros((len(graphs), n_max, params.d_in))
-    adj = np.zeros((len(graphs), n_max, n_max))
+    ws = ws or Workspace()
+    n_b, n_max = len(graphs), max(g.node_count for g in graphs)
+    h = ws("stack", (n_b, n_max, params.d_in), fill=0.0)
+    adj = ws(("adj", slot), (n_b, n_max, n_max), fill=0.0)
     for b, g in enumerate(graphs):
         h[b, :g.node_count] = g.features
         adj[b, :g.node_count, :g.node_count] = g.adjacency
     layers = []
-    for w1, w2 in params.layers:
-        z = adj @ h
+    for l, (w1, w2) in enumerate(params.layers):
+        z = np.matmul(adj, h, out=ws(("z", l, slot), h.shape))
         z += h
         z = z.reshape(-1, h.shape[2])
-        a = z @ w1
+        a = np.matmul(z, w1, out=ws(("a", l, slot), (len(z), w1.shape[1])))
         # fmax maps NaN to 0 but may keep -0.0; adding +0.0 makes it +0.0.
         np.fmax(a, 0.0, out=a)
         a += 0.0
-        h = (a @ w2).reshape(len(graphs), n_max, -1)
+        h = np.matmul(a, w2, out=ws(("h", l), a.shape)).reshape(n_b, n_max, -1)
         if with_cache:
             layers.append((z, a))
     return (h, (adj, layers)) if with_cache else h
 
 
 def backprop_block(params: ParamSet, cache, d_out: np.ndarray,
-                   grads: GradSet) -> None:
+                   grads: GradSet, ws: Workspace | None = None) -> None:
     """Backpropagate ``d_out`` (gradient w.r.t. a block's padded node
     embeddings, shaped like :func:`embed_block`'s ``h``) through the
     encoder, accumulating weight gradients into ``grads``.  Propagation
@@ -88,8 +92,9 @@ def backprop_block(params: ParamSet, cache, d_out: np.ndarray,
     formed.  The ReLU mask is ``a > 0`` from the cached ``(z, a)``, which
     equals ``m > 0`` for every pre-activation, and is applied with
     ``np.where`` semantics: a masked entry becomes +0.0 even when the
-    upstream gradient there is NaN or inf.
+    upstream gradient there is NaN or inf.  Temporaries live in ``ws``.
     """
+    ws = ws or Workspace()
     adj, layers = cache
     n_b, n_max = adj.shape[:2]
     dh = d_out.reshape(n_b * n_max, -1)
@@ -101,12 +106,14 @@ def backprop_block(params: ParamSet, cache, d_out: np.ndarray,
         # AND with an all-ones or all-zeros word per entry (the int8 0 or
         # -1 sign-extends): a masked NaN or inf becomes +0.0 too, which a
         # multiply by the mask misses.
-        dm = dh @ w2.T
-        dm.view(np.int64)[...] &= -(a > 0).view(np.int8)
+        dm = np.matmul(dh, w2.T, out=ws("dm", a.shape))
+        m = np.greater(a, 0.0, out=ws("relu", a.shape, bool)).view(np.int8)
+        dm.view(np.int64)[...] &= np.negative(m, out=m)
         g1 += z.T @ dm
         if l:
-            dz = (dm @ w1.T).reshape(n_b, n_max, -1)
+            dz = np.matmul(dm, w1.T, out=ws("dz", z.shape))
+            dz = dz.reshape(n_b, n_max, -1)
             # Aggregation is linear; A is symmetric so A^T = A.
-            dh = adj @ dz
+            dh = np.matmul(adj, dz, out=ws("dh", dz.shape))
             dh += dz
             dh = dh.reshape(n_b * n_max, -1)

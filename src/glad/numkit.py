@@ -1,9 +1,10 @@
-"""Parameter containers, Glorot initialization and SGD with
-decoupled-from-the-data-term weight decay.
+"""Parameter containers, Glorot initialization, SGD with
+decoupled-from-the-data-term weight decay, and scratch buffers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,27 @@ class GradSet:
     def zeros_like(cls, params: ParamSet) -> "GradSet":
         return cls(layers=[(np.zeros_like(w1), np.zeros_like(w2))
                            for w1, w2 in params.layers])
+
+
+class Workspace:
+    """Scratch arrays kept across calls: one buffer per key (a role, plus a
+    block slot where blocks coexist), grown only when a request is larger.
+    A request gets a C-contiguous view of it, set to ``fill`` if given."""
+
+    def __init__(self):
+        self.bufs, self.views = {}, {}  # views: (key, shape) -> view
+
+    def __call__(self, key, shape, dtype=np.float64, fill=None):
+        view = self.views.get((key, shape))
+        if view is None:
+            n, buf = math.prod(shape), self.bufs.get(key)
+            if buf is None or buf.size < n:
+                buf = self.bufs[key] = np.empty(n, dtype)
+                self.views.clear()
+            view = self.views[key, shape] = buf[:n].reshape(shape)
+        if fill is not None:
+            view[...] = fill
+        return view
 
 
 def init_params(d_in: int, d_hidden: int, n_layers: int, seed: int) -> ParamSet:

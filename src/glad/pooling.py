@@ -15,6 +15,7 @@ import numpy as np
 
 from . import encoder
 from .errors import DegenerateInputError
+from .numkit import Workspace
 
 EIGEN_CUTOFF = 1e-8
 DEFAULT_SAMPLE_CAP = 100_000
@@ -41,14 +42,7 @@ class NystromMap:
         return self.factor.shape[1]
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at zero."""
-    xx = np.sum(x * x, axis=1)[:, None]
-    yy = np.sum(y * y, axis=1)[None, :]
-    return np.maximum(xx + yy - 2.0 * (x @ y.T), 0.0)
-
-
-def set_kernel(xa, oa, xb, ob, gamma: float, d_k=None):
+def set_kernel(xa, oa, xb, ob, gamma: float, d_k=None, ws=None):
     """All set-kernel values between the packed sets ``(xa, oa)`` and
     ``(xb, ob)``.
 
@@ -65,51 +59,57 @@ def set_kernel(xa, oa, xb, ob, gamma: float, d_k=None):
     With ``d_k`` returns ``(k, ga, gb)``: the gradients of ``sum(c * k)``
     w.r.t. ``xa`` and ``xb``, shaped like them, where a block's rows of
     the coefficients ``c`` are ``d_k`` of its rows of ``k``.  Each block
-    is pulled back set by set, and its node-pair kernel freed, before the
-    next block is built; ``gb`` adds up block by block.  When a set
-    appears on both sides the caller must add the two contributions.
+    is pulled back set by set while its node-pair kernel is live; ``gb``
+    adds up block by block.  When a set appears on both sides the caller
+    must add the two contributions.  Every block-sized array, ``ga`` and
+    ``gb`` too, lives in ``ws``, a fresh :class:`Workspace` if None.
     """
     sa, sb = np.diff(oa), np.diff(ob)
     for name, sizes in (("xa", sa), ("xb", sb)):
         if not np.all(sizes > 0):
             raise ValueError(f"set {np.argmin(sizes > 0)} of {name} has no rows")
+    ws = ws or Workspace()
     d = xb.shape[1]
-    bm = np.empty((xb.shape[0], d + 2))
+    bm = ws("bm", (xb.shape[0], d + 2))
     bm[:, :d] = xb
     bm[:, d] = 1.0
-    bm[:, d + 1] = -gamma * np.sum(xb * xb, axis=1)
+    sq = np.multiply(xb, xb, out=ws("sq", xb.shape))
+    bm[:, d + 1] = -gamma * np.sum(sq, axis=1)
     ks = []
     if d_k is not None:
         owner = np.repeat(np.arange(len(sb)), sb)  # set b of each column
-        ga, gb = np.zeros_like(xa), np.zeros_like(xb)
+        ga, gb = ws("ga", xa.shape, fill=0.0), ws("gb", xb.shape, fill=0.0)
     for lo, hi in encoder.blocks(sa):
         x, o = xa[oa[lo]:oa[hi]], oa[lo:hi + 1] - oa[lo]
-        am = np.empty((x.shape[0], d + 2))
+        am = ws("am", (x.shape[0], d + 2))
         np.multiply(x, 2.0 * gamma, out=am[:, :d])
-        am[:, d] = -gamma * np.sum(x * x, axis=1)
+        sq = np.multiply(x, x, out=ws("sq", x.shape))
+        am[:, d] = -gamma * np.sum(sq, axis=1)
         am[:, d + 1] = 1.0
-        e = am @ bm.T
+        e = np.matmul(am, bm.T, out=ws("e", (len(x), len(xb))))
         np.minimum(e, 0.0, out=e)
         np.exp(e, out=e)
-        cols = np.add.reduceat(e, ob[:-1], axis=1)
+        cols = np.add.reduceat(e, ob[:-1], axis=1,
+                               out=ws("cols", (len(x), len(sb))))
         norm = sa[lo:hi, None] * sb[None, :]
         ks.append(np.add.reduceat(cols, o[:-1], axis=0) / norm)
         if d_k is not None:
             # Per-node-pair coefficient upstream / (n_a * m_b).  One set a at
             # a time, its rows of e scaled by its coefficients spread over
-            # columns: e is never written and no block-sized temporary is made.
+            # columns: e is never written.
             c = d_k(ks[-1]) / norm
-            gsum, gx = np.zeros(len(xb)), np.zeros_like(xb)
+            gsum, gx = ws("gsum", (len(xb),), fill=0), ws("gx", xb.shape, fill=0)
             for i in range(hi - lo):
                 r, s = slice(oa[lo + i], oa[lo + i + 1]), slice(o[i], o[i + 1])
-                g = e[s] * c[i, owner]
+                g = np.multiply(e[s], c[i, owner],
+                                out=ws("g", (o[i + 1] - o[i], len(xb))))
                 ga[r] += -2.0 * gamma * (x[s] * (cols[s] @ c[i])[:, None]
                                          - g @ xb)
                 gsum += g.sum(axis=0)
-                gx += g.T @ x[s]
-            gb += -2.0 * gamma * (xb * gsum[:, None] - gx)
-            del g  # the last set's rows, before the next block's kernel
-        del e  # free this block's kernel before the next is built
+                gx += np.matmul(g.T, x[s], out=ws("gtx", xb.shape))
+            t = np.multiply(xb, gsum[:, None], out=ws("sq", xb.shape))
+            t -= gx
+            gb += np.multiply(t, -2.0 * gamma, out=t)
     k = np.concatenate(ks)
     return k if d_k is None else (k, ga, gb)
 
@@ -130,7 +130,8 @@ def median_heuristic(x, sample_cap: int = DEFAULT_SAMPLE_CAP,
         return 1.0
     n_pairs = n * (n - 1) // 2
     if n_pairs <= sample_cap:
-        d = _sq_dists(x, x)
+        xx = np.sum(x * x, axis=1)  # squared distances, clipped at zero
+        d = np.maximum(xx[:, None] + xx[None, :] - 2.0 * (x @ x.T), 0.0)
         vals = d[np.triu_indices(n, k=1)]
     else:
         if rng is None:
@@ -150,8 +151,8 @@ def median_heuristic(x, sample_cap: int = DEFAULT_SAMPLE_CAP,
     return 1.0 / med
 
 
-def nystrom_fit(x, offsets, gamma: float,
-                rank: int | None = None) -> NystromMap:
+def nystrom_fit(x, offsets, gamma: float, rank: int | None = None,
+                ws=None) -> NystromMap:
     """Eigendecompose the set-kernel matrix of the packed landmark sets
     ``(x, offsets)`` at bandwidth ``gamma``; keep the well-conditioned part.
 
@@ -164,7 +165,7 @@ def nystrom_fit(x, offsets, gamma: float,
         raise ValueError(f"gamma must be positive, got {gamma}")
     if len(offsets) < 2:
         raise ValueError("need at least one landmark set")
-    k = set_kernel(x, offsets, x, offsets, gamma)
+    k = set_kernel(x, offsets, x, offsets, gamma, ws=ws)
     evals, evecs = np.linalg.eigh(k)
     evals, evecs = evals[::-1], evecs[:, ::-1]
     floor = EIGEN_CUTOFF * max(evals[0], 0.0)
@@ -185,8 +186,9 @@ def nystrom_fit(x, offsets, gamma: float,
     return NystromMap(landmarks=x, offsets=offsets, factor=factor, gamma=gamma)
 
 
-def mmd_pool_batch(x, offsets, nmap: NystromMap) -> np.ndarray:
+def mmd_pool_batch(x, offsets, nmap: NystromMap, ws=None) -> np.ndarray:
     """Nystrom coordinates of each packed set of ``(x, offsets)``, (sets,
     rank): its kernel row against the landmarks through the eigen factor."""
-    krows = set_kernel(x, offsets, nmap.landmarks, nmap.offsets, nmap.gamma)
+    krows = set_kernel(x, offsets, nmap.landmarks, nmap.offsets, nmap.gamma,
+                       ws=ws)
     return krows @ nmap.factor

@@ -20,7 +20,7 @@ import numpy as np
 from .data import GraphDatabase, check_rows, first_row, read_table, table_rows
 from .encoder import backprop_block, blocks, embed_block
 from .errors import DegenerateInputError, FormatError, GladError
-from .numkit import GradSet, ParamSet, init_params, sgd_step
+from .numkit import GradSet, ParamSet, Workspace, init_params, sgd_step
 from .pooling import (NystromMap, median_heuristic, mmd_pool_batch,
                       nystrom_fit, set_kernel)
 
@@ -131,28 +131,31 @@ class CandidatePool:
 # Objective
 # ---------------------------------------------------------------------------
 
-def _embed(graphs, params: ParamSet, with_cache: bool):
-    """Embed ``graphs`` block by block (:func:`glad.encoder.blocks`) at
-    ``params``, yielding ``(sizes, h, cache)`` per block as it is
-    embedded: the block's node counts, ``h`` the zero-padded node
-    embeddings and ``cache`` None without ``with_cache``."""
+def _embed(graphs, params: ParamSet, with_cache: bool, ws, keep=False):
+    """Embed ``graphs`` block by block (:func:`glad.encoder.blocks`) in
+    ``ws``, yielding the block's node counts, its zero-padded node
+    embeddings ``h`` and its cache (None without ``with_cache``); with
+    ``keep``, block i caches under slot i, so every cache outlives it."""
     graphs = list(graphs)
     sizes = [g.node_count for g in graphs]
-    for lo, hi in blocks(sizes):
-        h = embed_block(graphs[lo:hi], params, with_cache)
+    for b, (lo, hi) in enumerate(blocks(sizes)):
+        h = embed_block(graphs[lo:hi], params, with_cache, ws, b * keep)
         yield (np.array(sizes[lo:hi]), *(h if with_cache else (h, None)))
 
 
-def _packed(graphs, params: ParamSet, with_cache: bool = False):
-    """Node embeddings of ``graphs`` as packed rows (a block's rows are
-    ``h[mask]``), their row offsets and each block's ``(mask, cache)``."""
-    rows, blks, sizes = [], [], [0]
-    for n_b, h, cache in _embed(graphs, params, with_cache):
+def _packed(graphs, params: ParamSet, ws, with_cache: bool = False):
+    """Packed node rows of ``graphs`` in ``ws`` (a block's rows are
+    ``h[mask]``), their offsets and each block's ``(mask, cache)``."""
+    graphs = list(graphs)
+    offs = np.cumsum([0] + [g.node_count for g in graphs])
+    x, at, blks = ws("x", (offs[-1], params.d_hidden)), 0, []
+    for n_b, h, cache in _embed(graphs, params, with_cache, ws, with_cache):
         mask = np.arange(h.shape[1]) < n_b[:, None]
-        rows.append(h[mask])
+        np.take(h.reshape(-1, h.shape[2]), np.flatnonzero(mask), axis=0,
+                out=x[at:at + n_b.sum()], mode="clip")
+        at += n_b.sum()
         blks.append((mask, cache))
-        sizes.extend(n_b)
-    return np.concatenate(rows), np.cumsum(sizes), blks
+    return x, offs, blks
 
 
 def _gather(offsets, idx):
@@ -164,14 +167,15 @@ def _gather(offsets, idx):
 def pool_graphs(graphs, params: ParamSet, nmap: NystromMap | None = None):
     """Pooled rows of ``graphs`` at ``params``, without gradients: block
     means of the node embeddings, or with ``nmap`` their Nystrom
-    coordinates (:func:`glad.pooling.mmd_pool_batch`)."""
+    coordinates (:func:`glad.pooling.mmd_pool_batch`), in one workspace."""
+    ws = Workspace()
     if nmap is not None:
-        return mmd_pool_batch(*_packed(graphs, params)[:2], nmap)
-    return np.concatenate([h.sum(axis=1) / sizes[:, None]
-                           for sizes, h, _ in _embed(graphs, params, False)])
+        return mmd_pool_batch(*_packed(graphs, params, ws)[:2], nmap, ws)
+    return np.concatenate([h.sum(axis=1) / n_b[:, None]
+                           for n_b, h, _ in _embed(graphs, params, False, ws)])
 
 
-def batch_objective(graphs, params: ParamSet, mmd_state, center):
+def batch_objective(graphs, params: ParamSet, mmd_state, center, ws=None):
     """Pooled vectors for a batch at the given parameters, the data-term
     loss and its gradient.
 
@@ -186,41 +190,44 @@ def batch_objective(graphs, params: ParamSet, mmd_state, center):
     squared distance to ``center`` and ``grads`` its gradient, excluding
     the ridge term (the optimizer applies decay itself).  For the
     distribution readout the gradient flows through every node embedding
-    the kernel matrix touches, landmark graphs included.
+    the kernel matrix touches, landmark graphs included.  Step-sized
+    arrays live in ``ws``, a fresh :class:`glad.numkit.Workspace` if None.
     """
-    graphs = list(graphs)
+    graphs, ws = list(graphs), ws or Workspace()
     n = len(graphs)
     grads = GradSet.zeros_like(params)
     if mmd_state is None:
         # A graph's gradient needs only its own pooled row, so each block
         # is pulled back before the next one is embedded.
         pooled = []
-        for sizes, h, cache in _embed(graphs, params, True):
+        for sizes, h, cache in _embed(graphs, params, True, ws):
             pooled.append(h.sum(axis=1) / sizes[:, None])
             # d loss / d node row: the graph's coefficient on each of its
             # rows; padded rows carry it too, but their ReLU mask drops it.
             coef = (2.0 / (n * sizes))[:, None] * (pooled[-1] - center)
-            backprop_block(params, cache,
-                           np.broadcast_to(coef[:, None, :], h.shape), grads)
+            d = ws("d_out", h.shape, fill=coef[:, None, :])
+            backprop_block(params, cache, d, grads, ws)
         pooled = np.concatenate(pooled)
     else:
         landmark_graphs, factor, gamma = mmd_state
         uniq = {g.graph_id: g for g in [*graphs, *landmark_graphs]}
-        x, offs, blks = _packed(uniq.values(), params, True)
+        x, offs, blks = _packed(uniq.values(), params, ws, True)
         at = {gid: i for i, gid in enumerate(uniq)}  # batch rows first
         li, ol = _gather(offs, [at[g.graph_id] for g in landmark_graphs])
+        xl = ws("landmarks", (len(li), x.shape[1]))
+        np.take(x, li, axis=0, out=xl, mode="clip")  # "raise" buffers out
         # set_kernel pulls each block back while its node-pair kernel is
         # live; dx is shaped like x, and the landmarks' gradient adds in.
         k, dx, dl = set_kernel(
-            x, offs[:n + 1], x[li], ol, gamma,
-            lambda k: (2.0 / n) * (k @ factor - center) @ factor.T)
+            x, offs[:n + 1], xl, ol, gamma,
+            lambda k: (2.0 / n) * (k @ factor - center) @ factor.T, ws)
         pooled = k @ factor
         np.add.at(dx, li, dl)
         ends = np.cumsum([np.count_nonzero(mask) for mask, _ in blks])
         for (mask, cache), rows in zip(blks, np.split(dx, ends)):
-            d = np.zeros(mask.shape + x.shape[1:])
+            d = ws("d_out", mask.shape + x.shape[1:], fill=0.0)
             d[mask] = rows
-            backprop_block(params, cache, d, grads)
+            backprop_block(params, cache, d, grads, ws)
     diffs = pooled - center
     return pooled, float(np.mean(np.sum(diffs * diffs, axis=1))), grads
 
@@ -252,7 +259,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
                          config.seed)
     rng = np.random.default_rng(np.random.SeedSequence((base_seed, config.seed)))
     batch_size = min(config.batch_size, n)
-    nmap = state = None
+    nmap, state, ws = None, None, Workspace()  # ws: steps' and refits' arrays
     if config.pooling == "mmd":
         land_idx = np.sort(rng.choice(n, size=min(config.nystrom_k, n),
                                       replace=False))
@@ -267,11 +274,11 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
         with np.errstate(over="ignore", invalid="ignore"):
             if config.pooling == "mmd":
                 try:
-                    x, offs = _packed(graphs, params)[:2]
+                    x, offs = _packed(graphs, params, ws)[:2]
                     gamma = median_heuristic(x, rng=rng)
                     li, ol = _gather(offs, land_idx)
                     nmap = nystrom_fit(x[li], ol, gamma,
-                                       rank=getattr(nmap, "rank", None))
+                                       getattr(nmap, "rank", None), ws)
                 except (DegenerateInputError, ValueError,
                         np.linalg.LinAlgError) as exc:
                     raise DegenerateInputError(
@@ -279,7 +286,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
                 state = (landmark_graphs, nmap.factor, nmap.gamma)
             if epoch == 0:
                 center = (pool_graphs(graphs, params) if nmap is None
-                          else mmd_pool_batch(x, offs, nmap)).mean(axis=0)
+                          else mmd_pool_batch(x, offs, nmap, ws)).mean(axis=0)
                 if not np.all(np.isfinite(center)):
                     raise DegenerateInputError(
                         "non-finite center at initialization")
@@ -291,7 +298,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
             for start in range(0, n, batch_size):
                 batch = [graphs[i] for i in order[start:start + batch_size]]
                 _, data_loss, grads = batch_objective(batch, params, state,
-                                                      center)
+                                                      center, ws)
                 loss = data_loss + 0.5 * config.weight_decay * params.sq_norm()
                 if not math.isfinite(loss):
                     raise DegenerateInputError(

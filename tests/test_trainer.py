@@ -13,7 +13,8 @@ from glad.data import (Graph, GraphDatabase, derive_features,
                        generate_mixhop)
 from glad.encoder import blocks
 from glad.errors import DegenerateInputError, FormatError, GladError
-from glad.numkit import GradSet, ParamSet, init_params
+from glad.numkit import GradSet, ParamSet, Workspace, init_params
+from glad.pipeline import BenchmarkParams, generate_benchmark
 from glad.pooling import median_heuristic, mmd_pool_batch, nystrom_fit
 from glad.trainer import (DEFAULT_GRID, MAX_CONFIGS, CandidatePool,
                           ModelConfig, _nine_digit_chunk, batch_objective,
@@ -40,6 +41,15 @@ def bench():
                          split_tag="test")
     return train, derive_features(test, "one_hot_label",
                                   label_alphabet=[0, 1, 2])
+
+
+@pytest.fixture(scope="module")
+def acceptance_train():
+    """Training graphs of the acceptance benchmark, master seed 1."""
+    train, _ = generate_benchmark(BenchmarkParams(
+        n_train=150, n_test=100, anomaly_rate=0.05, nodes=50, ba_m=2,
+        labels=5, homophily_in=0.7, homophily_out=0.3), 1)
+    return list(train.graphs)
 
 
 class TestObjective:
@@ -180,6 +190,66 @@ class TestObjective:
             tracemalloc.stop()
         assert peak < whole, (peak, whole)
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("readout", ["mean", "mmd"])
+    def test_workspace_reuse_is_bit_equal(self, readout, layers,
+                                          monkeypatch):
+        # Graphs of 6 to 16 nodes in blocks of at most 40 padded rows:
+        # steps whose n_max and block count shrink and then grow again.
+        # Every buffer is filled with 3.0 between steps, so padding or a
+        # gradient sum that a step reads before writing would show.
+        parts = [generate_mixhop(4, n, 2, 0.6, 3, seed=n, id_offset=n * 10)
+                 for n in (6, 9, 12, 16)]
+        graphs = list(derive_features(GraphDatabase(graphs=tuple(
+            g for p in parts for g in p.graphs)), "one_hot_label",
+            label_alphabet=[0, 1, 2]).graphs)
+        params, state, center = self._mmd_setup(graphs, graphs[2::5], 5,
+                                                layers)
+        if readout == "mean":
+            state, center = None, pool_graphs(graphs, params).mean(axis=0)
+        monkeypatch.setattr("glad.encoder.BLOCK_ROWS", 40)
+        six, nine, twelve, sixteen = (graphs[i:i + 4] for i in (0, 4, 8, 12))
+        steps = [[g for p in zip(sixteen, twelve) for g in p],
+                 [six[0], nine[0], six[1], nine[1], six[2]],
+                 [g for p in zip(six, sixteen, nine, twelve) for g in p]]
+        spans = [blocks([g.node_count for g in b]) for b in steps]
+        assert len(spans[1]) < len(spans[0]) < len(spans[2])
+        ws = Workspace()
+        for batch in steps:
+            pooled, loss, grads = batch_objective(batch, params, state,
+                                                  center, ws)
+            want = batch_objective(batch, params, state, center)
+            assert pooled.tobytes() == want[0].tobytes()
+            assert loss == want[1]
+            assert flatten(grads).tobytes() == flatten(want[2]).tobytes()
+            for buf in ws.bufs.values():
+                buf.fill(3.0)
+
+    @pytest.mark.parametrize("readout", ["mean", "mmd"])
+    def test_warm_step_allocates_no_step_sized_array(self, readout,
+                                                     acceptance_train):
+        # A 2-layer, 64-graph step on the acceptance benchmark's data
+        # allocates over 1 MiB without a workspace; with a warm one only
+        # small per-set and per-graph temporaries remain.
+        graphs = acceptance_train
+        landmarks = [graphs[i] for i in np.sort(np.random.default_rng(1)
+                                                .choice(150, 21, False))]
+        params, state, center = self._mmd_setup(graphs, landmarks, 32)
+        if readout == "mean":
+            state, center = None, pool_graphs(graphs, params).mean(axis=0)
+        batch, ws = graphs[:64], Workspace()
+        rises = []
+        for call_ws in (None, ws, ws):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                batch_objective(batch, params, state, center, call_ws)
+                rises.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        bound = 0.25 * 2**20
+        assert rises[0] > 4 * bound and rises[2] < bound, rises
+
 
 class TestModelConfig:
     def test_validation(self):
@@ -276,10 +346,10 @@ class TestTrainCandidate:
             finally:
                 step[0] = None
 
-        def embed_spy(graphs, params, with_cache=True):
+        def embed_spy(graphs, params, with_cache=True, *rest):
             graphs = list(graphs)
             calls.append(([g.graph_id for g in graphs], with_cache, step[0]))
-            return embed(graphs, params, with_cache)
+            return embed(graphs, params, with_cache, *rest)
 
         monkeypatch.setattr(gt, "batch_objective", objective_spy)
         monkeypatch.setattr(gt, "_embed", embed_spy)
@@ -310,16 +380,16 @@ class TestTrainCandidate:
         objective, embed = gt.batch_objective, gt.embed_block
         in_step, calls = [False], []
 
-        def objective_spy(graphs, params, mmd_state, center):
+        def objective_spy(graphs, params, mmd_state, center, *rest):
             in_step[0] = True
             try:
-                return objective(graphs, params, mmd_state, center)
+                return objective(graphs, params, mmd_state, center, *rest)
             finally:
                 in_step[0] = False
 
-        def embed_spy(graphs, params, with_cache=False):
+        def embed_spy(graphs, params, with_cache=False, *rest):
             calls.append((in_step[0], with_cache))
-            return embed(graphs, params, with_cache)
+            return embed(graphs, params, with_cache, *rest)
 
         monkeypatch.setattr(gt, "batch_objective", objective_spy)
         monkeypatch.setattr(gt, "embed_block", embed_spy)
