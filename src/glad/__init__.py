@@ -11,7 +11,7 @@ from .encoder import backprop_block, embed_block
 from .errors import (DegenerateInputError, FormatError, GladError, LoadError,
                      MethodError, SplitError)
 from .metrics import midrank, roc_auc, wilcoxon_one_sided
-from .numkit import GradSet, ParamSet, init_params, sgd_step
+from .numkit import ParamSet, init_params, sgd_step
 from .pipeline import (BenchmarkParams, EvalReport, PipelineConfig,
                        generate_benchmark, parse_grid_file,
                        parse_pipeline_config, run_pipeline)

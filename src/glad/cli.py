@@ -74,7 +74,7 @@ def _cmd_select(args) -> int:
     pool = gtrain.load_pool(args.pool)
     result = gsel.select(pool, args.method)
     out = Path(args.out)
-    gsel.write_selection(result, out, out.parent / "selection_meta.txt")
+    gsel.write_selection(result, out)
     who = result.selected_model or "ensemble"
     print(f"{args.method}: {who} -> {out}")
     return 0
@@ -98,10 +98,9 @@ def _read_column(path, name: str, dtype, bad, message: str) -> dict:
     ids, v = np.char.strip(t["id"].astype(str)), t["v"]
     if not ids.size:
         raise FormatError(f"{path}: no data rows")
-    first = np.unique(ids, return_index=True)[1]
     gdata.check_rows(path, f"{name} row", [
         (bad(v), lambda r, s: message.format(v[r])),
-        (~np.isin(np.arange(ids.size), first),
+        (gdata.first_copies(ids)[1],
          lambda r, s: f"duplicate graph id {ids[r]}")], header=True)
     return dict(zip(ids.tolist(), v.tolist()))
 

@@ -53,6 +53,22 @@ def _first_bad(checks):
     return (int(rows[0]), checks[bad[rows[0]].argmax()][1]) if rows.size else None
 
 
+def first_copies(*keys):
+    """``(first, repeat)`` over the rows of equal-length key columns:
+    ``first`` holds each distinct key tuple's first row, in key order (the
+    first column major), and ``repeat`` masks the rows that repeat an
+    earlier row.  Columns are compared as tuples: no combined key wraps."""
+    order = np.lexsort(keys[::-1])  # stable: equal keys keep row order
+    new = np.zeros(order.size, bool)
+    new[:1] = True
+    for k in keys:  # one sorted column alive at a time keeps the peak low
+        k = k[order]
+        new[1:] |= k[1:] != k[:-1]
+    first, repeat = order[new], np.ones(order.size, bool)
+    repeat[first] = False
+    return first, repeat
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """A single undirected graph.
@@ -96,13 +112,7 @@ class Graph:
             e = np.fromiter(takewhile(lambda r: not _id_fault(r), rows),
                             EDGE_DTYPE)
         u, v, w, n = e["u"], e["v"], e["w"], self.node_count
-        # First copies in (u, v) order, as pairs: a u * n + v key wraps.
-        order = np.lexsort((v, u))
-        su, sv, keep = u[order], v[order], np.ones(e.size, bool)
-        keep[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
-        first = order[keep]
-        dup = np.ones(e.size, bool)
-        dup[first] = False
+        first, dup = first_copies(u, v)
         hit = _first_bad([
             (u == v, "self loop on node {0}"),
             ((u < 0) | (u >= n) | (v < 0) | (v >= n),
@@ -182,9 +192,6 @@ class GraphDatabase:
     def __len__(self) -> int:
         return len(self.graphs)
 
-    def __iter__(self):
-        return iter(self.graphs)
-
     @property
     def d_in(self) -> int | None:
         return self.graphs[0].d_in if self.graphs else None
@@ -207,8 +214,7 @@ def _normalized_edges(u, v, w, starts) -> list:
     between node positions in graph-major order (graph k starts at
     ``starts[k]``).  A repeated pair keeps its first weight in file order."""
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    order = np.unique(lo * (int(hi.max(initial=0)) + 1) + hi,
-                      return_index=True)[1]
+    order = first_copies(lo, hi)[0]
     lo, hi = lo[order], hi[order]
     b = np.searchsorted(lo, starts)
     base = np.repeat(starts, np.diff(b, append=lo.size))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numkit import GradSet, ParamSet, Workspace
+from .numkit import ParamSet, Workspace
 
 # Padded rows per block, B * n_max.  The block size sets how graphs are
 # grouped into GEMMs and set-kernel sums, so it fixes the score bits:
@@ -84,15 +84,16 @@ def embed_block(graphs, params: ParamSet, with_cache: bool = False,
 
 
 def backprop_block(params: ParamSet, cache, d_out: np.ndarray,
-                   grads: GradSet, ws: Workspace | None = None) -> None:
+                   grads: ParamSet, ws: Workspace | None = None) -> None:
     """Backpropagate ``d_out`` (gradient w.r.t. a block's padded node
     embeddings, shaped like :func:`embed_block`'s ``h``) through the
-    encoder, accumulating weight gradients into ``grads``.  Propagation
-    stops at layer 0's weights: no gradient w.r.t. the input features is
-    formed.  The ReLU mask is ``a > 0`` from the cached ``(z, a)``, which
-    equals ``m > 0`` for every pre-activation, and is applied with
-    ``np.where`` semantics: a masked entry becomes +0.0 even when the
-    upstream gradient there is NaN or inf.  Temporaries live in ``ws``.
+    encoder, adding weight gradients into ``grads``, a ParamSet shaped
+    like ``params``; propagation stops at layer 0's weights, forming no
+    gradient w.r.t. the input features.  The ReLU mask is ``a > 0`` from
+    the cached ``(z, a)``, which equals ``m > 0`` for every
+    pre-activation, and is applied with ``np.where`` semantics: a masked
+    entry becomes +0.0 even when the upstream gradient there is NaN or
+    inf.  Temporaries live in ``ws``.
     """
     ws = ws or Workspace()
     adj, layers = cache

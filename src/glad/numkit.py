@@ -42,17 +42,10 @@ class ParamSet:
         """Sum of squared Frobenius norms over all weight matrices."""
         return float(sum(np.sum(w * w) for pair in self.layers for w in pair))
 
-
-@dataclass(eq=False)
-class GradSet:
-    """Gradients congruent to a :class:`ParamSet` (same matrix shapes)."""
-
-    layers: list
-
-    @classmethod
-    def zeros_like(cls, params: ParamSet) -> "GradSet":
-        return cls(layers=[(np.zeros_like(w1), np.zeros_like(w2))
-                           for w1, w2 in params.layers])
+    def zeros_like(self) -> "ParamSet":
+        """Zero matrices of these shapes: the container for gradients."""
+        return ParamSet([(np.zeros_like(w1), np.zeros_like(w2))
+                         for w1, w2 in self.layers], self.d_in, self.d_hidden)
 
 
 class Workspace:
@@ -92,12 +85,12 @@ def init_params(d_in: int, d_hidden: int, n_layers: int, seed: int) -> ParamSet:
     return ParamSet(layers=layers, d_in=d_in, d_hidden=d_hidden)
 
 
-def sgd_step(params: ParamSet, grads: GradSet, lr: float,
+def sgd_step(params: ParamSet, grads: ParamSet, lr: float,
              weight_decay: float) -> ParamSet:
     """One descent step ``w <- w - lr * (g + weight_decay * w)``.
 
-    ``grads`` must hold the gradient of the data term only; the decay
-    term is applied here exactly once.
+    ``grads``, a ParamSet shaped like ``params``, must hold the gradient
+    of the data term only; the decay term is applied here exactly once.
     """
     if len(grads.layers) != len(params.layers):
         raise ValueError("gradient/parameter layer count mismatch")

@@ -20,7 +20,6 @@ from .errors import DegenerateInputError, MethodError
 from .metrics import midrank
 from .trainer import CandidatePool, format_rows
 
-METHODS = ("hits", "hits-ens", "mc", "udr")
 HITS_TOL = 1e-9
 HITS_MAX_ITER = 1000
 
@@ -203,6 +202,7 @@ def udr_select(pool: CandidatePool) -> SelectionResult:
 
 _DISPATCH = {"hits": hits_select, "hits-ens": hits_ens,
              "mc": mc_select, "udr": udr_select}
+METHODS = tuple(_DISPATCH)
 
 
 def select(pool: CandidatePool, method: str) -> SelectionResult:

@@ -17,10 +17,11 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .data import GraphDatabase, check_rows, first_row, read_table, table_rows
+from .data import (GraphDatabase, check_rows, first_copies, first_row,
+                   read_table, table_rows)
 from .encoder import backprop_block, blocks, embed_block
 from .errors import DegenerateInputError, FormatError, GladError
-from .numkit import GradSet, ParamSet, Workspace, init_params, sgd_step
+from .numkit import ParamSet, Workspace, init_params, sgd_step
 from .pooling import (NystromMap, median_heuristic, mmd_pool_batch,
                       nystrom_fit, set_kernel)
 
@@ -195,7 +196,7 @@ def batch_objective(graphs, params: ParamSet, mmd_state, center, ws=None):
     """
     graphs, ws = list(graphs), ws or Workspace()
     n = len(graphs)
-    grads = GradSet.zeros_like(params)
+    grads = params.zeros_like()
     if mmd_state is None:
         # A graph's gradient needs only its own pooled row, so each block
         # is pulled back before the next one is embedded.
@@ -623,7 +624,6 @@ def load_pool(directory) -> CandidatePool:
                        [("mid", object), ("s", np.float64, (len(graph_ids),))],
                        header=True)
     mids, finite = table["mid"], np.isfinite(table["s"])
-    repeat = ~np.isin(np.arange(len(mids)), np.unique(mids, return_index=True)[1])
     col = np.argmin(finite, axis=1)  # each row's first non-finite score, if any
     check_rows(score_path, "score row", [
         (~np.isin(mids, list(configs)),
@@ -631,7 +631,7 @@ def load_pool(directory) -> CandidatePool:
         (~finite.all(axis=1), lambda r, s: (
             f"non-finite score {s.split(',')[1 + col[r]]} for graph "
             f"{graph_ids[col[r]]}")),
-        (repeat, lambda r, s: f"duplicate model id {mids[r]}"),
+        (first_copies(mids)[1], lambda r, s: f"duplicate model id {mids[r]}"),
     ], header=True)
     index = {mid: k for k, mid in enumerate(mids.tolist())}
     missing = [m for m in configs if m not in index]

@@ -14,7 +14,7 @@ import numpy as np
 
 from glad.encoder import embed_block
 from glad.metrics import midrank
-from glad.numkit import GradSet, ParamSet
+from glad.numkit import ParamSet
 from glad.pooling import set_kernel
 
 RESULTS = {}
@@ -35,13 +35,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def flatten(ps) -> np.ndarray:
-    """The matrices of a ParamSet or GradSet as one vector (w1 before w2,
+    """The matrices of a ParamSet as one vector (w1 before w2,
     layer by layer)."""
     return np.concatenate([w.ravel() for pair in ps.layers for w in pair])
 
 
 def finite_diff_grad(loss_fn, params: ParamSet, h: float = 1e-5,
-                     indices=None) -> GradSet:
+                     indices=None) -> ParamSet:
     """Central-difference gradient of ``loss_fn`` at ``params``.
 
     ``loss_fn`` maps a ParamSet to a float and must not mutate it.  When
@@ -50,7 +50,7 @@ def finite_diff_grad(loss_fn, params: ParamSet, h: float = 1e-5,
     """
     work = ParamSet(layers=[(w1.copy(), w2.copy()) for w1, w2 in params.layers],
                     d_in=params.d_in, d_hidden=params.d_hidden)
-    grads = GradSet.zeros_like(params)
+    grads = params.zeros_like()
     mats = [w for pair in work.layers for w in pair]
     gmats = [g for pair in grads.layers for g in pair]
     bounds = np.cumsum([0] + [m.size for m in mats])
@@ -93,7 +93,7 @@ def where_encoder_step(graphs, params: ParamSet, d_out: np.ndarray):
         a = np.where(m > 0, m, 0.0)
         h = (a @ w2).reshape(n_b, n_max, -1)
         layers.append((z, a, m > 0))
-    grads = GradSet.zeros_like(params)
+    grads = params.zeros_like()
     dh = d_out.reshape(n_b * n_max, -1)
     for l in range(params.n_layers - 1, -1, -1):
         (w1, w2), (z, a, mask) = params.layers[l], layers[l]

@@ -15,7 +15,7 @@ from conftest import (embed_one, finite_diff_grad, flatten, mean_pool,
 
 from glad.data import Graph, GraphDatabase, derive_features, generate_mixhop
 from glad.metrics import midrank, roc_auc, wilcoxon_one_sided
-from glad.numkit import GradSet, init_params
+from glad.numkit import init_params
 from glad.pipeline import BenchmarkParams, PipelineConfig, run_pipeline
 from glad.pooling import (median_heuristic, mmd_pool_batch, nystrom_fit,
                           set_kernel)
@@ -153,7 +153,7 @@ def test_criterion_4_gradient_check():
         for state, pool_map in ((None, None), (mmd_state, nmap)):
             center = pool_graphs(graphs, params, pool_map).mean(axis=0) + 0.1
             _, _, grads = batch_objective(graphs, params, state, center)
-            full = GradSet.zeros_like(params)
+            full = params.zeros_like()
             for (f1, f2), (g1, g2), (w1, w2) in zip(
                     full.layers, grads.layers, params.layers):
                 f1 += g1 + wd * w1

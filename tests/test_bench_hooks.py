@@ -1,4 +1,5 @@
-"""The benchmark's per-layer wrappers still run against glad.
+"""The benchmark's per-layer wrappers still run against glad, and its
+inputs still match the acceptance benchmark.
 
 ``benchmark/layers.py`` wraps glad functions by name and reads their
 arguments.  A wrapper whose hook reads an argument glad no longer passes
@@ -6,10 +7,14 @@ fails the traced benchmark round, so a tiny traced pipeline runs here,
 in a fresh interpreter (the wrappers patch glad's modules in place).
 """
 
+import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import test_acceptance
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,3 +55,13 @@ def test_traced_pipeline_runs(tmp_path):
     assert out["missing"] == MISSING
     assert out["metrics"]["pooling.median_heuristic_calls"] > 0
     assert out["metrics"]["trainer.train_candidate_s.mmd"] > 0
+
+
+def test_bench_inputs_match_the_acceptance_benchmark():
+    # benchmark/inputs.py restates BENCH without importing glad or the tests
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", ROOT / "benchmark" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    assert inputs.BENCH_GRID == test_acceptance.BENCH_GRID
+    assert inputs.BENCH_SHAPE == dataclasses.asdict(test_acceptance.BENCH)

@@ -11,8 +11,8 @@ from conftest import write_tu_reference
 
 import glad.data
 from glad.data import (DEFAULT_DEGREE_CAP, Graph, GraphDatabase, dataset_name,
-                       derive_features, generate_mixhop, load_tu_dataset,
-                       make_split, write_tu_dataset)
+                       derive_features, first_copies, generate_mixhop,
+                       load_tu_dataset, make_split, write_tu_dataset)
 from glad.errors import FormatError, LoadError, SplitError
 
 
@@ -154,6 +154,20 @@ class TestGraph:
         assert len(g.edges) == 4
 
 
+class TestFirstCopies:
+    @pytest.mark.parametrize("keys, first, repeat", [
+        ((np.array(["b", "a", "b", "c", "a"]),), [1, 0, 3], [0, 0, 1, 0, 1]),
+        ((np.array(["m2", "m1", "m2"], dtype=object),), [1, 0], [0, 0, 1]),
+        ((np.array([2, 0, 2, 0, 2]), np.array([1, 5, 0, 5, 1])),
+         [1, 2, 0], [0, 0, 0, 1, 1]),
+        ((np.array([], np.int64), np.array([], np.int64)), [], []),
+    ])
+    def test_first_rows_in_key_order(self, keys, first, repeat):
+        got_first, got_repeat = first_copies(*keys)
+        assert got_first.tolist() == first
+        assert got_repeat.tolist() == [bool(r) for r in repeat]
+
+
 class TestTuFormat:
     def build_db(self):
         g0 = Graph(graph_id=0, node_count=3,
@@ -202,6 +216,17 @@ class TestTuFormat:
         (tmp_path / "d_graph_indicator.txt").write_text("1\n1\n")
         db = load_tu_dataset(tmp_path)
         assert db.graphs[0].edges.tolist() == [(0, 1, 1.0)]
+
+    @pytest.mark.parametrize("u, v, w, want", [
+        # a lo * (hi.max() + 1) + hi key wraps here: (0, b) and (a, b) collide
+        ([0, 2**31, 0], [2**31 + 5, 2**31 + 5, 2**33 - 1], [1.0, 2.0, 3.0],
+         [(0, 2**31 + 5, 1.0), (0, 2**33 - 1, 3.0), (2**31, 2**31 + 5, 2.0)]),
+        ([1, 0], [0, 1], [2.0, 1.0], [(0, 1, 2.0)]),
+    ])
+    def test_normalized_edges_keep_each_pair_once(self, u, v, w, want):
+        edges = glad.data._normalized_edges(np.array(u), np.array(v),
+                                            np.array(w), np.array([0]))
+        assert [e.tolist() for e in edges] == [want]
 
     def test_missing_mandatory_file(self, tmp_path):
         (tmp_path / "x_A.txt").write_text("1, 2\n")

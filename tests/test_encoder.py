@@ -8,7 +8,7 @@ from conftest import embed_one, finite_diff_grad, flatten, where_encoder_step
 from glad import encoder
 from glad.data import Graph, GraphDatabase, derive_features, generate_mixhop
 from glad.encoder import backprop_block, blocks, embed_block
-from glad.numkit import GradSet, ParamSet, init_params
+from glad.numkit import ParamSet, init_params
 
 
 def path_graph(weights=(1.0, 1.0), features=None):
@@ -98,7 +98,7 @@ class TestBackward:
         def loss(p):
             return float(np.sum(embed_block([g], p)[0] * r))
 
-        grads = GradSet.zeros_like(params)
+        grads = params.zeros_like()
         _, cache = embed_block([g], params, with_cache=True)
         backprop_block(params, cache, r[None], grads)
         fd = finite_diff_grad(loss, params, h=1e-6)
@@ -110,12 +110,12 @@ class TestBackward:
         db = derive_features(db, "one_hot_label")
         params = init_params(db.d_in, 4, 1, seed=11)
         d_out = [np.ones((1, 8, 4)), 2.0 * np.ones((1, 8, 4))]
-        both = GradSet.zeros_like(params)
+        both = params.zeros_like()
         singles = []
         for g, d in zip(db.graphs, d_out):
             _, cache = embed_block([g], params, with_cache=True)
             backprop_block(params, cache, d, both)
-            solo = GradSet.zeros_like(params)
+            solo = params.zeros_like()
             backprop_block(params, cache, d, solo)
             singles.append(solo)
         np.testing.assert_allclose(
@@ -186,7 +186,7 @@ class TestBlocks:
         def loss(p):
             return float(np.sum(embed_block(graphs, p) * r))
 
-        grads = GradSet.zeros_like(params)
+        grads = params.zeros_like()
         _, cache = embed_block(graphs, params, with_cache=True)
         # r is non-zero on padded rows too: the ReLU mask must drop it
         backprop_block(params, cache, r, grads)
@@ -205,7 +205,7 @@ class TestBlocks:
         d_out[0, 1:, :] = np.nan
         d_out[1, 7:, :] = [np.inf, -np.inf, np.nan, 1.0, -np.inf]
         h, cache = embed_block(graphs, params, with_cache=True)
-        grads = GradSet.zeros_like(params)
+        grads = params.zeros_like()
         with np.errstate(invalid="ignore"):
             backprop_block(params, cache, d_out, grads)
             ref_h, ref_layers, ref_grads = where_encoder_step(graphs, params,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import finite_diff_grad, flatten
 
-from glad.numkit import GradSet, ParamSet, init_params, sgd_step
+from glad.numkit import ParamSet, init_params, sgd_step
 
 
 class TestInitParams:
@@ -42,7 +42,7 @@ class TestInitParams:
 class TestSgdStep:
     def test_coupled_decay_formula(self):
         p = init_params(2, 3, 1, seed=0)
-        g = GradSet.zeros_like(p)
+        g = p.zeros_like()
         g.layers[0][0][:] = 0.5
         g.layers[0][1][:] = -1.0
         lr, wd = 0.1, 0.01
@@ -53,13 +53,13 @@ class TestSgdStep:
 
     def test_zero_lr_identity(self):
         p = init_params(2, 3, 1, seed=0)
-        g = GradSet.zeros_like(p)
+        g = p.zeros_like()
         q = sgd_step(p, g, 0.0, 0.5)
         np.testing.assert_array_equal(q.layers[0][0], p.layers[0][0])
 
     def test_shape_mismatch(self):
         p = init_params(2, 3, 2, seed=0)
-        g = GradSet.zeros_like(init_params(2, 3, 1, seed=0))
+        g = init_params(2, 3, 1, seed=0).zeros_like()
         with pytest.raises(ValueError, match="layer count"):
             sgd_step(p, g, 0.1, 0.0)
 
@@ -108,7 +108,7 @@ class TestDescent:
         def f(p):
             return 0.5 * p.sq_norm()
 
-        grads = GradSet.zeros_like(params)
+        grads = params.zeros_like()
         for (g1, g2), (w1, w2) in zip(grads.layers, params.layers):
             g1 += w1
             g2 += w2

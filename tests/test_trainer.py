@@ -13,7 +13,7 @@ from glad.data import (Graph, GraphDatabase, derive_features,
                        generate_mixhop)
 from glad.encoder import blocks
 from glad.errors import DegenerateInputError, FormatError, GladError
-from glad.numkit import GradSet, ParamSet, Workspace, init_params
+from glad.numkit import ParamSet, Workspace, init_params
 from glad.pipeline import BenchmarkParams, generate_benchmark
 from glad.pooling import median_heuristic, mmd_pool_batch, nystrom_fit
 from glad.trainer import (DEFAULT_GRID, MAX_CONFIGS, CandidatePool,
@@ -96,7 +96,7 @@ class TestObjective:
         np.testing.assert_array_equal(pooled.mean(axis=0), rows.mean(axis=0))
 
     def _full_grad(self, grads, params, wd):
-        full = GradSet.zeros_like(params)
+        full = params.zeros_like()
         for (f1, f2), (g1, g2), (w1, w2) in zip(full.layers, grads.layers,
                                                 params.layers):
             f1 += g1 + wd * w1
