@@ -124,43 +124,44 @@ def generate_benchmark(params: BenchmarkParams, master_seed: int):
 
 
 # ---------------------------------------------------------------------------
-# Grid files
+# Grid and pipeline files: one INI dialect
 # ---------------------------------------------------------------------------
 
-def _read_ini(cp: configparser.ConfigParser, path, what: str):
-    """``cp`` after reading ``path``; an unreadable or undecodable file or
-    a syntax error raises FormatError."""
+def _read_ini(path, what: str, keys: dict) -> dict:
+    """``path`` as ``{section: {key: raw}}``: ``=`` only, ``#`` comments,
+    case-sensitive keys, a literal ``%``, no ``[DEFAULT]``.  A read, decode
+    or syntax error, or a section or key not in ``keys``, is a FormatError."""
+    cp = configparser.ConfigParser(
+        delimiters="=", comment_prefixes="#", inline_comment_prefixes="#",
+        default_section="", interpolation=None)  # no [DEFAULT] section
+    cp.optionxform = str
     try:
         with gdata.decoded(path):
-            if cp.read(str(path)):
-                return cp
+            if not cp.read(str(path)):
+                raise FormatError(f"cannot read {what} file {path}")
     except configparser.Error as exc:  # names the file and the line
         raise FormatError(" ".join(str(exc).split())) from None
-    raise FormatError(f"cannot read {what} {path}")
+    for s in cp.sections():
+        if s not in keys:
+            raise FormatError(f"{path}: unknown section [{s}]")
+        if bad := [key for key in cp[s] if key not in keys[s]]:
+            raise FormatError(f"{path}: [{s}] {bad[0]}: unknown {what} key")
+    return {s: dict(cp[s]) for s in cp.sections()}
 
 
 def parse_grid_file(path) -> dict:
     """Parse an INI grid file into a grid specification.
 
     Sections ``[mean]``, ``[mmd]`` and ``[common]`` hold ``key = v1, v2,
-    ...`` lines; ``#`` at a line's start or after a space starts a comment.
-    Keys are case-sensitive and typed by the ModelConfig field they set.
+    ...`` lines, each typed by the ModelConfig field its key sets.
     A grid that does not expand into valid configs, or into more than
     ``MAX_CONFIGS``, raises FormatError.
     """
-    cp = configparser.ConfigParser(
-        delimiters="=", comment_prefixes="#", inline_comment_prefixes="#",
-        default_section="", interpolation=None)  # no [DEFAULT] section
-    cp.optionxform = str
-    spec = {}
-    for section in _read_ini(cp, path, "grid file").sections():
-        if section not in ("mean", "mmd", "common"):
-            raise FormatError(f"{path}: unknown section [{section}]")
-        spec[section] = {}
-        for key, raw in cp[section].items():
+    spec = _read_ini(path, "grid", dict.fromkeys(
+        ("mean", "mmd", "common"), gtrain.CONFIG_TYPES.keys() - {"pooling"}))
+    for section, items in spec.items():
+        for key, raw in items.items():
             where = f"{path}: [{section}] {key}"
-            if key not in gtrain.CONFIG_TYPES or key == "pooling":
-                raise FormatError(f"{where}: unknown grid key")
             try:
                 values = [gtrain.CONFIG_TYPES[key](v)
                           for v in raw.split(",") if v.strip()]
@@ -168,7 +169,7 @@ def parse_grid_file(path) -> dict:
                 raise FormatError(f"{where}: bad value {raw!r}") from None
             if not values:
                 raise FormatError(f"{where}: no values")
-            spec[section][key] = values
+            items[key] = values
     if not {"mean", "mmd"} & set(spec):
         raise FormatError(f"{path}: grid file defines no model family")
     # Expanding for one training graph runs every config check: the
@@ -202,7 +203,7 @@ class PipelineConfig:
 
 
 def parse_pipeline_config(path) -> PipelineConfig:
-    """Read an INI-style pipeline configuration file.
+    """Read a pipeline configuration file (the :func:`_read_ini` dialect).
 
     A malformed file or value raises FormatError naming the file and the
     key.  Integers (counts, seeds, class ids) must be non-negative;
@@ -210,15 +211,26 @@ def parse_pipeline_config(path) -> PipelineConfig:
     is parsed here (:func:`parse_grid_file`); without one the default
     grid is used.
     """
-    cp = _read_ini(configparser.ConfigParser(), path, "pipeline config")
-    if "run" not in cp or "out_dir" not in cp["run"]:
+    sources = {"generate": tuple(f.name for f in fields(BenchmarkParams)),
+               "tu": ("directory", "feature_kind", "degree_cap",
+                      "inlier_class", "train_fraction", "anomaly_rate")}
+    ini = _read_ini(path, "pipeline config", {
+        "run": ("out_dir", "master_seed", "workers"),
+        "selection": ("methods",), "grid": ("file",),
+        "data": ("source", *sources["generate"], *sources["tu"])})
+    run, d = ini.get("run", {}), ini.get("data", {})
+    if not run.get("out_dir"):
         raise FormatError(f"{path}: [run] section with out_dir is required")
+    source = d.get("source", "generate")
+    if source not in sources:
+        raise FormatError(f"{path}: unknown data source {source!r}")
+    if other := [k for k in d if k not in ("source", *sources[source])]:
+        raise FormatError(f"{path}: [data] {other[0]}: not a {source} key")
 
     def value(section, key, low=0, of=PipelineConfig):
         """``[section] key`` cast to the type of ``of``'s default for it."""
         default = getattr(of, key)
-        raw = cp.get(section, key, fallback=None)
-        if raw is None:
+        if (raw := ini.get(section, {}).get(key)) is None:
             return default
         try:
             v = type(default)(raw)
@@ -229,22 +241,20 @@ def parse_pipeline_config(path) -> PipelineConfig:
                               f"{raw!r}")
         return v
 
-    kwargs = dict(out_dir=Path(cp["run"]["out_dir"]),
+    kwargs = dict(out_dir=Path(run["out_dir"]), source=source,
                   master_seed=value("run", "master_seed"),
                   workers=value("run", "workers", low=1))
-    if "selection" in cp and "methods" in cp["selection"]:
-        methods = tuple(m.strip() for m in
-                        cp["selection"]["methods"].split(",") if m.strip())
+    if (names := ini.get("selection", {}).get("methods")) is not None:
+        methods = tuple(m.strip() for m in names.split(",") if m.strip())
+        if not methods:
+            raise FormatError(f"{path}: [selection] methods: no values")
         bad = [m for m in methods if m not in gsel.METHODS]
         if bad:
             raise FormatError(f"{path}: unknown selection method {bad[0]!r}")
         kwargs["methods"] = methods
-    if "grid" in cp and "file" in cp["grid"]:
-        kwargs["grid_spec"] = parse_grid_file(cp["grid"]["file"])
+    if "file" in ini.get("grid", {}):
+        kwargs["grid_spec"] = parse_grid_file(ini["grid"]["file"])
 
-    d = cp["data"] if "data" in cp else {}
-    source = d.get("source", "generate")
-    kwargs["source"] = source
     if source == "generate":
         shape = {f.name: value("data", f.name, of=BenchmarkParams)
                  for f in fields(BenchmarkParams)}
@@ -252,8 +262,8 @@ def parse_pipeline_config(path) -> PipelineConfig:
             kwargs["bench"] = BenchmarkParams(**shape)
         except ValueError as exc:
             raise FormatError(f"{path}: [data] {exc}") from None
-    elif source == "tu":
-        if "directory" not in d:
+    else:
+        if not d.get("directory"):
             raise FormatError(f"{path}: tu source needs data.directory")
         kind = d.get("feature_kind")
         if kind is not None and kind not in gdata.FEATURE_KINDS:
@@ -264,8 +274,6 @@ def parse_pipeline_config(path) -> PipelineConfig:
                       inlier_class=value("data", "inlier_class"),
                       train_fraction=value("data", "train_fraction"),
                       anomaly_rate=value("data", "anomaly_rate"))
-    else:
-        raise FormatError(f"{path}: unknown data source {source!r}")
     return PipelineConfig(**kwargs)
 
 

@@ -1,7 +1,9 @@
 """Orchestration: benchmark generation, config files, full runs, CLI."""
 
 import functools
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,16 +199,72 @@ anomaly_rate = 0.2
         ("[run]\nout_dir = x\n\n[data]\nsource = tu\ndirectory = d\n"
          "degree_cap = 0\n", "degree_cap"),
         ("[run]\nout_dir = x\n\n[data]\nnodes = 2\n", "ba_m"),
+        ("[run]\nout_dir =\n", "out_dir is required"),
+        ("[run]\nout_dir = x\n\n[data]\nsource = tu\ndirectory =  # none\n",
+         "tu source needs data.directory"),
+        ("[run]\nout_dir = x\n\n[selection]\nmethods =\n",
+         r"\[selection\] methods: no values"),
+        ("[run]\nout_dir = x\nworker = 2\n",
+         r"\[run\] worker: unknown pipeline config key"),
+        ("[run]\nout_dir = x\nmaster_sede = 3\n", r"\[run\] master_sede: unk"),
+        ("[run]\nout_dir = x\nOUT_DIR = y\n", r"\[run\] OUT_DIR: unknown"),
+        ("[run]\nout_dir = x\n\n[data]\nnodez = 10\n", r"\[data\] nodez: unk"),
+        ("[run]\nout_dir = x\n\n[selecton]\nmethods = hits\n",
+         r"unknown section \[selecton\]"),
+        ("[run]\nout_dir = x\n\n[grid]\nfil = g.ini\n", r"\[grid\] fil: unk"),
+        ("[DEFAULT]\nworkers = 0\n\n[run]\nout_dir = x\n",
+         r"unknown section \[DEFAULT\]"),
+        ("[run]\nout_dir = x\n\n[data]\nsource = tu\ndirectory = d\n"
+         "nodes = 5\n", r"\[data\] nodes: not a tu key"),
+        ("[run]\nout_dir = x\n\n[data]\nsource = generate\n"
+         "degree_cap = 0\n", r"\[data\] degree_cap: not a generate key"),
+        ("[run]\nout_dir = x\n\n[data]\ninlier_class = -3\n",
+         r"\[data\] inlier_class: not a generate key"),
+        ("[run]\nout_dir: x\n", r"\[line 2\]: 'out_dir: x"),
+        ("[run]\nout_dir = x\n; note\n", r"\[line 3\]: '; note"),
     ])
     def test_errors(self, tmp_path, body, msg):
         path = tmp_path / "run.ini"
         path.write_text(body)
-        with pytest.raises(FormatError, match=msg):
+        with pytest.raises(FormatError, match=msg) as exc:
             parse_pipeline_config(path)
+        assert str(path) in str(exc.value)
+
+    def test_values_are_literal(self, tmp_path):
+        # No interpolation: a % is kept; a # after a space starts a comment.
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nout_dir = runs/50%done   # 100% kept\n\n"
+                        "[data]\nsource = tu  # inline comment\n"
+                        "directory = d%x#1\n")
+        cfg = parse_pipeline_config(path)
+        assert cfg.out_dir == Path("runs/50%done")
+        assert cfg.source == "tu" and cfg.tu_directory == Path("d%x#1")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="cannot read"):
             parse_pipeline_config(tmp_path / "nope.ini")
+
+
+class TestReadme:
+    def test_ini_examples_parse(self, tmp_path, monkeypatch):
+        """Every fenced ``ini`` block of the README, verbatim: the grid
+        file, and the pipeline configs with it beside them as grid.txt."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme.read_text(),
+                            re.M | re.S)
+        grids = [b for b in blocks if "[run]" not in b]
+        configs = [b for b in blocks if "[run]" in b]
+        assert len(grids) == 1 and len(configs) == 2
+        monkeypatch.chdir(tmp_path)
+        Path("grid.txt").write_text(grids[0])
+        spec = parse_grid_file("grid.txt")
+        assert spec["mmd"]["nystrom_mult"] == [4.0, 8.0, 16.0]
+        for text in configs:
+            Path("run.ini").write_text(text)
+            cfg = parse_pipeline_config("run.ini")
+            assert cfg.source in text and str(cfg.out_dir) in text
+            assert cfg.grid_spec == (spec if "[grid]" in text
+                                     else DEFAULT_GRID)
 
 
 class TestPickFeatureKind:
@@ -493,6 +551,22 @@ labels = 2
         assert (tmp_path / "out" / "report.txt").exists()
         assert "auc[hits]" in capsys.readouterr().out
 
+    def test_pipeline_percent_paths(self, tmp_path, capsys):
+        # A % in a path is a plain character, never a traceback.
+        grid, ini = tmp_path / "grid.txt", tmp_path / "run.ini"
+        self.write_grid(grid)
+        out = tmp_path / "50%done"
+        head = f"[run]\nout_dir = {out}\n\n[grid]\nfile = {grid}\n\n[data]\n"
+        ini.write_text(head + "n_train = 6\nn_test = 6\nanomaly_rate = 0.2\n"
+                              "nodes = 10\nlabels = 2\n")
+        assert cli.main(["pipeline", "--config", str(ini)]) == 0
+        assert (out / "report.txt").exists()
+        capsys.readouterr()
+        ini.write_text(head + f"source = tu\ndirectory = {tmp_path / 'd%x'}\n")
+        assert cli.main(["pipeline", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "d%x") in err
+
     def test_huge_grid_fails_fast(self, tmp_path, capsys):
         # four 1,000-value keys: 10^12 configs, 19.6 KB of text
         values = ", ".join(str(v) for v in range(1, 1001))
@@ -612,6 +686,27 @@ labels = 2
             assert cli.main(["pipeline", "--config", str(ini)]) == 2, body
             err = capsys.readouterr().err
             assert err.startswith("error:") and str(ini) in err, body
+
+        # Keys, sections and lines outside the INI dialect, or of the other
+        # data source, end in one error line naming the file and the key,
+        # section or line.
+        for body, named in (
+                (run + "worker = 2\n", "[run] worker"),
+                (run + "\n[grid]\nfil = g.ini\n", "[grid] fil"),
+                (run + "\n[selecton]\nmethods = hits\n", "[selecton]"),
+                ("[DEFAULT]\nworkers = 0\n\n" + run, "[DEFAULT]"),
+                (run + "\n[data]\nsource = tu\ndirectory = d\nnodes = 5\n",
+                 "[data] nodes"),
+                (run + "\n[data]\nsource = generate\ndegree_cap = 0\n",
+                 "[data] degree_cap"),
+                ("[run]\nout_dir: x\n", "[line 2]"),
+                (run + "; note\n", "[line 3]"),
+                ("[run]\nOUT_DIR = x\n", "[run] OUT_DIR")):
+            ini.write_text(body)
+            assert cli.main(["pipeline", "--config", str(ini)]) == 2, body
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, body
+            assert str(ini) in err and named in err, body
 
         for flag, bad in (("--ba-m", "0"), ("--anomaly-rate", "1.5"),
                           ("--n-train", "0"), ("--seed", "-1")):
