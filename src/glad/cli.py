@@ -100,6 +100,7 @@ def _read_column(path, name: str, dtype, bad, message: str) -> dict:
         raise FormatError(f"{path}: no data rows")
     gdata.check_rows(path, f"{name} row", [
         (bad(v), lambda r, s: message.format(v[r])),
+        (ids == "", lambda r, s: "blank graph id"),
         (gdata.first_copies(ids)[1],
          lambda r, s: f"duplicate graph id {ids[r]}")], header=True)
     return dict(zip(ids.tolist(), v.tolist()))

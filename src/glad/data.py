@@ -9,10 +9,11 @@ graphs plus database-level annotations (class labels, anomaly flags).
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice, takewhile
+from itertools import accumulate, islice, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -597,36 +598,31 @@ def make_split(db: GraphDatabase, inlier_class: int, anomaly_rate: float,
 def _grow_homophily_ba(n_nodes: int, ba_m: int, homophily: float,
                        n_labels: int, rng):
     labels = rng.integers(0, n_labels, size=n_nodes)
-    degrees = np.zeros(n_nodes, dtype=np.int64)
-    targets = np.empty((n_nodes - ba_m, ba_m), dtype=np.int64)
+    lab, degrees, targets = labels.tolist(), [0] * n_nodes, []
     for s in range(ba_m, n_nodes):
-        existing = np.arange(s)
-        snapshot = degrees[:s].astype(float)
         chosen = []
         for _ in range(ba_m):
             same = rng.random() < homophily
-            mask = (labels[:s] == labels[s]) if same else (labels[:s] != labels[s])
-            mask = mask.copy()
-            mask[chosen] = False
-            pool = existing[mask]
-            if pool.size == 0:
-                avail = np.ones(s, dtype=bool)
-                avail[chosen] = False
-                pool = existing[avail]
-            w = snapshot[pool]
-            total = w.sum()
-            # The draws rng.choice(pool, p=w / total) makes, minus its checks.
+            pool = [t for t in range(s)
+                    if (lab[t] == lab[s]) == same and t not in chosen]
+            if not pool:
+                pool = [t for t in range(s) if t not in chosen]
+            # The draws rng.choice(pool, p=w / total) makes, minus its
+            # checks, in floats as numpy does them: integer degrees sum
+            # exactly in any order, and the cumulative sum is sequential.
+            total = sum(degrees[t] for t in pool)
             if total == 0:
-                t = int(pool[rng.integers(0, pool.size)])
+                t = pool[rng.integers(0, len(pool))]
             else:
-                c = np.cumsum(w / total)
-                t = int(pool[np.searchsorted(c / c[-1], rng.random(), "right")])
+                c = list(accumulate(degrees[t] / total for t in pool))
+                t = pool[bisect_right([x / c[-1] for x in c], rng.random())]
             chosen.append(t)
-        targets[s - ba_m] = chosen
-        degrees[chosen] += 1
+        targets += chosen
+        for t in chosen:
+            degrees[t] += 1
         degrees[s] += ba_m
     # Every target is an earlier node, so each edge is (target, s), u < v.
-    return labels, _edge_array(targets.ravel(),
+    return labels, _edge_array(targets,
                                np.repeat(np.arange(ba_m, n_nodes), ba_m))
 
 

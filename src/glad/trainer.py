@@ -392,19 +392,25 @@ def _train_and_score(train_db, test_db, config, base_seed):
         return None, str(exc)
 
 
-_worker_inputs = None  # (train_db, test_db, base_seed) in a run_grid worker
-# run_grid imports it on first use: it is a third of glad's import time.
-ProcessPoolExecutor = None
+_worker_inputs = ()  # run_grid's shared inputs, in a worker process
 
 
-def _init_worker(train_db, test_db, base_seed):
+def _init_worker(*inputs):
     global _worker_inputs
-    _worker_inputs = (train_db, test_db, base_seed)
+    _worker_inputs = inputs
 
 
-def _train_and_score_in_worker(config):
-    train_db, test_db, base_seed = _worker_inputs
-    return _train_and_score(train_db, test_db, config, base_seed)
+def _train_share(*inputs):
+    """``{index: result}`` of the configs this process trains, each the
+    next one by the shared counter; inputs default to the worker's."""
+    train_db, test_db, configs, base_seed, counter = inputs or _worker_inputs
+    done = {}
+    while True:
+        with counter.get_lock():
+            i, counter.value = counter.value, counter.value + 1
+        if i >= len(configs):
+            return done
+        done[i] = _train_and_score(train_db, test_db, configs[i], base_seed)
 
 
 def run_grid(train_db: GraphDatabase, test_db: GraphDatabase, configs,
@@ -414,25 +420,34 @@ def run_grid(train_db: GraphDatabase, test_db: GraphDatabase, configs,
     Candidates whose training diverges or whose test scores are not
     finite are dropped and recorded in ``pool.dropped``; if all are,
     GladError names the first.  Model ids follow grid order and stay
-    stable in the presence of drops.  With ``workers > 1`` candidates
-    train in ``min(workers, len(configs))`` separate processes, which
-    receive both databases once at start-up and then one config per
-    task; results are identical to the serial path.
+    stable in the presence of drops.  With ``workers > 1``, ``k =
+    min(workers, len(configs))`` processes in total, this one included,
+    each train the next config by a shared counter; the ``k - 1`` workers
+    get both databases and the configs once at start-up.  Results are
+    identical to the serial path; a worker that dies raises GladError.
     """
     if workers < 1 or not configs:
         raise ValueError(f"need workers >= 1 and a config, got workers "
                          f"{workers}, {len(configs)} configs")
     workers = min(workers, len(configs))
     if workers > 1:
-        global ProcessPoolExecutor
-        if ProcessPoolExecutor is None:
-            from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_worker,
-                                 initargs=(train_db, test_db,
-                                           base_seed)) as pool:
-            results = list(pool.map(_train_and_score_in_worker, configs,
-                                    chunksize=1))
+        # Imported here: they are a third of glad's import time.
+        from concurrent.futures.process import (BrokenProcessPool,
+                                                ProcessPoolExecutor)
+        from multiprocessing import Value
+        shared = (train_db, test_db, configs, base_seed, Value("q", 0))
+        with ProcessPoolExecutor(workers - 1, initializer=_init_worker,
+                                 initargs=shared) as pool:
+            futures = [pool.submit(_train_share) for _ in range(workers - 1)]
+            try:
+                done = _train_share(*shared)
+                for f in futures:
+                    done.update(f.result())
+            except BrokenProcessPool as exc:
+                raise GladError(f"a worker process died: {exc}") from None
+            finally:  # on an error here, workers stop after their candidate
+                shared[-1].value = len(configs)
+        results = [done[i] for i in range(len(configs))]
     else:
         results = [_train_and_score(train_db, test_db, cfg, base_seed)
                    for cfg in configs]

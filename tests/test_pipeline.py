@@ -1,6 +1,7 @@
 """Orchestration: benchmark generation, config files, full runs, CLI."""
 
 import functools
+import os
 import re
 import time
 from pathlib import Path
@@ -617,6 +618,52 @@ labels = 2
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {scores}:3: bad score row: non-finite value -inf")
+        # A blank id (after strip) is refused, not matched to a flag.
+        scores.write_text("graph_id,score\n,0.5\n2,0.7\n")
+        flags.write_text("graph_id,flag\n,1\n2,0\n")
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {scores}:2: bad score row: blank graph id")
+        scores.write_text("graph_id,score\n1,0.5\n2,0.7\n")
+        flags.write_text("graph_id,flag\n1,1\n \t,0\n")
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {flags}:3: bad flag row: blank graph id")
+
+    def test_dead_worker_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A worker that dies mid-grid ends both commands in one error line.
+        import glad.trainer as gt
+        data, grid = tmp_path / "data", tmp_path / "grid.txt"
+        assert cli.main(["generate", "--out", str(data), "--n-train", "6",
+                         "--n-test", "6", "--nodes", "10"]) == 0
+        self.write_grid(grid)
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nout_dir = {tmp_path / 'out'}\nworkers = 2\n"
+                       f"\n[grid]\nfile = {grid}\n\n[data]\nn_train = 6\n"
+                       f"n_test = 6\nnodes = 10\n")
+        fit, parent, died = gt._train_and_score, os.getpid(), tmp_path / "d"
+
+        def die_in_worker(*args):
+            # This process waits for the worker to take a candidate and die.
+            if os.getpid() != parent:
+                died.touch()
+                os._exit(3)
+            deadline = time.monotonic() + 60
+            while not died.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return fit(*args)
+
+        monkeypatch.setattr(gt, "_train_and_score", die_in_worker)
+        capsys.readouterr()
+        for argv in (["train", "--data", str(data), "--grid", str(grid),
+                      "--out", str(tmp_path / "pool"), "--workers", "2"],
+                     ["pipeline", "--config", str(ini)]):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: a worker process died"), err
+            assert err.count("\n") == 1, err
+            died.unlink()
+        assert not (tmp_path / "pool").exists()
 
     def test_domain_errors_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nothing"

@@ -1,6 +1,7 @@
 """One-class objective, gradients, training loop, grids, pool files."""
 
 import math
+import os
 import tracemalloc
 from dataclasses import astuple, replace
 from itertools import product
@@ -568,20 +569,37 @@ class TestRunGrid:
         parallel = run_grid(train, test, configs, workers=2, base_seed=3)
         np.testing.assert_array_equal(serial.scores, parallel.scores)
 
-    def test_workers_drop_as_serial(self, bench):
-        # A diverging candidate is dropped inside its worker; only the
-        # reason crosses the process boundary.
+    def test_workers_drop_as_serial(self, bench, monkeypatch, tmp_path):
+        # A diverging candidate is dropped inside whichever process trains
+        # it; only the reason crosses the process boundary.  Each process
+        # appends its pid per candidate: this one is one of the k trainers.
+        import glad.trainer as gt
         train, test = bench
         configs = expand_grid(SMALL_GRID, len(train))
         bad = ModelConfig(pooling="mean", layers=2, lr=1e9, seed=0,
                           epochs=5, d_hidden=8)
         configs = [configs[0], bad, configs[2]]
         serial = run_grid(train, test, configs, workers=1, base_seed=3)
-        parallel = run_grid(train, test, configs, workers=2, base_seed=3)
-        assert parallel.model_ids == serial.model_ids == ["m000", "m002"]
-        assert parallel.dropped == serial.dropped
+        assert serial.model_ids == ["m000", "m002"]
         assert serial.dropped[0][1].startswith("non-finite loss in epoch")
-        np.testing.assert_array_equal(serial.scores, parallel.scores)
+        calls, fit = tmp_path / "calls.txt", gt._train_and_score
+
+        def counted(*args):
+            with open(calls, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return fit(*args)
+
+        monkeypatch.setattr(gt, "_train_and_score", counted)
+        for workers in (2, 3):
+            calls.write_text("")
+            parallel = run_grid(train, test, configs, workers=workers,
+                                base_seed=3)
+            pids = calls.read_text().split()
+            assert len(pids) == len(configs) and len(set(pids)) <= workers
+            assert str(os.getpid()) in pids
+            assert parallel.model_ids == serial.model_ids
+            assert parallel.dropped == serial.dropped
+            assert parallel.scores.tobytes() == serial.scores.tobytes()
 
     def test_failed_last_refit_drops_its_candidate(self, bench, monkeypatch):
         # The refit after the last epoch (the scoring snapshot) fails for
@@ -605,9 +623,34 @@ class TestRunGrid:
         assert pool.dropped == [("m001", f"refresh failed in epoch "
                                          f"{mmd.epochs}: eigh did not converge")]
 
+    def test_calling_process_error_propagates(self, bench, monkeypatch,
+                                              tmp_path):
+        # Not a divergence: the error leaves run_grid, and the pushed
+        # counter stops the worker after at most its current candidate.
+        import glad.trainer as gt
+        train, test = bench
+        configs = expand_grid({**SMALL_GRID, "mean": {
+            **SMALL_GRID["mean"], "seed": list(range(6))}}, len(train))
+        calls, fit, parent = tmp_path / "calls.txt", gt._train_and_score, \
+            os.getpid()
+
+        def failing(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("out of disk")
+            with open(calls, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return fit(*args)
+
+        monkeypatch.setattr(gt, "_train_and_score", failing)
+        calls.write_text("")
+        with pytest.raises(RuntimeError, match="out of disk"):
+            run_grid(train, test, configs, workers=2, base_seed=3)
+        assert len(calls.read_text().split()) <= 1
+
     def test_worker_count_capped_at_config_count(self, bench, monkeypatch):
         # A recorder stands in for the executor and runs the tasks in this
         # process, so no worker process is ever started.
+        from concurrent.futures import Future
         train, test = bench
         configs = expand_grid(SMALL_GRID, len(train))
         started = []
@@ -623,21 +666,24 @@ class TestRunGrid:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def submit(self, fn):
+                future = Future()
+                future.set_result(fn())
+                return future
 
-        monkeypatch.setattr("glad.trainer.ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr("glad.trainer._worker_inputs", None)
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor",
+                            Recorder)
+        monkeypatch.setattr("glad.trainer._worker_inputs", ())
         capped = run_grid(train, test, configs, workers=1000, base_seed=3)
-        assert started == [len(configs)]
+        assert started == [len(configs) - 1]  # this process is the last
         serial = run_grid(train, test, configs, workers=1, base_seed=3)
         np.testing.assert_array_equal(capped.scores, serial.scores)
         run_grid(train, test, configs[:1], workers=4, base_seed=3)
-        assert started == [len(configs)]  # one config runs serially
+        assert started == [len(configs) - 1]  # one config runs serially
         for bad in (0, -3):
             with pytest.raises(ValueError, match="workers"):
                 run_grid(train, test, configs, workers=bad)
-        assert started == [len(configs)]
+        assert started == [len(configs) - 1]
 
 
 class TestPoolFiles:
