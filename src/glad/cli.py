@@ -40,9 +40,14 @@ def _cmd_generate(args) -> int:
 
 
 def _load_split_dir(data_dir: Path):
-    """The ``train/`` and ``test/`` datasets under ``data_dir``, with the
-    feature kind both carry (labels over one alphabet)."""
+    """``data_dir``'s ``train/`` (flagging no graph) and ``test/`` datasets,
+    with the feature kind both carry (labels over one alphabet)."""
     train = gdata.load_tu_dataset(data_dir / "train")
+    if train.anomaly_flags is not None:
+        name = gdata.dataset_name(data_dir / "train")
+        gdata.check_rows(
+            data_dir / "train" / f"{name}_anomaly_flags.txt", "anomaly flag",
+            [(train.anomaly_flags, lambda r, s: "1 in a training split")])
     test = gdata.load_tu_dataset(data_dir / "test")
     kind = gpipe.pick_feature_kind(train, test)
     alphabet = None

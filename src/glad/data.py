@@ -164,15 +164,13 @@ class GraphDatabase:
 
     ``class_labels`` are raw per-graph classification labels (used to pick
     the inlier class for one-class splits).  ``anomaly_flags`` are boolean
-    ground-truth markers reserved for evaluation; training databases must
-    not carry a True flag.
+    ground-truth markers reserved for evaluation; a training split must
+    not flag a graph, which ``glad train`` checks where it reads one.
     """
 
     graphs: tuple
-    feature_kind: str | None = None
     class_labels: np.ndarray | None = None
     anomaly_flags: np.ndarray | None = None
-    split_tag: str | None = None
 
     def __post_init__(self):
         for name in ("class_labels", "anomaly_flags"):
@@ -186,9 +184,6 @@ class GraphDatabase:
         dims = {g.d_in for g in self.graphs}
         if len(dims) > 1:
             raise ValueError(f"inconsistent feature widths: {sorted(map(str, dims))}")
-        if self.split_tag == "train" and self.anomaly_flags is not None \
-                and bool(np.any(self.anomaly_flags)):
-            raise ValueError("training database carries anomaly flags")
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -496,7 +491,7 @@ def derive_features(db: GraphDatabase, kind: str,
         raise ValueError(f"unknown feature kind {kind!r}, "
                          f"expected one of {FEATURE_KINDS}")
     if not db.graphs:
-        return replace(db, feature_kind=kind)
+        return db
     if kind == "attributes":
         if any(g.node_attributes is None for g in db.graphs):
             raise ValueError("attributes kind requires node attributes")
@@ -524,7 +519,7 @@ def derive_features(db: GraphDatabase, kind: str,
         one_hot[np.arange(slot.size), slot] = 1.0
         ends = np.cumsum([g.node_count for g in db.graphs]).tolist()
         feats = [one_hot[e - g.node_count:e] for g, e in zip(db.graphs, ends)]
-    return replace(db, feature_kind=kind, graphs=tuple(
+    return replace(db, graphs=tuple(
         _prechecked(vars(g) | {"features": f}) for g, f in zip(db.graphs, feats)))
 
 
@@ -580,14 +575,9 @@ def make_split(db: GraphDatabase, inlier_class: int, anomaly_rate: float,
         return tuple(db.graphs[i] for i in idx)
 
     train_db = GraphDatabase(graphs=take(train_idx),
-                             feature_kind=db.feature_kind,
-                             class_labels=labels[train_idx],
-                             split_tag="train")
+                             class_labels=labels[train_idx])
     test_db = GraphDatabase(graphs=take(test_idx),
-                            feature_kind=db.feature_kind,
-                            class_labels=labels[test_idx],
-                            anomaly_flags=flags,
-                            split_tag="test")
+                            class_labels=labels[test_idx], anomaly_flags=flags)
     return train_db, test_db
 
 

@@ -49,6 +49,7 @@ class BenchmarkParams:
     homophily_out: float = 0.3
 
     def __post_init__(self):
+        gtrain.check_int64(self)
         if not 0 < self.anomaly_rate < 1:
             raise ValueError(f"anomaly_rate {self.anomaly_rate} outside (0, 1)")
         if min(self.n_train, self.n_test) < 1:
@@ -113,12 +114,10 @@ def generate_benchmark(params: BenchmarkParams, master_seed: int):
     flags = flags[order]
 
     alphabet = list(range(p.labels))
-    train_db = gdata.derive_features(
-        gdata.GraphDatabase(graphs=train.graphs, split_tag="train"),
-        "one_hot_label", label_alphabet=alphabet)
+    train_db = gdata.derive_features(train, "one_hot_label",
+                                     label_alphabet=alphabet)
     test_db = gdata.derive_features(
-        gdata.GraphDatabase(graphs=tuple(graphs), anomaly_flags=flags,
-                            split_tag="test"),
+        gdata.GraphDatabase(graphs=tuple(graphs), anomaly_flags=flags),
         "one_hot_label", label_alphabet=alphabet)
     return train_db, test_db
 
@@ -206,10 +205,10 @@ def parse_pipeline_config(path) -> PipelineConfig:
     """Read a pipeline configuration file (the :func:`_read_ini` dialect).
 
     A malformed file or value raises FormatError naming the file and the
-    key.  Integers (counts, seeds, class ids) must be non-negative;
-    ``workers`` and ``degree_cap`` must be at least 1.  A ``[grid] file``
-    is parsed here (:func:`parse_grid_file`); without one the default
-    grid is used.
+    key.  Integers (counts, seeds, class ids) must be non-negative and
+    below 2**63; ``workers`` and ``degree_cap`` must be at least 1.  A
+    ``[grid] file`` is parsed here (:func:`parse_grid_file`); without one
+    the default grid is used.
     """
     sources = {"generate": tuple(f.name for f in fields(BenchmarkParams)),
                "tu": ("directory", "feature_kind", "degree_cap",
@@ -236,7 +235,7 @@ def parse_pipeline_config(path) -> PipelineConfig:
             v = type(default)(raw)
         except ValueError:
             v = None
-        if v is None or (type(v) is int and v < low):
+        if v is None or (type(v) is int and not low <= v < 2**63):
             raise FormatError(f"{path}: bad value for [{section}] {key}: "
                               f"{raw!r}")
         return v

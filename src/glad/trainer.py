@@ -42,6 +42,14 @@ DEFAULT_GRID = {
 }
 
 
+def check_int64(obj) -> None:
+    """Refuse an integer field of dataclass ``obj`` that int64 cannot hold."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, int) and v >= 2**63:
+            raise ValueError(f"{f.name} must be below 2**63, got {v}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters of one candidate."""
@@ -57,6 +65,7 @@ class ModelConfig:
     d_hidden: int = 64
 
     def __post_init__(self):
+        check_int64(self)
         if self.pooling not in POOLINGS:
             raise ValueError(f"pooling must be one of {POOLINGS}, "
                              f"got {self.pooling!r}")
@@ -436,17 +445,23 @@ def run_grid(train_db: GraphDatabase, test_db: GraphDatabase, configs,
                                                 ProcessPoolExecutor)
         from multiprocessing import Value
         shared = (train_db, test_db, configs, base_seed, Value("q", 0))
+
+        def stop(_):  # every process stops after its current candidate
+            shared[-1].value = len(configs)
+
         with ProcessPoolExecutor(workers - 1, initializer=_init_worker,
                                  initargs=shared) as pool:
             futures = [pool.submit(_train_share) for _ in range(workers - 1)]
+            for f in futures:  # a worker ends normally only past the end
+                f.add_done_callback(stop)
             try:
                 done = _train_share(*shared)
                 for f in futures:
                     done.update(f.result())
             except BrokenProcessPool as exc:
                 raise GladError(f"a worker process died: {exc}") from None
-            finally:  # on an error here, workers stop after their candidate
-                shared[-1].value = len(configs)
+            finally:  # an error here stops the workers
+                stop(None)
         results = [done[i] for i in range(len(configs))]
     else:
         results = [_train_and_score(train_db, test_db, cfg, base_seed)
@@ -593,8 +608,9 @@ def save_pool(pool: CandidatePool, directory) -> None:
 def load_pool(directory) -> CandidatePool:
     """Read a pool written by :func:`save_pool`.
 
-    Raises FormatError on header mismatches, unknown or duplicated model
-    ids, or malformed or non-finite numbers; messages carry line numbers.
+    Raises FormatError on header mismatches, no models, unknown or
+    duplicated model ids, or malformed or non-finite numbers; messages
+    carry line numbers.
     """
     directory = Path(directory)
     cfg_path = directory / "pool_configs.csv"
@@ -621,6 +637,8 @@ def load_pool(directory) -> CandidatePool:
         if mid in configs:
             raise FormatError(f"{cfg_path}:{ln}: duplicate model id {mid}")
         configs[mid] = cfg
+    if not configs:
+        raise FormatError(f"{cfg_path}: no model rows")
 
     ln, head = first_row(score_path)
     if not head.startswith("model_id,"):

@@ -241,12 +241,10 @@ def planted_distribution_benchmark():
         return [paired_graph(offset + i, vals, rng.uniform(0.9, 1.1))
                 for i in range(n)]
 
-    train = GraphDatabase(graphs=tuple(build(60, INLIER_VALS, 0)),
-                          feature_kind="attributes", split_tag="train")
+    train = GraphDatabase(graphs=tuple(build(60, INLIER_VALS, 0)))
     graphs = build(45, INLIER_VALS, 100) + build(5, ANOM_VALS, 200)
     flags = np.array([False] * 45 + [True] * 5)
-    test = GraphDatabase(graphs=tuple(graphs), anomaly_flags=flags,
-                         feature_kind="attributes", split_tag="test")
+    test = GraphDatabase(graphs=tuple(graphs), anomaly_flags=flags)
     return train, test, flags
 
 

@@ -495,7 +495,7 @@ class TestDeriveFeatures:
         # alphabet sorted: 3 -> slot 0, 7 -> slot 1
         np.testing.assert_array_equal(db.graphs[0].features,
                                       [[0, 1], [1, 0], [0, 1]])
-        assert db.d_in == 2 and db.feature_kind == "one_hot_label"
+        assert db.d_in == 2
 
     def test_one_hot_label_external_alphabet(self):
         g = Graph(graph_id=0, node_count=1, edges=(),
@@ -520,7 +520,7 @@ class TestDeriveFeatures:
             derive_features(db, "one_hot_label", label_alphabet=[0, 1, 2])
         for kind in ("one_hot_label", "attributes", "one_hot_degree"):
             empty = derive_features(GraphDatabase(graphs=()), kind)
-            assert len(empty) == 0 and empty.feature_kind == kind
+            assert len(empty) == 0 and empty.d_in is None
 
     def test_attributes_passthrough(self):
         g = tri(node_attributes=np.array([[1.0], [2.0], [3.0], [4.0]]))
@@ -564,8 +564,8 @@ class TestMakeSplit:
         assert len(train) == 5
         assert len(test) == 100
         assert int(np.sum(test.anomaly_flags)) == 5
-        assert train.anomaly_flags is None and train.split_tag == "train"
-        assert test.split_tag == "test"
+        assert train.anomaly_flags is None and not train.class_labels.any()
+        assert len(test.anomaly_flags) == len(test)
 
     def test_disjoint_ids_and_inlier_purity(self):
         db = self.build()

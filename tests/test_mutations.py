@@ -1,15 +1,11 @@
 """Seeded mutation test of the CLI's input contract.
 
-Five inputs (a generated TU split, a grid file, a pool, an ``evaluate``
-pair and a pipeline config) are each mutated line by line from a fixed
-seed and fed to ``cli.main`` in-process under a per-call time limit.
+Five inputs (a generated TU split, a grid file, a pool, read by two
+selection methods, an ``evaluate`` pair and a pipeline config) are each
+mutated line by line from a fixed seed and fed to ``cli.main``
+in-process under a per-call time limit.
 Every call must exit 0, or exit 2 with one ``error:`` line; an exception
 or a call past the limit fails the test.
-
-A 20-digit integer goes into every key but the sizes in ``SIZE_KEYS``.
-There it passes every check today and then ends in numpy's ValueError
-(``d_hidden``, ``nodes``, ``labels``) or runs without bound (``layers``,
-``epochs``, ``n_train``, ``n_test``): an open item of ROADMAP.md.
 """
 
 import signal
@@ -27,9 +23,9 @@ LIMIT_S = 10.0      # per cli.main call; a clean call takes well under 1 s
 HUGE = "99999999999999999999"
 VALUES = ("nan", "inf", "1e400", "-1", "0", HUGE, "1_0", "", " ",
           ", ".join(["1"] * 20_001))  # past MAX_CONFIGS on any grid key
-SIZE_KEYS = {"layers", "epochs", "d_hidden", "n_train", "n_test", "nodes",
-             "labels"}
-LINE_KINDS = ("delete", "duplicate", "truncate", "extra", "byte",
+# "empty" keeps only the first line (a CSV's header) of every file of
+# an input at once, so the pool is left with no models.
+LINE_KINDS = ("delete", "duplicate", "truncate", "extra", "byte", "empty",
               *(("value", v) for v in VALUES))
 INI_KINDS = LINE_KINDS + ("percent", "colon", "semicolon", "default",
                           "misspell", "upper")
@@ -101,10 +97,10 @@ def mutate(data: bytes, kind, rng, ini: bool) -> bytes:
         lines.insert(i, line)
     elif kind == "truncate":
         lines[i] = line[:int(rng.integers(len(line) + 1))]
+    elif kind == "empty":
+        del lines[1:]
     elif value is not None:
         fields = rest.split(",")
-        if value == HUGE and key.strip() in SIZE_KEYS:
-            value = "1_0"
         fields[int(rng.integers(len(fields)))] = value
         lines[i] = key + eq + ",".join(fields)
     elif kind == "extra":
@@ -155,9 +151,9 @@ def inputs(tmp_path_factory):
     return root, [
         (split, train, False),
         (["grid.txt"], train, True),
-        (["pool/pool_configs.csv", "pool/pool_scores.csv"],
-         ["select", "--pool", "pool", "--method", "udr", "--out", "s.csv"],
-         False),
+        *((["pool/pool_configs.csv", "pool/pool_scores.csv"],
+           ["select", "--pool", "pool", "--method", method, "--out", "s.csv"],
+           False) for method in ("udr", "hits")),
         (["scores.csv", "flags.csv"],
          ["evaluate", "--scores", "scores.csv", "--flags", "flags.csv",
           "--out", "e.txt"], False),
@@ -178,22 +174,27 @@ def test_mutated_inputs_exit_0_or_2(inputs, monkeypatch, capsys):
         for files, argv, ini in cases:
             for kind in (INI_KINDS if ini else LINE_KINDS) * ROUNDS:
                 target = root / files[int(rng.integers(len(files)))]
-                clean = target.read_bytes()
-                text = mutate(clean, kind, rng, ini)
-                target.write_bytes(text)
+                targets = ([root / f for f in files] if kind == "empty"
+                           else [target])
+                names = ", ".join(t.name for t in targets)
+                clean = [t.read_bytes() for t in targets]
+                for t, data in zip(targets, clean):
+                    text = mutate(data, kind, rng, ini)
+                    t.write_bytes(text)
                 signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
                 try:
                     code = cli.main(argv)
                 except Exception as exc:
                     raise AssertionError(
-                        f"{argv[0]} on mutated {target.name}: {exc!r}\n"
+                        f"{argv[0]} on mutated {names}: {exc!r}\n"
                         f"{text[:400]!r}") from exc
                 finally:
                     signal.setitimer(signal.ITIMER_REAL, 0)
-                    target.write_bytes(clean)
+                    for t, data in zip(targets, clean):
+                        t.write_bytes(data)
                 err = capsys.readouterr().err
                 assert code == 0 or (code == 2 and err.startswith("error:")
                                      and err.count("\n") == 1), \
-                    (argv[0], target.name, code, err, text[:400])
+                    (argv[0], names, code, err, text[:400])
     finally:
         signal.signal(signal.SIGALRM, old)

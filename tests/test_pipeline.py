@@ -4,6 +4,7 @@ import functools
 import os
 import re
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 
 from glad import cli
 from glad import selection as gsel
-from glad.data import Graph, GraphDatabase, load_tu_dataset
+from glad.data import (DEFAULT_DEGREE_CAP, Graph, GraphDatabase,
+                       derive_features, load_tu_dataset)
 from glad.errors import FormatError
 from glad.pipeline import (BenchmarkParams, PipelineConfig,
                            evaluate_pool, generate_benchmark,
@@ -49,7 +51,7 @@ class TestGenerateBenchmark:
         assert int(test.anomaly_flags.sum()) == 2  # round(0.25 * 8)
         assert train.anomaly_flags is None
         assert train.d_in == 2 and test.d_in == 2
-        assert train.split_tag == "train" and test.split_tag == "test"
+        assert train.class_labels is None and test.class_labels is None
 
     def test_anomalies_are_low_homophily_graphs(self):
         def frac(g):
@@ -506,11 +508,73 @@ class TestCli:
         self.generate_split(data)
         (data / "test" / "synthetic_node_labels.txt").unlink()
         train, test = cli._load_split_dir(data)
-        assert train.feature_kind == test.feature_kind == "one_hot_degree"
+        assert train.d_in == test.d_in == DEFAULT_DEGREE_CAP + 1
+        degrees = derive_features(load_tu_dataset(data / "train"),
+                                  "one_hot_degree")
+        for g, h in zip(train.graphs, degrees.graphs):
+            np.testing.assert_array_equal(g.features, h.features)
         self.write_grid(grid)
         assert cli.main(["train", "--data", str(data), "--grid", str(grid),
                          "--out", str(tmp_path / "pool")]) == 0
         assert "trained 2 of 2 candidates" in capsys.readouterr().out
+
+    def test_flagged_training_graph_exits_2(self, tmp_path, capsys):
+        # train/ is the clean split: a flag of 1 there is refused with
+        # its file and line, and a file of zeros trains.
+        data, grid = tmp_path / "data", tmp_path / "grid.txt"
+        self.generate_split(data)
+        self.write_grid(grid)
+        flags = data / "train" / "synthetic_anomaly_flags.txt"
+        train = ["train", "--data", str(data), "--grid", str(grid),
+                 "--out", str(tmp_path / "pool")]
+        flags.write_text("0\n0\n0\n1\n0\n0\n")
+        assert cli.main(train) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flags}:4: bad anomaly flag: 1 in a training split\n")
+        assert not (tmp_path / "pool").exists()
+        flags.write_text("0\n" * 6)
+        assert cli.main(train) == 0
+        assert "trained 2 of 2 candidates" in capsys.readouterr().out
+
+    def test_sizes_past_int64_exit_2(self, tmp_path, capsys):
+        # A 20-digit integer is refused where each input is read, before
+        # numpy sizes an array or a loop by it.
+        huge = "99999999999999999999"
+        data, grid = tmp_path / "data", tmp_path / "grid.txt"
+        self.generate_split(data)
+        grid.write_text(f"[mean]\nepochs = 2\nd_hidden = {huge}\n")
+        ini, tu = tmp_path / "run.ini", tmp_path / "tu.ini"
+        ini.write_text(f"[run]\nout_dir = {tmp_path / 'out'}\n\n[data]\n"
+                       f"n_train = {huge}\n")
+        tu.write_text(f"[run]\nout_dir = {tmp_path / 'out'}\n\n[data]\n"
+                      f"source = tu\ndirectory = {data / 'test'}\n"
+                      f"feature_kind = one_hot_degree\ndegree_cap = {huge}\n")
+        pool = tmp_path / "pool"
+        self.write_grid(tmp_path / "small.txt")
+        assert cli.main(["train", "--data", str(data), "--grid",
+                         str(tmp_path / "small.txt"), "--out", str(pool)]) == 0
+        configs = pool / "pool_configs.csv"
+        head, row, rest = configs.read_text().split("\n", 2)
+        configs.write_text(f"{head}\n{row.replace('mean,1,', f'mean,{huge},', 1)}"
+                           f"\n{rest}")
+        capsys.readouterr()
+        for argv, named in (
+                (["train", "--data", str(data), "--grid", str(grid), "--out",
+                  str(tmp_path / "o")], f"{grid}: d_hidden must be below"),
+                (["generate", "--out", str(tmp_path / "g"), "--nodes", huge],
+                 "bad generate option: nodes must be below"),
+                (["pipeline", "--config", str(ini)],
+                 f"{ini}: bad value for [data] n_train: '{huge}'"),
+                (["pipeline", "--config", str(tu)],
+                 f"{tu}: bad value for [data] degree_cap: '{huge}'"),
+                (["select", "--pool", str(pool), "--method", "udr", "--out",
+                  str(tmp_path / "s.csv")], f"{configs}:2: bad config row: "
+                                            f"layers must be below")):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "g").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_pipeline_kind_the_data_lacks_exits_2(self, tmp_path, capsys):
         data, ini = tmp_path / "data", tmp_path / "run.ini"
@@ -670,6 +734,17 @@ labels = 2
         assert cli.main(["select", "--pool", str(missing), "--method",
                          "hits", "--out", str(tmp_path / "s.csv")]) == 2
         assert "error:" in capsys.readouterr().err
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "pool_configs.csv").write_text(
+            "model_id," + ",".join(f.name for f in fields(ModelConfig)) + "\n")
+        (empty / "pool_scores.csv").write_text("model_id,1,2\n")
+        for method in ("hits", "hits-ens"):
+            assert cli.main(["select", "--pool", str(empty), "--method",
+                             method, "--out", str(tmp_path / "s.csv")]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {empty / 'pool_configs.csv'}: no model rows\n")
+        assert not (tmp_path / "s.csv").exists()
 
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n1,2\n")

@@ -2,6 +2,7 @@
 
 import math
 import os
+import time
 import tracemalloc
 from dataclasses import astuple, replace
 from itertools import product
@@ -38,8 +39,7 @@ def bench():
     test_out = generate_mixhop(4, 20, 2, 0.2, 3, seed=3, id_offset=46)
     from glad.data import GraphDatabase
     test = GraphDatabase(graphs=test_in.graphs + test_out.graphs,
-                         anomaly_flags=np.array([False] * 16 + [True] * 4),
-                         split_tag="test")
+                         anomaly_flags=np.array([False] * 16 + [True] * 4))
     return train, derive_features(test, "one_hot_label",
                                   label_alphabet=[0, 1, 2])
 
@@ -553,7 +553,7 @@ class TestRunGrid:
         huge = GraphDatabase(
             graphs=tuple(replace(g, features=g.features * 1e200)
                          for g in test.graphs),
-            anomaly_flags=test.anomaly_flags, split_tag="test")
+            anomaly_flags=test.anomaly_flags)
         configs = expand_grid(SMALL_GRID, len(train))
         with np.errstate(over="ignore", invalid="ignore"):
             pool = run_grid(train, huge, configs, base_seed=3)
@@ -646,6 +646,36 @@ class TestRunGrid:
         with pytest.raises(RuntimeError, match="out of disk"):
             run_grid(train, test, configs, workers=2, base_seed=3)
         assert len(calls.read_text().split()) <= 1
+
+    def test_dead_worker_stops_the_grid(self, bench, monkeypatch, tmp_path):
+        # The worker dies at its first candidate while this process holds
+        # its own; the dead worker's future pushes the counter past the
+        # end, so this process stops instead of training the rest.
+        import glad.trainer as gt
+        train, test = bench
+        configs = expand_grid({"common": SMALL_GRID["common"], "mean": {
+            **SMALL_GRID["mean"], "seed": list(range(12))}}, len(train))
+        calls, died = tmp_path / "calls.txt", tmp_path / "died"
+        fit, parent = gt._train_and_score, os.getpid()
+
+        def dying(*args):
+            if os.getpid() != parent:
+                died.touch()
+                os._exit(3)
+            with open(calls, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            deadline = time.monotonic() + 10
+            while not died.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # time for the executor to see the exit
+            return fit(*args)
+
+        monkeypatch.setattr(gt, "_train_and_score", dying)
+        calls.write_text("")
+        with pytest.raises(GladError, match="a worker process died"):
+            run_grid(train, test, configs, workers=2, base_seed=3)
+        assert died.exists() and len(configs) == 12
+        assert len(calls.read_text().split()) <= 2
 
     def test_worker_count_capped_at_config_count(self, bench, monkeypatch):
         # A recorder stands in for the executor and runs the tasks in this
@@ -794,6 +824,10 @@ class TestPoolFiles:
         scores.write_text("\n".join(good.splitlines()[:2]) + "\n")
         with pytest.raises(FormatError, match="no scores for m001"):
             load_pool(tmp_path)
+        cfgs.write_text(orig.splitlines()[0] + "\n")
+        scores.write_text(good.splitlines()[0] + "\n")
+        with pytest.raises(FormatError, match="pool_configs.csv: no model rows"):
+            load_pool(tmp_path)
 
 
     def test_pool_files_round_trip_byte_for_byte(self, tmp_path):
@@ -846,13 +880,11 @@ class TestPlantedOutliers:
                          features=feats)
 
         train = GraphDatabase(
-            graphs=tuple(cluster_graph(i) for i in range(12)),
-            feature_kind="attributes", split_tag="train")
+            graphs=tuple(cluster_graph(i) for i in range(12)))
         test_graphs = [cluster_graph(100 + i) for i in range(8)]
         test_graphs += [cluster_graph(200 + i, shift=10.0) for i in range(3)]
         flags = np.array([False] * 8 + [True] * 3)
-        test = GraphDatabase(graphs=tuple(test_graphs), anomaly_flags=flags,
-                             feature_kind="attributes", split_tag="test")
+        test = GraphDatabase(graphs=tuple(test_graphs), anomaly_flags=flags)
 
         for layers in (1, 2):
             cfg = ModelConfig(pooling="mean", layers=layers, lr=1e-3,
