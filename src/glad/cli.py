@@ -41,22 +41,17 @@ def _cmd_generate(args) -> int:
 
 def _load_split_dir(data_dir: Path):
     """``data_dir``'s ``train/`` (flagging no graph) and ``test/`` datasets,
-    with the feature kind both carry (labels over one alphabet)."""
+    featurized alike (:func:`glad.data.featurize`)."""
     train = gdata.load_tu_dataset(data_dir / "train")
     if train.anomaly_flags is not None:
         name = gdata.dataset_name(data_dir / "train")
         gdata.check_rows(
             data_dir / "train" / f"{name}_anomaly_flags.txt", "anomaly flag",
             [(train.anomaly_flags, lambda r, s: "1 in a training split")])
-    test = gdata.load_tu_dataset(data_dir / "test")
-    kind = gpipe.pick_feature_kind(train, test)
-    alphabet = None
-    if kind == "one_hot_label":
-        alphabet = gdata.node_label_alphabet(train, test)
-    train = gdata.derive_features(train, kind, label_alphabet=alphabet)
-    test = gdata.derive_features(test, kind, label_alphabet=alphabet)
-    if train.d_in != test.d_in:
-        raise FormatError(f"{data_dir}: {kind} features are {train.d_in} "
+    train, test = gdata.featurize([train,
+                                   gdata.load_tu_dataset(data_dir / "test")])
+    if train.d_in != test.d_in:  # labels share an alphabet, degrees a cap
+        raise FormatError(f"{data_dir}: attributes features are {train.d_in} "
                           f"wide in train/ but {test.d_in} in test/")
     return train, test
 
@@ -187,7 +182,7 @@ def main(argv=None) -> int:
         if getattr(args, "workers", 1) < 1:
             raise FormatError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
-    except (GladError, OSError) as exc:
+    except (GladError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -470,13 +470,6 @@ def write_tu_dataset(db: GraphDatabase, directory, name: str) -> None:
 # Feature derivation
 # ---------------------------------------------------------------------------
 
-def node_label_alphabet(*dbs) -> np.ndarray:
-    """The sorted distinct node labels of the given databases."""
-    labels = np.concatenate([g.node_labels for db in dbs for g in db.graphs])
-    # With an index output np.unique does not import numpy.ma (~13 ms).
-    return np.unique(labels, return_inverse=True)[0]
-
-
 def derive_features(db: GraphDatabase, kind: str,
                     degree_cap: int = DEFAULT_DEGREE_CAP,
                     label_alphabet=None) -> GraphDatabase:
@@ -501,8 +494,9 @@ def derive_features(db: GraphDatabase, kind: str,
             if any(g.node_labels is None for g in db.graphs):
                 raise ValueError("one_hot_label requires node labels on every graph")
             labels = np.concatenate([g.node_labels for g in db.graphs])
-            alphabet = np.asarray(node_label_alphabet(db) if label_alphabet is None
-                                  else label_alphabet)
+            # With an index output np.unique does not import numpy.ma (~13 ms).
+            alphabet = np.asarray(np.unique(labels, return_inverse=True)[0]
+                                  if label_alphabet is None else label_alphabet)
             outside = np.flatnonzero(~np.isin(labels, alphabet))
             if outside.size:
                 raise ValueError(f"label {int(labels[outside[0]])} outside alphabet")
@@ -521,6 +515,23 @@ def derive_features(db: GraphDatabase, kind: str,
         feats = [one_hot[e - g.node_count:e] for g, e in zip(db.graphs, ends)]
     return replace(db, graphs=tuple(
         _prechecked(vars(g) | {"features": f}) for g, f in zip(db.graphs, feats)))
+
+
+def featurize(dbs, kind: str | None = None,
+              degree_cap: int = DEFAULT_DEGREE_CAP, alphabet=None) -> list:
+    """``dbs`` through :func:`derive_features` alike: as ``kind``, else as the
+    first of labels, attributes and degrees every graph carries; labels go
+    one-hot over ``alphabet``, else over the sorted labels of all ``dbs``."""
+    graphs = [g for db in dbs for g in db.graphs]
+    labelled = all(g.node_labels is not None for g in graphs)
+    kind = kind or ("one_hot_label" if labelled else "attributes"
+                    if all(g.node_attributes is not None for g in graphs)
+                    else "one_hot_degree")
+    # Without labels on every graph derive_features names what is missing.
+    if kind == "one_hot_label" and labelled and graphs and alphabet is None:
+        labels = np.concatenate([g.node_labels for g in graphs])
+        alphabet = np.unique(labels, return_inverse=True)[0]
+    return [derive_features(db, kind, degree_cap, alphabet) for db in dbs]
 
 
 # ---------------------------------------------------------------------------

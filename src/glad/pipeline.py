@@ -76,9 +76,9 @@ class EvalReport:
     """Evaluation summary of one pipeline run."""
 
     method_auc: dict
-    model_auc: np.ndarray | None
-    pool_mean_auc: float | None
-    pool_best_auc: float | None
+    model_auc: np.ndarray
+    pool_mean_auc: float
+    pool_best_auc: float
     n_models: int
     n_dropped: int
     notices: list = field(default_factory=list)
@@ -89,7 +89,7 @@ def generate_benchmark(params: BenchmarkParams, master_seed: int):
     homophily, a test set contaminated with graphs grown at the anomaly
     homophily, features one-hot over the shared label alphabet.
 
-    Returns ``(train_db, test_db)``.
+    Returns ``[train_db, test_db]``.
     """
     p = params
     n_anom = p.n_anomalies
@@ -113,13 +113,9 @@ def generate_benchmark(params: BenchmarkParams, master_seed: int):
     graphs = [graphs[i] for i in order]
     flags = flags[order]
 
-    alphabet = list(range(p.labels))
-    train_db = gdata.derive_features(train, "one_hot_label",
-                                     label_alphabet=alphabet)
-    test_db = gdata.derive_features(
-        gdata.GraphDatabase(graphs=tuple(graphs), anomaly_flags=flags),
-        "one_hot_label", label_alphabet=alphabet)
-    return train_db, test_db
+    test = gdata.GraphDatabase(graphs=tuple(graphs), anomaly_flags=flags)
+    return gdata.featurize([train, test], "one_hot_label",
+                           alphabet=list(range(p.labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,24 +272,13 @@ def parse_pipeline_config(path) -> PipelineConfig:
     return PipelineConfig(**kwargs)
 
 
-def pick_feature_kind(*dbs: gdata.GraphDatabase) -> str:
-    """Labels, else attributes, else degrees: the first all ``dbs`` carry."""
-    graphs = [g for db in dbs for g in db.graphs]
-    if all(g.node_labels is not None for g in graphs):
-        return "one_hot_label"
-    if all(g.node_attributes is not None for g in graphs):
-        return "attributes"
-    return "one_hot_degree"
-
-
 def build_dataset(cfg: PipelineConfig):
     """Materialize (train_db, test_db) from the configured source."""
     if cfg.source == "generate":
         return generate_benchmark(cfg.bench, cfg.master_seed)
     db = gdata.load_tu_dataset(cfg.tu_directory)
-    kind = cfg.feature_kind or pick_feature_kind(db)
     try:
-        db = gdata.derive_features(db, kind, degree_cap=cfg.degree_cap)
+        db, = gdata.featurize([db], cfg.feature_kind, cfg.degree_cap)
     except ValueError as exc:  # a kind the data lacks
         raise FormatError(f"{cfg.tu_directory}: {exc}") from None
     return gdata.make_split(db, cfg.inlier_class, cfg.anomaly_rate,
@@ -306,15 +291,9 @@ def build_dataset(cfg: PipelineConfig):
 # ---------------------------------------------------------------------------
 
 def evaluate_pool(pool: gtrain.CandidatePool, selections: dict,
-                  flags: np.ndarray | None, n_dropped: int,
+                  flags: np.ndarray, n_dropped: int,
                   notices=()) -> EvalReport:
     """Score every selection outcome and the pool itself against flags."""
-    notices = list(notices)
-    if flags is None:
-        notices.append("no anomaly flags: evaluation skipped")
-        return EvalReport(method_auc={}, model_auc=None, pool_mean_auc=None,
-                          pool_best_auc=None, n_models=len(pool.model_ids),
-                          n_dropped=n_dropped, notices=notices)
     model_auc = np.array([roc_auc(row, flags) for row in pool.scores])
     method_auc = {m: roc_auc(r.final_scores, flags)
                   for m, r in selections.items()}
@@ -322,7 +301,7 @@ def evaluate_pool(pool: gtrain.CandidatePool, selections: dict,
                       pool_mean_auc=float(model_auc.mean()),
                       pool_best_auc=float(model_auc.max()),
                       n_models=len(pool.model_ids), n_dropped=n_dropped,
-                      notices=notices)
+                      notices=list(notices))
 
 
 def write_report(report: EvalReport, pool: gtrain.CandidatePool,
@@ -332,9 +311,8 @@ def write_report(report: EvalReport, pool: gtrain.CandidatePool,
              f"test_graphs = {len(pool.graph_ids)}"]
     if elapsed is not None:
         lines.append(f"elapsed_seconds = {elapsed:.1f}")
-    if report.pool_mean_auc is not None:
-        lines.append(f"pool_mean_auc = {report.pool_mean_auc:.9g}")
-        lines.append(f"pool_best_auc = {report.pool_best_auc:.9g}")
+    lines.append(f"pool_mean_auc = {report.pool_mean_auc:.9g}")
+    lines.append(f"pool_best_auc = {report.pool_best_auc:.9g}")
     for method in sorted(report.method_auc):
         sel = selections[method]
         who = sel.selected_model or "ensemble"

@@ -644,7 +644,11 @@ def load_pool(directory) -> CandidatePool:
     if not head.startswith("model_id,"):
         raise FormatError(f"{score_path}:{ln}: bad header")
     graph_ids = head.split(",")[1:]
-    if len(graph_ids) != len(set(graph_ids)) or not graph_ids:
+    try:
+        gids = [int(g) for g in graph_ids]
+    except ValueError:
+        gids = list(graph_ids)
+    if len(gids) != len(set(gids)) or not gids:  # 1 and 01 are one graph
         raise FormatError(f"{score_path}:{ln}: graph ids must be unique")
 
     def score_row(s):
@@ -670,10 +674,6 @@ def load_pool(directory) -> CandidatePool:
     missing = [m for m in configs if m not in index]
     if missing:
         raise FormatError(f"{score_path}: no scores for {missing[0]}")
-    try:
-        gids = [int(g) for g in graph_ids]
-    except ValueError:
-        gids = list(graph_ids)
     return CandidatePool(model_ids=list(configs),
                          configs=list(configs.values()),
                          scores=table["s"][[index[m] for m in configs]],

@@ -13,13 +13,12 @@ import pytest
 from glad import cli
 from glad import selection as gsel
 from glad.data import (DEFAULT_DEGREE_CAP, Graph, GraphDatabase,
-                       derive_features, load_tu_dataset)
+                       derive_features, featurize, load_tu_dataset)
 from glad.errors import FormatError
 from glad.pipeline import (BenchmarkParams, PipelineConfig,
                            evaluate_pool, generate_benchmark,
                            parse_grid_file, parse_pipeline_config,
-                           pick_feature_kind, run_pipeline, stage_seed,
-                           write_report)
+                           run_pipeline, stage_seed, write_report)
 from glad.trainer import DEFAULT_GRID, CandidatePool, ModelConfig
 
 TINY_BENCH = BenchmarkParams(n_train=8, n_test=8, anomaly_rate=0.25,
@@ -270,20 +269,42 @@ class TestReadme:
                                      else DEFAULT_GRID)
 
 
-class TestPickFeatureKind:
+class TestFeaturize:
     def g(self, gid, labels=None, attrs=None):
         return Graph(graph_id=gid, node_count=2, edges=((0, 1, 1.0),),
                      node_labels=labels, node_attributes=attrs)
 
     def test_priority(self):
+        # Labels, else attributes, else degrees: the first every graph has.
         lab = np.array([0, 1])
-        att = np.array([[1.0], [2.0]])
+        att = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         both = GraphDatabase(graphs=(self.g(0, lab, att),))
-        assert pick_feature_kind(both) == "one_hot_label"
+        assert featurize([both])[0].d_in == 2
         attrs = GraphDatabase(graphs=(self.g(0, None, att),))
-        assert pick_feature_kind(attrs) == "attributes"
+        assert featurize([attrs])[0].d_in == 3
         bare = GraphDatabase(graphs=(self.g(0),))
-        assert pick_feature_kind(bare) == "one_hot_degree"
+        assert featurize([bare])[0].d_in == DEFAULT_DEGREE_CAP + 1
+        # One database without labels moves every database to attributes.
+        assert [db.d_in for db in featurize([both, attrs])] == [3, 3]
+        assert featurize([GraphDatabase(graphs=())])[0].d_in is None
+
+    def test_joint_alphabet(self):
+        # The label 7 occurs only in the second database, and still has
+        # a slot in the first.
+        a = GraphDatabase(graphs=(self.g(0, np.array([3, 5])),))
+        b = GraphDatabase(graphs=(self.g(0, np.array([7, 3])),))
+        fa, fb = featurize([a, b])
+        assert fa.d_in == fb.d_in == 3
+        np.testing.assert_array_equal(fa.graphs[0].features,
+                                      [[1, 0, 0], [0, 1, 0]])
+        np.testing.assert_array_equal(fb.graphs[0].features,
+                                      [[0, 0, 1], [1, 0, 0]])
+
+    def test_given_alphabet_keeps_its_order(self):
+        a = GraphDatabase(graphs=(self.g(0, np.array([3, 5])),))
+        fa, = featurize([a], "one_hot_label", alphabet=[5, 9, 3])
+        np.testing.assert_array_equal(fa.graphs[0].features,
+                                      [[0, 0, 1], [1, 0, 0]])
 
 
 class TestEvaluatePool:
@@ -305,11 +326,6 @@ class TestEvaluatePool:
         assert rep.n_models == 2 and rep.n_dropped == 1
         assert rep.notices == ["x"]
         assert set(rep.method_auc) == {"hits"}
-
-    def test_no_flags(self):
-        rep = evaluate_pool(self.make_pool(), {}, None, n_dropped=0)
-        assert rep.method_auc == {} and rep.model_auc is None
-        assert any("skipped" in n for n in rep.notices)
 
     def test_write_report(self, tmp_path):
         pool = self.make_pool()
@@ -588,6 +604,40 @@ class TestCli:
             f"error: {data / 'train'}: attributes kind requires node "
             f"attributes\n")
 
+    def test_pipeline_labels_the_data_lacks_exits_2(self, tmp_path, capsys):
+        # The missing labels are named, before any alphabet is built.
+        data, ini = tmp_path / "data", tmp_path / "run.ini"
+        self.generate_split(data, train="1, 2")
+        ini.write_text(f"[run]\nout_dir = {tmp_path / 'out'}\n\n[data]\n"
+                       f"source = tu\ndirectory = {data / 'train'}\n"
+                       f"feature_kind = one_hot_label\n")
+        capsys.readouterr()
+        assert cli.main(["pipeline", "--config", str(ini)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data / 'train'}: one_hot_label requires node labels "
+            f"on every graph\n")
+
+    def test_sizes_past_memory_exit_2(self, tmp_path, capsys):
+        # Sizes below 2**63 whose arrays are far past any address space:
+        # the allocation is refused at once, and touches no memory.
+        huge = "1000000000000000"
+        data, grid = tmp_path / "data", tmp_path / "grid.txt"
+        self.generate_split(data)
+        grid.write_text(f"[mean]\nd_hidden = {huge}\n")
+        tu = tmp_path / "tu.ini"
+        tu.write_text(f"[run]\nout_dir = {tmp_path / 'out'}\n\n[data]\n"
+                      f"source = tu\ndirectory = {data / 'test'}\n"
+                      f"feature_kind = one_hot_degree\ndegree_cap = {huge}\n")
+        capsys.readouterr()
+        for argv in (["train", "--data", str(data), "--grid", str(grid),
+                      "--out", str(tmp_path / "pool")],
+                     ["pipeline", "--config", str(tu)]):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: Unable to allocate ") and (
+                err.count("\n") == 1), err
+        assert not (tmp_path / "pool").exists()
+
     def test_pipeline_subcommand(self, tmp_path, capsys):
         grid = tmp_path / "grid.txt"
         self.write_grid(grid)
@@ -744,6 +794,19 @@ labels = 2
                              method, "--out", str(tmp_path / "s.csv")]) == 2
             assert capsys.readouterr().err == (
                 f"error: {empty / 'pool_configs.csv'}: no model rows\n")
+        assert not (tmp_path / "s.csv").exists()
+        # Graph ids that collide once read as integers.
+        (empty / "pool_configs.csv").write_text(
+            (empty / "pool_configs.csv").read_text()
+            + "m000,mean,1,1e-05,0.0001,0,,2,8,6\n"
+            + "m001,mean,1,1e-05,0.0001,1,,2,8,6\n")
+        (empty / "pool_scores.csv").write_text(
+            "model_id,1, 1,2\nm000,0.5,0.25,0.75\nm001,0.5,0.75,0.25\n")
+        assert cli.main(["select", "--pool", str(empty), "--method", "mc",
+                         "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {empty / 'pool_scores.csv'}:1: graph ids must be "
+            f"unique\n")
         assert not (tmp_path / "s.csv").exists()
 
         bad = tmp_path / "bad.csv"

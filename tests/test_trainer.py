@@ -824,6 +824,12 @@ class TestPoolFiles:
         scores.write_text("\n".join(good.splitlines()[:2]) + "\n")
         with pytest.raises(FormatError, match="no scores for m001"):
             load_pool(tmp_path)
+        # Ids that name one graph once read as integers are one id.
+        for ids in ("1, 1", "1,01", "10,1_0"):
+            scores.write_text(good.replace("10,11", ids, 1))
+            with pytest.raises(FormatError, match="pool_scores.csv:1: graph "
+                                                  "ids must be unique"):
+                load_pool(tmp_path)
         cfgs.write_text(orig.splitlines()[0] + "\n")
         scores.write_text(good.splitlines()[0] + "\n")
         with pytest.raises(FormatError, match="pool_configs.csv: no model rows"):
