@@ -53,7 +53,8 @@ def normalize_rows(scores: np.ndarray) -> np.ndarray:
     span = hi - lo
     flat = span[:, 0] == 0.0
     span[flat] = 1.0
-    out = (scores - lo) / span
+    out = scores - lo
+    out /= span
     out[flat] = 0.5
     return out
 
@@ -144,7 +145,9 @@ def _pairwise_spearman(scores: np.ndarray) -> np.ndarray:
     midrank rows; the diagonal and entries touching a constant row are
     NaN.  The matrix is exactly symmetric (``z @ z.T`` is one BLAS
     rank-k update)."""
-    z = np.stack([midrank(row) for row in scores])
+    z = np.empty(scores.shape)
+    for i, row in enumerate(scores):
+        z[i] = midrank(row)
     z -= z.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.einsum("ij,ij->i", z, z))
     constant = norms == 0.0
@@ -220,9 +223,10 @@ def write_selection(result: SelectionResult, out_path,
     residual)."""
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["graph_id,score"] + format_rows(result.graph_ids,
-                                             result.final_scores[:, None])
-    out_path.write_text("\n".join(lines) + "\n")
+    with open(out_path, "w") as f:
+        f.write("graph_id,score\n")
+        f.writelines(format_rows(result.graph_ids,
+                                 result.final_scores[:, None]))
     if meta_path is None:
         meta_path = out_path.parent / "selection_meta.txt"
     meta = [f"method = {result.method}",

@@ -569,22 +569,21 @@ def _nine_digit_chunk(x: np.ndarray):
     return text.tobytes().decode("ascii"), ends.tolist(), rows.tolist()
 
 
-def format_rows(labels, values) -> list:
-    """Lines ``label,v1,...,vn`` for the rows of the 2-d ``values``, each
-    value exactly as ``'%.9g'`` writes it: in numpy, a fixed number of
-    values at a time, and by ``%`` for a row that path cannot prove."""
+def format_rows(labels, values):
+    """Yield the text of the lines ``label,v1,...,vn`` (each ending in a
+    newline) for the rows of the 2-d ``values``, a fixed number of values
+    at a time, each value exactly as ``'%.9g'`` writes it: in numpy, and
+    by ``%`` for a row that path cannot prove."""
     values = np.asarray(values, dtype=float)
     step = max(1, _CHUNK_VALUES // max(values.shape[1], 1))
-    row_fmt = "%s" + ",%.9g" * values.shape[1]
-    lines = []
+    row_fmt = "%s" + ",%.9g" * values.shape[1] + "\n"
     for lo in range(0, len(values), step):
         x = values[lo:lo + step]
         text, ends, fast = _nine_digit_chunk(x)
-        for label, row, start, end, ok in zip(labels[lo:lo + step], x,
-                                              [0] + ends, ends, fast):
-            lines.append(str(label) + text[start:end] if ok
-                         else row_fmt % (label, *row.tolist()))
-    return lines
+        yield "".join([str(label) + text[start:end] + "\n" if ok
+                       else row_fmt % (label, *row.tolist())
+                       for label, row, start, end, ok in zip(
+                           labels[lo:lo + step], x, [0] + ends, ends, fast)])
 
 
 def save_pool(pool: CandidatePool, directory) -> None:
@@ -600,9 +599,9 @@ def save_pool(pool: CandidatePool, directory) -> None:
         cfg_lines.append(",".join([mid] + vals))
     (directory / "pool_configs.csv").write_text("\n".join(cfg_lines) + "\n")
 
-    head = "model_id," + ",".join(str(g) for g in pool.graph_ids)
-    score_lines = [head] + format_rows(pool.model_ids, pool.scores)
-    (directory / "pool_scores.csv").write_text("\n".join(score_lines) + "\n")
+    with open(directory / "pool_scores.csv", "w") as f:
+        f.write("model_id," + ",".join(str(g) for g in pool.graph_ids) + "\n")
+        f.writelines(format_rows(pool.model_ids, pool.scores))
 
 
 def load_pool(directory) -> CandidatePool:
@@ -674,7 +673,9 @@ def load_pool(directory) -> CandidatePool:
     missing = [m for m in configs if m not in index]
     if missing:
         raise FormatError(f"{score_path}: no scores for {missing[0]}")
+    scores = table["s"]  # a file save_pool wrote lists models in config order
+    if mids.tolist() != list(configs):
+        scores = scores[[index[m] for m in configs]]
     return CandidatePool(model_ids=list(configs),
-                         configs=list(configs.values()),
-                         scores=table["s"][[index[m] for m in configs]],
+                         configs=list(configs.values()), scores=scores,
                          graph_ids=gids)

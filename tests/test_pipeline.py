@@ -921,20 +921,23 @@ labels = 2
         run_grid_ini = (f"[run]\nout_dir = {tmp_path / 'out'}\n\n"
                         f"[grid]\nfile = {grid}\n\n[data]\nn_train = 6\n"
                         f"n_test = 6\nanomaly_rate = 0.2\nnodes = 10\n")
-        for body, named in (("[mean]\nlr = 1e9\nepochs = 5\n", "m000"),
-                            ("[mean]\nlr = nan\n", str(grid)),
-                            ("[mmd]\nnystrom_k = -5\n", str(grid)),
-                            ("[mmd]\nnystrom_mult = 0\n", str(grid))):
+        # A NaN rate is refused by name before any candidate trains.
+        for body, *named in (("[mean]\nlr = 1e9\nepochs = 5\n", "m000"),
+                             ("[mean]\nlr = nan\n", str(grid), "lr"),
+                             ("[mmd]\nnystrom_k = -5\n", str(grid)),
+                             ("[mmd]\nnystrom_mult = 0\n", str(grid))):
             grid.write_text(body)
             assert cli.main(["train", "--data", str(data), "--grid",
                              str(grid), "--out", str(tmp_path / "pool")]) \
                 == 2, body
             err = capsys.readouterr().err
-            assert err.startswith("error:") and named in err, body
+            assert err.startswith("error:") and all(
+                n in err.splitlines()[0] for n in named), (body, err)
             ini.write_text(run_grid_ini)
             assert cli.main(["pipeline", "--config", str(ini)]) == 2, body
             err = capsys.readouterr().err
-            assert err.startswith("error:") and named in err, body
+            assert err.startswith("error:") and all(
+                n in err.splitlines()[0] for n in named), (body, err)
         assert not (tmp_path / "pool").exists()
         # A multiplier whose landmark count overflows a float takes every
         # training graph.

@@ -1,5 +1,7 @@
 """Hub/authority recursion, rank-correlation baselines, dispatch, files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import spearman
@@ -10,7 +12,7 @@ from glad.selection import (METHODS, SelectionResult, _pairwise_spearman,
                             hits, hits_ens, hits_select, mc_select,
                             normalize_rows, select, udr_select,
                             write_selection)
-from glad.trainer import CandidatePool, ModelConfig
+from glad.trainer import CandidatePool, ModelConfig, load_pool, save_pool
 
 
 def make_pool(scores, seeds=None, lrs=None):
@@ -295,6 +297,36 @@ class TestWriteSelection:
         write_selection(res, tmp_path / "s.csv")
         meta = (tmp_path / "selection_meta.txt").read_text()
         assert "selected_model = -" in meta
+
+
+def traced_rise(fn, *args):
+    """``fn(*args)`` and the rise of its traced peak over the memory
+    traced before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_pool_files_and_selection_hold_about_one_score_matrix(tmp_path):
+    # The score table is written chunk by chunk, so the writer's rise does
+    # not grow with the rows; loading and selecting a pool hold about one
+    # more score matrix, not a second copy on top of it.
+    rng = np.random.default_rng(32)
+    saves = []
+    for m in (100, 400):
+        pool = make_pool(np.exp(rng.normal(size=(m, 2000))))
+        saves.append(traced_rise(save_pool, pool, tmp_path / str(m))[1])
+    assert saves[1] - saves[0] < 2**20, saves
+    matrix = pool.scores.nbytes
+    loaded, rise = traced_rise(load_pool, tmp_path / "400")
+    assert rise <= 1.5 * matrix, rise / matrix
+    for method, bound in (("hits", 1.25), ("mc", 1.5)):
+        rise = traced_rise(select, loaded, method)[1]
+        assert rise <= bound * matrix, (method, rise / matrix)
 
 
 class TestInvariances:

@@ -787,7 +787,9 @@ class TestPoolFiles:
         labels = [f"m{i:03d}" for i in range(200)]
         want = [("%s" + ",%.9g" * 5000) % (lab, *row)
                 for lab, row in zip(labels, values.tolist())]
-        assert format_rows(labels, values) == want
+        chunks = list(format_rows(labels, values))
+        assert len(chunks) == 34  # six 5,000-value rows fit in 1 << 15
+        assert "".join(chunks) == "\n".join(want) + "\n"
         fast = _nine_digit_chunk(values[140:160])[2]
         assert fast == [True] * 10 + [False] * 10
 
@@ -854,6 +856,16 @@ class TestPoolFiles:
         save_pool(pool, tmp_path / "again")
         assert (tmp_path / "again" / "pool_configs.csv").read_text() == configs
         assert (tmp_path / "again" / "pool_scores.csv").read_text() == scores
+
+    def test_rows_out_of_config_order_are_reordered(self, tmp_path):
+        save_pool(self.make_pool(), tmp_path)
+        straight = load_pool(tmp_path)
+        path = tmp_path / "pool_scores.csv"
+        head, first, second = path.read_text().splitlines()
+        path.write_text("\n".join([head, second, first]) + "\n")
+        swapped = load_pool(tmp_path)
+        assert swapped.model_ids == straight.model_ids == ["m000", "m001"]
+        assert swapped.scores.tobytes() == straight.scores.tobytes()
 
     def test_line_reader_matches_whole_table_and_finds_duplicates(self, tmp_path):
         pool = self.make_pool()
