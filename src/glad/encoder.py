@@ -42,7 +42,7 @@ def blocks(sizes) -> list:
 
 
 def embed_block(graphs, params: ParamSet, with_cache: bool = False,
-                ws: Workspace | None = None, slot: int = 0):
+                ws: Workspace | None = None):
     """Embed the nodes of a block of graphs.
 
     Returns ``h`` of shape ``(B, n_max, d_hidden)``: node i of
@@ -52,8 +52,8 @@ def embed_block(graphs, params: ParamSet, with_cache: bool = False,
     :func:`backprop_block` needs: the MLP input ``z`` and the hidden
     activation ``a``, bit-equal to ``np.where(m > 0, m, 0.0)`` for the
     pre-activation ``m = z @ w1`` (NaN and -0.0 map to +0.0).
-    Arrays live in ``ws`` (a fresh :class:`Workspace` if omitted): ``h``
-    until the next block is embedded, the cache until the next one at ``slot``.
+    Arrays live in ``ws`` (a fresh :class:`Workspace` if omitted), ``h``
+    and the cache until the next block is embedded there.
     """
     for g in graphs:
         if g.features is None:
@@ -64,22 +64,21 @@ def embed_block(graphs, params: ParamSet, with_cache: bool = False,
     ws = ws or Workspace()
     n_b, n_max = len(graphs), max(g.node_count for g in graphs)
     h = ws("stack", (n_b, n_max, params.d_in), fill=0.0)
-    adj = ws(("adj", slot), (n_b, n_max, n_max), fill=0.0)
+    adj = ws("adj", (n_b, n_max, n_max), fill=0.0)
     for b, g in enumerate(graphs):
         h[b, :g.node_count] = g.features
         adj[b, :g.node_count, :g.node_count] = g.adjacency
     layers = []
     for l, (w1, w2) in enumerate(params.layers):
-        z = np.matmul(adj, h, out=ws(("z", l, slot), h.shape))
+        z = np.matmul(adj, h, out=ws(("z", l), h.shape))
         z += h
         z = z.reshape(-1, h.shape[2])
-        a = np.matmul(z, w1, out=ws(("a", l, slot), (len(z), w1.shape[1])))
+        a = np.matmul(z, w1, out=ws(("a", l), (len(z), w1.shape[1])))
         # fmax maps NaN to 0 but may keep -0.0; adding +0.0 makes it +0.0.
         np.fmax(a, 0.0, out=a)
         a += 0.0
         h = np.matmul(a, w2, out=ws(("h", l), a.shape)).reshape(n_b, n_max, -1)
-        if with_cache:
-            layers.append((z, a))
+        layers.append((z, a))
     return (h, (adj, layers)) if with_cache else h
 
 
@@ -104,12 +103,12 @@ def backprop_block(params: ParamSet, cache, d_out: np.ndarray,
         z, a = layers[l]
         g1, g2 = grads.layers[l]
         g2 += a.T @ dh
-        # AND with an all-ones or all-zeros word per entry (the int8 0 or
-        # -1 sign-extends): a masked NaN or inf becomes +0.0 too, which a
-        # multiply by the mask misses.
+        # a holds no -0.0 or NaN, so as int64 its bits are 0 at +0.0 and
+        # positive elsewhere, and -bits >> 63 is all ones where a > 0: the
+        # AND selects as np.where does, a masked NaN or inf becoming +0.0.
         dm = np.matmul(dh, w2.T, out=ws("dm", a.shape))
-        m = np.greater(a, 0.0, out=ws("relu", a.shape, bool)).view(np.int8)
-        dm.view(np.int64)[...] &= np.negative(m, out=m)
+        m = np.negative(a.view(np.int64), out=ws("relu", a.shape, np.int64))
+        dm.view(np.int64)[...] &= np.right_shift(m, 63, out=m)
         g1 += z.T @ dm
         if l:
             dz = np.matmul(dm, w1.T, out=ws("dz", z.shape))

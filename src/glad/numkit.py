@@ -50,7 +50,7 @@ class ParamSet:
 
 class Workspace:
     """Scratch arrays kept across calls: one buffer per key (a role, plus a
-    block slot where blocks coexist), grown only when a request is larger.
+    layer where layers coexist), grown only when a request is larger.
     A request gets a C-contiguous view of it, set to ``fill`` if given."""
 
     def __init__(self):

@@ -136,8 +136,9 @@ def median_heuristic(x, sample_cap: int = DEFAULT_SAMPLE_CAP,
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        i = rng.integers(0, n, size=sample_cap)
-        j = rng.integers(0, n - 1, size=sample_cap)
+        idx = np.int32 if n < 2**31 else np.int64  # same draws, half the bytes
+        i = rng.integers(0, n, size=sample_cap, dtype=idx)
+        j = rng.integers(0, n - 1, size=sample_cap, dtype=idx)
         j += j >= i  # distinct partner
         vals = np.empty(sample_cap)
         step = encoder.BLOCK_ROWS

@@ -141,31 +141,29 @@ class CandidatePool:
 # Objective
 # ---------------------------------------------------------------------------
 
-def _embed(graphs, params: ParamSet, with_cache: bool, ws, keep=False):
+def _embed(graphs, params: ParamSet, with_cache: bool, ws):
     """Embed ``graphs`` block by block (:func:`glad.encoder.blocks`) in
     ``ws``, yielding the block's node counts, its zero-padded node
-    embeddings ``h`` and its cache (None without ``with_cache``); with
-    ``keep``, block i caches under slot i, so every cache outlives it."""
+    embeddings ``h`` and its cache (None without ``with_cache``), each
+    alive until the next block is embedded."""
     graphs = list(graphs)
     sizes = [g.node_count for g in graphs]
-    for b, (lo, hi) in enumerate(blocks(sizes)):
-        h = embed_block(graphs[lo:hi], params, with_cache, ws, b * keep)
+    for lo, hi in blocks(sizes):
+        h = embed_block(graphs[lo:hi], params, with_cache, ws)
         yield (np.array(sizes[lo:hi]), *(h if with_cache else (h, None)))
 
 
-def _packed(graphs, params: ParamSet, ws, with_cache: bool = False):
+def _packed(graphs, params: ParamSet, ws):
     """Packed node rows of ``graphs`` in ``ws`` (a block's rows are
-    ``h[mask]``), their offsets and each block's ``(mask, cache)``."""
+    ``h[mask]``) and their offsets."""
     graphs = list(graphs)
     offs = np.cumsum([0] + [g.node_count for g in graphs])
-    x, at, blks = ws("x", (offs[-1], params.d_hidden)), 0, []
-    for n_b, h, cache in _embed(graphs, params, with_cache, ws, with_cache):
+    x, at = ws("x", (offs[-1], params.d_hidden)), 0
+    for n_b, h, _ in _embed(graphs, params, False, ws):
         mask = np.arange(h.shape[1]) < n_b[:, None]
         np.take(h.reshape(-1, h.shape[2]), np.flatnonzero(mask), axis=0,
-                out=x[at:at + n_b.sum()], mode="clip")
-        at += n_b.sum()
-        blks.append((mask, cache))
-    return x, offs, blks
+                out=x[at:(at := at + n_b.sum())], mode="clip")
+    return x, offs
 
 
 def _gather(offsets, idx):
@@ -180,7 +178,7 @@ def pool_graphs(graphs, params: ParamSet, nmap: NystromMap | None = None):
     coordinates (:func:`glad.pooling.mmd_pool_batch`), in one workspace."""
     ws = Workspace()
     if nmap is not None:
-        return mmd_pool_batch(*_packed(graphs, params, ws)[:2], nmap, ws)
+        return mmd_pool_batch(*_packed(graphs, params, ws), nmap, ws)
     return np.concatenate([h.sum(axis=1) / n_b[:, None]
                            for n_b, h, _ in _embed(graphs, params, False, ws)])
 
@@ -193,8 +191,9 @@ def batch_objective(graphs, params: ParamSet, mmd_state, center, ws=None):
     distribution readout: landmark node embeddings are recomputed at
     ``params`` while the eigen factor and bandwidth stay frozen.  With
     ``mmd_state=None`` the mean readout is used.  Graphs are embedded in
-    blocks with backward caches, each graph id once, batch graphs
-    (distinct ids) first.
+    blocks, each graph id once, batch graphs (distinct ids) first; one
+    block's backward cache is alive at a time, so an MMD step embeds each
+    block again, with its cache, after the kernel's pullback.
 
     Returns ``(pooled, data_loss, grads)``: ``data_loss`` is the mean
     squared distance to ``center`` and ``grads`` its gradient, excluding
@@ -221,7 +220,7 @@ def batch_objective(graphs, params: ParamSet, mmd_state, center, ws=None):
     else:
         landmark_graphs, factor, gamma = mmd_state
         uniq = {g.graph_id: g for g in [*graphs, *landmark_graphs]}
-        x, offs, blks = _packed(uniq.values(), params, ws, True)
+        x, offs = _packed(uniq.values(), params, ws)
         at = {gid: i for i, gid in enumerate(uniq)}  # batch rows first
         li, ol = _gather(offs, [at[g.graph_id] for g in landmark_graphs])
         xl = ws("landmarks", (len(li), x.shape[1]))
@@ -233,10 +232,11 @@ def batch_objective(graphs, params: ParamSet, mmd_state, center, ws=None):
             lambda k: (2.0 / n) * (k @ factor - center) @ factor.T, ws)
         pooled = k @ factor
         np.add.at(dx, li, dl)
-        ends = np.cumsum([np.count_nonzero(mask) for mask, _ in blks])
-        for (mask, cache), rows in zip(blks, np.split(dx, ends)):
-            d = ws("d_out", mask.shape + x.shape[1:], fill=0.0)
-            d[mask] = rows
+        start = 0  # dx's rows are x's, block after block
+        for n_b, h, cache in _embed(uniq.values(), params, True, ws):
+            d = ws("d_out", h.shape, fill=0.0)
+            mask = np.arange(h.shape[1]) < n_b[:, None]
+            d[mask] = dx[start:(start := start + n_b.sum())]
             backprop_block(params, cache, d, grads, ws)
     diffs = pooled - center
     return pooled, float(np.mean(np.sum(diffs * diffs, axis=1))), grads
@@ -284,7 +284,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
         with np.errstate(over="ignore", invalid="ignore"):
             if config.pooling == "mmd":
                 try:
-                    x, offs = _packed(graphs, params, ws)[:2]
+                    x, offs = _packed(graphs, params, ws)
                     gamma = median_heuristic(x, rng=rng)
                     li, ol = _gather(offs, land_idx)
                     nmap = nystrom_fit(x[li], ol, gamma,

@@ -159,6 +159,22 @@ class TestMedianHeuristic:
             assert median_heuristic(x, sample_cap=cap,
                                     rng=np.random.default_rng(17)) == want
 
+    @pytest.mark.parametrize("n", [150, 1_501, 7_500])
+    def test_sampled_draws_equal_int64_draws(self, n):
+        # The sample indices are drawn as int32 when n fits: the same
+        # values and the same generator state after as int64 draws.
+        x = np.random.default_rng(n).standard_normal((n, 3))
+        for seed in range(5):
+            ref = np.random.default_rng(seed)
+            i = ref.integers(0, n, size=3_000, dtype=np.int64)
+            j = ref.integers(0, n - 1, size=3_000, dtype=np.int64)
+            diff = x[i] - x[np.where(j >= i, j + 1, j)]
+            want = 1.0 / float(np.median(np.sum(diff * diff, axis=1)))
+            rng = np.random.default_rng(seed)
+            got = median_heuristic(x, sample_cap=3_000, rng=rng)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
 
 class TestNystrom:
     def test_factor_whitens_landmark_kernel(self):

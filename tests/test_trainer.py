@@ -13,11 +13,12 @@ from conftest import embed_one, finite_diff_grad, flatten, mean_pool, pack
 
 from glad.data import (Graph, GraphDatabase, derive_features,
                        generate_mixhop)
-from glad.encoder import blocks
+from glad.encoder import backprop_block, blocks, embed_block
 from glad.errors import DegenerateInputError, FormatError, GladError
 from glad.numkit import ParamSet, Workspace, init_params
 from glad.pipeline import BenchmarkParams, generate_benchmark
-from glad.pooling import median_heuristic, mmd_pool_batch, nystrom_fit
+from glad.pooling import (median_heuristic, mmd_pool_batch, nystrom_fit,
+                          set_kernel)
 from glad.trainer import (DEFAULT_GRID, MAX_CONFIGS, CandidatePool,
                           ModelConfig, _nine_digit_chunk, batch_objective,
                           expand_grid, format_rows, load_pool, nystrom_size,
@@ -190,6 +191,87 @@ class TestObjective:
         finally:
             tracemalloc.stop()
         assert peak < whole, (peak, whole)
+
+    @staticmethod
+    def _cache_every_block_step(graphs, params, state, center):
+        """The MMD step with every block's backward cache alive until the
+        pullback ends: each unique graph embedded once, each block in its
+        own workspace, the packed gradient pulled back block by block."""
+        landmark_graphs, factor, gamma = state
+        n = len(graphs)
+        uniq = list({g.graph_id: g for g in [*graphs, *landmark_graphs]}
+                    .values())
+        sizes = [g.node_count for g in uniq]
+        held = []
+        for lo, hi in blocks(sizes):
+            h, cache = embed_block(uniq[lo:hi], params, True, Workspace())
+            mask = np.arange(h.shape[1]) < np.array(sizes[lo:hi])[:, None]
+            held.append((mask, h[mask], cache))
+        x = np.concatenate([rows for _, rows, _ in held])
+        offs = np.cumsum([0] + sizes)
+        at = [[g.graph_id for g in uniq].index(g.graph_id)
+              for g in landmark_graphs]
+        li = np.concatenate([np.arange(offs[i], offs[i + 1]) for i in at])
+        ol = np.cumsum([0] + [sizes[i] for i in at])
+        k, dx, dl = set_kernel(
+            x, offs[:n + 1], x[li], ol, gamma,
+            lambda k: (2.0 / n) * (k @ factor - center) @ factor.T)
+        np.add.at(dx, li, dl)
+        grads, start = params.zeros_like(), 0
+        for mask, rows, cache in held:
+            d = np.zeros(mask.shape + x.shape[1:])
+            d[mask] = dx[start:start + len(rows)]
+            start += len(rows)
+            backprop_block(params, cache, d, grads)
+        pooled = k @ factor
+        diffs = pooled - center
+        return pooled, float(np.mean(np.sum(diffs * diffs, axis=1))), grads
+
+    @staticmethod
+    def _mixhop_graphs(count, sizes):
+        """``count`` featurized graphs of each node count in ``sizes``."""
+        parts = [generate_mixhop(count, n, 2, 0.6, 3, seed=n,
+                                 id_offset=n * count) for n in sizes]
+        return list(derive_features(GraphDatabase(graphs=tuple(
+            g for p in parts for g in p.graphs)), "one_hot_label",
+            label_alphabet=[0, 1, 2]).graphs)
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_mmd_step_bit_equal_to_caching_every_block(self, layers,
+                                                       monkeypatch):
+        # Blocks of at most 40 padded rows; graphs 1 and 5 are in the
+        # batch and the landmarks, the last landmark only in the landmarks.
+        graphs = self._mixhop_graphs(3, (6, 9, 12, 16))
+        batch = graphs[:9]
+        landmark_graphs = [batch[1], batch[5], graphs[10]]
+        params, state, center = self._mmd_setup(batch, landmark_graphs, 5,
+                                                layers)
+        monkeypatch.setattr("glad.encoder.BLOCK_ROWS", 40)
+        assert len(blocks([g.node_count for g in [*batch, graphs[10]]])) >= 3
+        pooled, loss, grads = batch_objective(batch, params, state, center)
+        want = self._cache_every_block_step(batch, params, state, center)
+        assert pooled.tobytes() == want[0].tobytes()
+        assert loss == want[1]
+        for got, ref in zip(grads.layers, want[2].layers):
+            assert [g.tobytes() for g in got] == [g.tobytes() for g in ref]
+
+    def test_mmd_step_holds_one_block_cache(self):
+        # A cold 4-layer step over 10 blocks of 20 graphs of 20 nodes:
+        # holding every block's adjacency stack, z and a until the
+        # pullback ends would take more than the whole step may peak at.
+        graphs = self._mixhop_graphs(200, (20,))
+        params, state, center = self._mmd_setup(graphs, graphs[::20], 16, 4)
+        assert len(blocks([g.node_count for g in graphs])) == 10
+        rows = 20 * len(graphs)
+        every_cache = 8 * (20 * rows + rows * (params.d_in + 16)
+                           + 3 * rows * 2 * 16)
+        tracemalloc.start()
+        try:
+            batch_objective(graphs, params, state, center)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < every_cache, (peak, every_cache)
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("readout", ["mean", "mmd"])
