@@ -186,7 +186,6 @@ class PipelineConfig:
     master_seed: int = 0
     workers: int = 1
     methods: tuple = gsel.METHODS
-    source: str = "generate"
     bench: BenchmarkParams = field(default_factory=BenchmarkParams)
     tu_directory: Path | None = None
     feature_kind: str | None = None
@@ -201,10 +200,10 @@ def parse_pipeline_config(path) -> PipelineConfig:
     """Read a pipeline configuration file (the :func:`_read_ini` dialect).
 
     A malformed file or value raises FormatError naming the file and the
-    key.  Integers (counts, seeds, class ids) must be non-negative and
-    below 2**63; ``workers`` and ``degree_cap`` must be at least 1.  A
-    ``[grid] file`` is parsed here (:func:`parse_grid_file`); without one
-    the default grid is used.
+    key.  Counts and seeds lie in [0, 2**63), class ids in int64,
+    ``workers`` and ``degree_cap`` are at least 1, fractions in (0, 1).
+    A ``[grid] file`` is parsed here (:func:`parse_grid_file`); without
+    one the default grid is used.
     """
     sources = {"generate": tuple(f.name for f in fields(BenchmarkParams)),
                "tu": ("directory", "feature_kind", "degree_cap",
@@ -236,7 +235,7 @@ def parse_pipeline_config(path) -> PipelineConfig:
                               f"{raw!r}")
         return v
 
-    kwargs = dict(out_dir=Path(run["out_dir"]), source=source,
+    kwargs = dict(out_dir=Path(run["out_dir"]),
                   master_seed=value("run", "master_seed"),
                   workers=value("run", "workers", low=1))
     if (names := ini.get("selection", {}).get("methods")) is not None:
@@ -266,15 +265,18 @@ def parse_pipeline_config(path) -> PipelineConfig:
                               f"{kind!r}, expected one of {gdata.FEATURE_KINDS}")
         kwargs.update(tu_directory=Path(d["directory"]), feature_kind=kind,
                       degree_cap=value("data", "degree_cap", low=1),
-                      inlier_class=value("data", "inlier_class"),
-                      train_fraction=value("data", "train_fraction"),
-                      anomaly_rate=value("data", "anomaly_rate"))
+                      inlier_class=value("data", "inlier_class", low=-2**63))
+        for key in ("train_fraction", "anomaly_rate"):
+            kwargs[key] = value("data", key)
+            if not 0 < kwargs[key] < 1:
+                raise FormatError(f"{path}: bad value for [data] {key}: "
+                                  f"{d[key]!r}")
     return PipelineConfig(**kwargs)
 
 
 def build_dataset(cfg: PipelineConfig):
-    """Materialize (train_db, test_db) from the configured source."""
-    if cfg.source == "generate":
+    """Materialize (train_db, test_db): TU data if ``tu_directory`` is set."""
+    if cfg.tu_directory is None:
         return generate_benchmark(cfg.bench, cfg.master_seed)
     db = gdata.load_tu_dataset(cfg.tu_directory)
     try:
@@ -305,14 +307,13 @@ def evaluate_pool(pool: gtrain.CandidatePool, selections: dict,
 
 
 def write_report(report: EvalReport, pool: gtrain.CandidatePool,
-                 selections: dict, path, elapsed: float | None = None) -> None:
+                 selections: dict, path, elapsed: float) -> None:
     lines = [f"models_kept = {report.n_models}",
              f"models_dropped = {report.n_dropped}",
-             f"test_graphs = {len(pool.graph_ids)}"]
-    if elapsed is not None:
-        lines.append(f"elapsed_seconds = {elapsed:.1f}")
-    lines.append(f"pool_mean_auc = {report.pool_mean_auc:.9g}")
-    lines.append(f"pool_best_auc = {report.pool_best_auc:.9g}")
+             f"test_graphs = {len(pool.graph_ids)}",
+             f"elapsed_seconds = {elapsed:.1f}",
+             f"pool_mean_auc = {report.pool_mean_auc:.9g}",
+             f"pool_best_auc = {report.pool_best_auc:.9g}"]
     for method in sorted(report.method_auc):
         sel = selections[method]
         who = sel.selected_model or "ensemble"

@@ -18,7 +18,7 @@ from .errors import DegenerateInputError
 from .numkit import Workspace
 
 EIGEN_CUTOFF = 1e-8
-DEFAULT_SAMPLE_CAP = 100_000
+SAMPLE_CAP = 100_000
 
 
 @dataclass(eq=False)
@@ -114,13 +114,12 @@ def set_kernel(xa, oa, xb, ob, gamma: float, d_k=None, ws=None):
     return k if d_k is None else (k, ga, gb)
 
 
-def median_heuristic(x, sample_cap: int = DEFAULT_SAMPLE_CAP,
-                     rng=None) -> float:
+def median_heuristic(x, rng=None) -> float:
     """Bandwidth rule: ``gamma = 1 / median(squared pairwise distances)``
     over all node rows ``x``.
 
     All distinct pairs are used when their count is at most
-    ``sample_cap``; otherwise ``sample_cap`` pairs are sampled with
+    ``SAMPLE_CAP``; otherwise ``SAMPLE_CAP`` pairs are sampled with
     ``rng`` (a fresh deterministic generator when omitted) and their
     distances computed ``BLOCK_ROWS`` pairs at a time.  Falls back to
     ``gamma = 1`` when the median vanishes.
@@ -129,7 +128,7 @@ def median_heuristic(x, sample_cap: int = DEFAULT_SAMPLE_CAP,
     if n < 2:
         return 1.0
     n_pairs = n * (n - 1) // 2
-    if n_pairs <= sample_cap:
+    if n_pairs <= SAMPLE_CAP:
         xx = np.sum(x * x, axis=1)  # squared distances, clipped at zero
         d = np.maximum(xx[:, None] + xx[None, :] - 2.0 * (x @ x.T), 0.0)
         vals = d[np.triu_indices(n, k=1)]
@@ -137,12 +136,12 @@ def median_heuristic(x, sample_cap: int = DEFAULT_SAMPLE_CAP,
         if rng is None:
             rng = np.random.default_rng(0)
         idx = np.int32 if n < 2**31 else np.int64  # same draws, half the bytes
-        i = rng.integers(0, n, size=sample_cap, dtype=idx)
-        j = rng.integers(0, n - 1, size=sample_cap, dtype=idx)
+        i = rng.integers(0, n, size=SAMPLE_CAP, dtype=idx)
+        j = rng.integers(0, n - 1, size=SAMPLE_CAP, dtype=idx)
         j += j >= i  # distinct partner
-        vals = np.empty(sample_cap)
+        vals = np.empty(SAMPLE_CAP)
         step = encoder.BLOCK_ROWS
-        for lo in range(0, sample_cap, step):
+        for lo in range(0, SAMPLE_CAP, step):
             diff = (np.take(x, i[lo:lo + step], axis=0)
                     - np.take(x, j[lo:lo + step], axis=0))
             vals[lo:lo + step] = np.sum(diff * diff, axis=1)

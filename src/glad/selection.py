@@ -59,14 +59,13 @@ def normalize_rows(scores: np.ndarray) -> np.ndarray:
     return out
 
 
-def hits(w: np.ndarray, tol: float = HITS_TOL,
-         max_iter: int = HITS_MAX_ITER):
+def hits(w: np.ndarray):
     """Hub/authority recursion ``h <- W a``, ``a <- W^T h`` with L2
     normalization after each update.
 
     Starts from uniform vectors and stops when neither vector moves more
-    than ``tol`` in the max norm.  Returns ``(h, a, iterations,
-    residual)``.
+    than ``HITS_TOL`` in the max norm, or after ``HITS_MAX_ITER``
+    iterations.  Returns ``(h, a, iterations, residual)``.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or 0 in w.shape:
@@ -75,7 +74,7 @@ def hits(w: np.ndarray, tol: float = HITS_TOL,
     h = np.ones(m) / np.sqrt(m)
     a = np.ones(n) / np.sqrt(n)
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, HITS_MAX_ITER + 1):
         h_new = w @ a
         nh = np.linalg.norm(h_new)
         if nh == 0.0:
@@ -89,9 +88,9 @@ def hits(w: np.ndarray, tol: float = HITS_TOL,
         residual = max(float(np.max(np.abs(h_new - h))),
                        float(np.max(np.abs(a_new - a))))
         h, a = h_new, a_new
-        if residual <= tol:
-            return h, a, it, residual
-    return h, a, max_iter, residual
+        if residual <= HITS_TOL:
+            break
+    return h, a, it, residual
 
 
 def _pick(pool: CandidatePool, method: str, reliability: np.ndarray,

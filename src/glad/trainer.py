@@ -102,7 +102,6 @@ class TrainedCandidate:
     params: ParamSet
     center: np.ndarray
     nystrom: NystromMap | None
-    final_loss: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +274,6 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
                                       replace=False))
         landmark_graphs = [graphs[i] for i in land_idx]
 
-    final_loss = math.nan
     # Pass e refits the MMD map at the current weights and trains epoch e;
     # pass 0 also fixes the center, and the last pass trains nothing: its
     # refit is the scoring snapshot.  Divergence shows up as inf/nan and
@@ -304,7 +302,6 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
             if epoch == config.epochs:
                 break
             order = rng.permutation(n)
-            batch_losses = []
             for start in range(0, n, batch_size):
                 batch = [graphs[i] for i in order[start:start + batch_size]]
                 _, data_loss, grads = batch_objective(batch, params, state,
@@ -315,10 +312,8 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
                         f"non-finite loss in epoch {epoch}")
                 params = sgd_step(params, grads, config.lr,
                                   config.weight_decay)
-                batch_losses.append(loss)
-        final_loss = float(np.mean(batch_losses))
     return TrainedCandidate(config=config, params=params, center=center,
-                            nystrom=nmap, final_loss=final_loss)
+                            nystrom=nmap)
 
 
 def score_graphs(db: GraphDatabase, candidate: TrainedCandidate) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Orchestration: benchmark generation, config files, full runs, CLI."""
 
-import functools
 import os
 import re
 import time
@@ -13,9 +12,10 @@ import pytest
 from glad import cli
 from glad import selection as gsel
 from glad.data import (DEFAULT_DEGREE_CAP, Graph, GraphDatabase,
-                       derive_features, featurize, load_tu_dataset)
+                       derive_features, featurize, load_tu_dataset,
+                       write_tu_dataset)
 from glad.errors import FormatError
-from glad.pipeline import (BenchmarkParams, PipelineConfig,
+from glad.pipeline import (BenchmarkParams, PipelineConfig, build_dataset,
                            evaluate_pool, generate_benchmark,
                            parse_grid_file, parse_pipeline_config,
                            run_pipeline, stage_seed, write_report)
@@ -32,6 +32,16 @@ TINY_GRID = {
     "mmd": {"layers": [1], "weight_decay": [1e-4], "lr": [0.01],
             "seed": [0], "nystrom_k": [4]},
 }
+
+
+def write_signed_tu(directory) -> dict:
+    """TINY_BENCH's 16 graphs as a TU directory, in classes -1 and 1
+    (as MUTAG labels its graphs); returns each loaded graph's class."""
+    train, test = generate_benchmark(TINY_BENCH, 0)
+    labels = np.resize([-1, 1], 16)
+    write_tu_dataset(GraphDatabase(graphs=train.graphs + test.graphs,
+                                   class_labels=labels), directory, "pm")
+    return dict(zip(load_tu_dataset(directory).graph_ids, labels.tolist()))
 
 
 class TestStageSeed:
@@ -185,7 +195,7 @@ train_fraction = 0.5
 anomaly_rate = 0.2
 """)
         cfg = parse_pipeline_config(path)
-        assert cfg.source == "tu"
+        assert cfg.tu_directory == tmp_path / "ds"
         assert cfg.feature_kind == "one_hot_degree"
         assert cfg.degree_cap == 6 and cfg.inlier_class == 1
         assert cfg.train_fraction == 0.5 and cfg.anomaly_rate == 0.2
@@ -240,7 +250,7 @@ anomaly_rate = 0.2
                         "directory = d%x#1\n")
         cfg = parse_pipeline_config(path)
         assert cfg.out_dir == Path("runs/50%done")
-        assert cfg.source == "tu" and cfg.tu_directory == Path("d%x#1")
+        assert cfg.tu_directory == Path("d%x#1")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="cannot read"):
@@ -264,9 +274,25 @@ class TestReadme:
         for text in configs:
             Path("run.ini").write_text(text)
             cfg = parse_pipeline_config("run.ini")
-            assert cfg.source in text and str(cfg.out_dir) in text
+            assert str(cfg.out_dir) in text
+            assert ("source = tu" in text) == (cfg.tu_directory is not None)
             assert cfg.grid_spec == (spec if "[grid]" in text
                                      else DEFAULT_GRID)
+
+
+class TestBuildDataset:
+    def test_tu_directory_picks_the_source(self, tmp_path):
+        train, test = build_dataset(PipelineConfig(out_dir=tmp_path / "o",
+                                                   bench=TINY_BENCH))
+        want = generate_benchmark(TINY_BENCH, 0)
+        assert [train.graph_ids, test.graph_ids] == [
+            db.graph_ids for db in want]
+        class_of = write_signed_tu(tmp_path / "tu")
+        train, test = build_dataset(PipelineConfig(
+            out_dir=tmp_path / "o", bench=TINY_BENCH,
+            tu_directory=tmp_path / "tu", inlier_class=1))
+        assert {class_of[g] for g in train.graph_ids} == {1}
+        assert -1 in {class_of[g] for g in test.graph_ids}
 
 
 class TestFeaturize:
@@ -383,8 +409,7 @@ class TestRunPipeline:
         assert not (tmp_path / "run" / "selected_udr.csv").exists()
 
     def test_hits_non_convergence_is_a_notice(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(gsel, "hits",
-                            functools.partial(gsel.hits, max_iter=1))
+        monkeypatch.setattr(gsel, "HITS_MAX_ITER", 1)
         report, _, selections = run_pipeline(self.cfg(tmp_path / "run"))
         text = (tmp_path / "run" / "report.txt").read_text()
         for method in ("hits", "hits-ens"):
@@ -665,6 +690,33 @@ labels = 2
         assert cli.main(["pipeline", "--config", str(ini)]) == 0
         assert (tmp_path / "out" / "report.txt").exists()
         assert "auc[hits]" in capsys.readouterr().out
+
+    def test_pipeline_negative_class_id(self, tmp_path, capsys):
+        class_of = write_signed_tu(tmp_path / "tu")
+        grid, ini = tmp_path / "grid.txt", tmp_path / "run.ini"
+        self.write_grid(grid)
+        ini.write_text(f"[run]\nout_dir = {tmp_path / 'out'}\n\n[grid]\n"
+                       f"file = {grid}\n\n[data]\nsource = tu\n"
+                       f"directory = {tmp_path / 'tu'}\ninlier_class = -1\n")
+        train, _ = build_dataset(parse_pipeline_config(ini))
+        assert {class_of[g] for g in train.graph_ids} == {-1}
+        assert cli.main(["pipeline", "--config", str(ini)]) == 0
+        assert (tmp_path / "out" / "report.txt").exists()
+
+    @pytest.mark.parametrize("key,raw", [
+        ("anomaly_rate", "1"), ("anomaly_rate", "2"),
+        ("train_fraction", "0"), ("train_fraction", "nan")])
+    def test_pipeline_fraction_refused_before_load(self, tmp_path, capsys,
+                                                   key, raw):
+        # The directory does not exist: the key is named, not the directory.
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nout_dir = {tmp_path / 'out'}\n\n[data]\n"
+                       f"source = tu\ndirectory = {tmp_path / 'none'}\n"
+                       f"{key} = {raw}\n")
+        assert cli.main(["pipeline", "--config", str(ini)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {ini}: bad value for [data] {key}: '{raw}'\n")
+        assert not (tmp_path / "out").exists()
 
     def test_pipeline_percent_paths(self, tmp_path, capsys):
         # A % in a path is a plain character, never a traceback.

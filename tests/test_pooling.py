@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import mean_pool, mmd_squared, pack
 
-from glad import encoder
+from glad import encoder, pooling
 from glad.pooling import (median_heuristic, mmd_pool_batch, nystrom_fit,
                           set_kernel)
 
@@ -131,13 +131,14 @@ class TestMedianHeuristic:
     def test_constant_points_fallback(self):
         assert median_heuristic(np.ones((4, 2))) == 1.0
 
-    def test_sampled_path_deterministic(self):
+    def test_sampled_path_deterministic(self, monkeypatch):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((60, 3))
-        g1 = median_heuristic(x, sample_cap=100, rng=np.random.default_rng(1))
-        g2 = median_heuristic(x, sample_cap=100, rng=np.random.default_rng(1))
-        assert g1 == g2
         exhaustive = median_heuristic(x)
+        monkeypatch.setattr(pooling, "SAMPLE_CAP", 100)
+        g1 = median_heuristic(x, rng=np.random.default_rng(1))
+        g2 = median_heuristic(x, rng=np.random.default_rng(1))
+        assert g1 == g2
         assert g1 == pytest.approx(exhaustive, rel=0.5)
 
     def test_sampled_blocks_bit_equal_to_oracle(self, monkeypatch):
@@ -154,16 +155,17 @@ class TestMedianHeuristic:
         j = np.where(j >= i, j + 1, j)
         diff = x[i] - x[j]
         want = 1.0 / float(np.median(np.sum(diff * diff, axis=1)))
+        monkeypatch.setattr(pooling, "SAMPLE_CAP", cap)
         for rows in (7, 800, 5000):
             monkeypatch.setattr(encoder, "BLOCK_ROWS", rows)
-            assert median_heuristic(x, sample_cap=cap,
-                                    rng=np.random.default_rng(17)) == want
+            assert median_heuristic(x, rng=np.random.default_rng(17)) == want
 
     @pytest.mark.parametrize("n", [150, 1_501, 7_500])
-    def test_sampled_draws_equal_int64_draws(self, n):
+    def test_sampled_draws_equal_int64_draws(self, n, monkeypatch):
         # The sample indices are drawn as int32 when n fits: the same
         # values and the same generator state after as int64 draws.
         x = np.random.default_rng(n).standard_normal((n, 3))
+        monkeypatch.setattr(pooling, "SAMPLE_CAP", 3_000)
         for seed in range(5):
             ref = np.random.default_rng(seed)
             i = ref.integers(0, n, size=3_000, dtype=np.int64)
@@ -171,7 +173,7 @@ class TestMedianHeuristic:
             diff = x[i] - x[np.where(j >= i, j + 1, j)]
             want = 1.0 / float(np.median(np.sum(diff * diff, axis=1)))
             rng = np.random.default_rng(seed)
-            got = median_heuristic(x, sample_cap=3_000, rng=rng)
+            got = median_heuristic(x, rng=rng)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
             assert rng.bit_generator.state == ref.bit_generator.state
 

@@ -406,7 +406,6 @@ class TestTrainCandidate:
         assert cand.nystrom is not None
         assert len(cand.nystrom.offsets) == 6 + 1
         assert cand.center.shape == (cand.nystrom.rank,)
-        assert math.isfinite(cand.final_loss)
         assert score_graphs(test, cand).shape == (20,)
 
     def test_mmd_step_embeds_only_batch_and_landmarks(self, bench,
