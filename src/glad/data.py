@@ -83,8 +83,8 @@ class Graph:
     edges : iterable of (u, v, weight) triples
         Integral node ids with u < v, each pair at most once, weight
         finite and > 0; the first bad edge in input order raises.  Stored
-        as one ``EDGE_DTYPE`` array sorted by (u, v), which iterates as
-        (u, v, w) records.
+        as one ``EDGE_DTYPE`` array sorted by (u, v), iterating as (u, v,
+        w) records: the only adjacency a graph keeps.
     node_labels : ndarray or None
         Integer label per node.
     node_attributes : ndarray or None
@@ -138,14 +138,6 @@ class Graph:
                 if not ok.all():
                     raise ValueError(f"graph {self.graph_id}: {name} row "
                                      f"{ok.argmin()} is not finite")
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric weighted adjacency matrix, zero diagonal."""
-        a = np.zeros((self.node_count, self.node_count))
-        u, v = self.edges["u"], self.edges["v"]
-        a[u, v] = a[v, u] = self.edges["w"]
-        return a
 
     @cached_property
     def degrees(self) -> np.ndarray:

@@ -8,7 +8,9 @@ Only the last layer's node embeddings are exposed.
 The unit of work is a block of consecutive graphs (:func:`blocks`),
 embedded as one zero-padded ``(B, n_max, .)`` stack: the aggregation is
 one batched product and each MLP map one GEMM over all ``B * n_max``
-rows.  Padded rows stay exactly 0 (zero features and adjacency, no
+rows.  The adjacency stack (8 * B * n_max**2 bytes) is the only dense
+adjacency: built from the edge arrays in a reused buffer, one block's at
+a time.  Padded rows stay exactly 0 (zero features and adjacency, no
 bias, ReLU(0) = 0), and their ReLU mask keeps any upstream gradient
 from reaching a weight, so no masking is needed.
 """
@@ -48,7 +50,8 @@ def embed_block(graphs, params: ParamSet, with_cache: bool = False,
     Returns ``h`` of shape ``(B, n_max, d_hidden)``: node i of
     ``graphs[b]`` at ``h[b, i]``, rows at and past its node count exactly
     0.  With ``with_cache`` returns ``(h, cache)``; the cache holds the
-    padded adjacency and, per layer, the pair ``(z, a)`` that
+    padded adjacency (edge (u, v, w) puts w at ``[b, u, v]`` and ``[b, v,
+    u]``, all else 0) and, per layer, the pair ``(z, a)`` that
     :func:`backprop_block` needs: the MLP input ``z`` and the hidden
     activation ``a``, bit-equal to ``np.where(m > 0, m, 0.0)`` for the
     pre-activation ``m = z @ w1`` (NaN and -0.0 map to +0.0).
@@ -64,10 +67,15 @@ def embed_block(graphs, params: ParamSet, with_cache: bool = False,
     ws = ws or Workspace()
     n_b, n_max = len(graphs), max(g.node_count for g in graphs)
     h = ws("stack", (n_b, n_max, params.d_in), fill=0.0)
-    adj = ws("adj", (n_b, n_max, n_max), fill=0.0)
     for b, g in enumerate(graphs):
         h[b, :g.node_count] = g.features
-        adj[b, :g.node_count, :g.node_count] = g.adjacency
+    # The block's edge records as int64 rows (u, v, bits of w), one scatter.
+    u, v, w = np.frombuffer(b"".join([g.edges.tobytes() for g in graphs]),
+                            np.int64).reshape(-1, 3).T
+    base = np.repeat(np.arange(0, n_b * n_max, n_max), [len(g.edges) for g in graphs])
+    adj = ws("adj", (n_b, n_max, n_max), fill=0.0)
+    flat = adj.reshape(-1)
+    flat[(base + u) * n_max + v] = flat[(base + v) * n_max + u] = w.view(np.float64)
     layers = []
     for l, (w1, w2) in enumerate(params.layers):
         z = np.matmul(adj, h, out=ws(("z", l), h.shape))

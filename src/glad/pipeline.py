@@ -149,8 +149,8 @@ def parse_grid_file(path) -> dict:
 
     Sections ``[mean]``, ``[mmd]`` and ``[common]`` hold ``key = v1, v2,
     ...`` lines, each typed by the ModelConfig field its key sets.
-    A grid that does not expand into valid configs, or into more than
-    ``MAX_CONFIGS``, raises FormatError.
+    A grid that does not expand into valid configs, or past ``MAX_CONFIGS``
+    or (on one training graph) ``MAX_STEPS``, raises FormatError.
     """
     spec = _read_ini(path, "grid", dict.fromkeys(
         ("mean", "mmd", "common"), gtrain.CONFIG_TYPES.keys() - {"pooling"}))
@@ -171,7 +171,7 @@ def parse_grid_file(path) -> dict:
     # training-set size only clamps the landmark count.
     try:
         gtrain.expand_grid(spec, n_train=1)
-    except ValueError as exc:
+    except (ValueError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from None
     return spec
 

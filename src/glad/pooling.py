@@ -95,14 +95,13 @@ def set_kernel(xa, oa, xb, ob, gamma: float, d_k=None, ws=None):
         ks.append(np.add.reduceat(cols, o[:-1], axis=0) / norm)
         if d_k is not None:
             # Per-node-pair coefficient upstream / (n_a * m_b).  One set a at
-            # a time, its rows of e scaled by its coefficients spread over
-            # columns: e is never written.
+            # a time, its rows of e scaled in place by its coefficients
+            # spread over columns: those rows are dead after its pullback.
             c = d_k(ks[-1]) / norm
             gsum, gx = ws("gsum", (len(xb),), fill=0), ws("gx", xb.shape, fill=0)
             for i in range(hi - lo):
                 r, s = slice(oa[lo + i], oa[lo + i + 1]), slice(o[i], o[i + 1])
-                g = np.multiply(e[s], c[i, owner],
-                                out=ws("g", (o[i + 1] - o[i], len(xb))))
+                g = np.multiply(e[s], c[i, owner], out=e[s])
                 ga[r] += -2.0 * gamma * (x[s] * (cols[s] @ c[i])[:, None]
                                          - g @ xb)
                 gsum += g.sum(axis=0)

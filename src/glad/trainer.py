@@ -29,6 +29,9 @@ POOLINGS = ("mean", "mmd")
 # Most configs a grid may expand to: the README grid has 378, and 10,000
 # candidates at ~2 s each (BENCH data) is over five hours of training.
 MAX_CONFIGS = 10_000
+# Most training steps a config may take, epochs * ceil(n_train / batch_size):
+# 10**7 BENCH mean steps of about 3.4 ms are over nine hours.
+MAX_STEPS = 10**7
 
 # Default search grids; the landmark count is swept as a multiplier on
 # log(n_train), resolved by nystrom_size().
@@ -351,7 +354,8 @@ def expand_grid(spec: dict, n_train: int) -> list:
     (resolved by :func:`nystrom_size`).  Expansion order is fixed:
     mean family first, then the product of the keys in field order with
     the seed last, values in given order.  A grid of more than
-    ``MAX_CONFIGS`` configurations is refused before any is built.
+    ``MAX_CONFIGS`` configurations is refused before any is built; a config
+    past ``MAX_STEPS`` raises FormatError, as the data may be loaded by then.
     """
     families = []
     for family in ("mean", "mmd"):
@@ -383,8 +387,13 @@ def expand_grid(spec: dict, n_train: int) -> list:
                          f"more than {MAX_CONFIGS}")
     if not count:
         raise ValueError("grid specification expands to no configurations")
-    return [ModelConfig(pooling=family, **dict(zip(keys, combo)))
-            for family, keys, values in families for combo in product(*values)]
+    configs = [ModelConfig(pooling=family, **dict(zip(keys, combo)))
+               for family, keys, values in families for combo in product(*values)]
+    for c in configs:
+        if (steps := c.epochs * -(-n_train // c.batch_size)) > MAX_STEPS:
+            raise FormatError(f"epochs {c.epochs} makes {steps} training steps "
+                              f"on {n_train} graphs, more than {MAX_STEPS}")
+    return configs
 
 
 def _train_and_score(train_db, test_db, config, base_seed):

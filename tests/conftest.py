@@ -85,7 +85,8 @@ def where_encoder_step(graphs, params: ParamSet, d_out: np.ndarray):
     adj = np.zeros((n_b, n_max, n_max))
     for b, g in enumerate(graphs):
         h[b, :g.node_count] = g.features
-        adj[b, :g.node_count, :g.node_count] = g.adjacency
+        for u, v, w in g.edges:
+            adj[b, u, v] = adj[b, v, u] = w
     layers = []
     for w1, w2 in params.layers:
         z = (h + adj @ h).reshape(-1, h.shape[2])

@@ -13,7 +13,9 @@ import glad.data
 from glad.data import (DEFAULT_DEGREE_CAP, Graph, GraphDatabase, dataset_name,
                        derive_features, first_copies, generate_mixhop,
                        load_tu_dataset, make_split, write_tu_dataset)
+from glad.encoder import embed_block
 from glad.errors import FormatError, LoadError, SplitError
+from glad.numkit import init_params
 
 
 def assert_same_database(a, b):
@@ -141,12 +143,22 @@ class TestGraph:
                 Graph(graph_id=7, node_count=3, edges=(), **{field: rows})
 
     def test_adjacency_symmetric_weighted(self):
-        g = tri()
-        a = g.adjacency
-        assert a.shape == (4, 4)
+        # The encoder's cached stack is the only dense adjacency: the
+        # triangle, then a 2-node graph padded to 4 rows.
+        x = np.ones((4, 1))
+        pair = Graph(graph_id=1, node_count=2, edges=((0, 1, 3.0),),
+                     features=x[:2])
+        _, (stack, _) = embed_block([tri(features=x), pair],
+                                    init_params(1, 2, 1, seed=0),
+                                    with_cache=True)
+        assert stack.shape == (2, 4, 4)
+        a = stack[0]
         np.testing.assert_array_equal(a, a.T)
         assert a[0, 2] == 2.0 and a[2, 3] == 0.5
         assert np.all(np.diag(a) == 0.0)
+        assert stack[1, 0, 1] == stack[1, 1, 0] == 3.0
+        stack[1, 0, 1] = stack[1, 1, 0] = 0.0
+        assert not stack[1].any()  # padding rows and columns are 0
 
     def test_degrees_unweighted(self):
         g = tri()
@@ -630,7 +642,9 @@ class TestGenerateMixhop:
         g = db.graphs[0]
         assert len(g.edges) == 2 * 28
         # BFS connectivity
-        adj = g.adjacency > 0
+        adj = np.zeros((30, 30), bool)
+        for u, v, _ in g.edges:
+            adj[u, v] = adj[v, u] = True
         seen = {0}
         frontier = [0]
         while frontier:

@@ -6,9 +6,10 @@ import pytest
 from conftest import embed_one, finite_diff_grad, flatten, where_encoder_step
 
 from glad import encoder
-from glad.data import Graph, GraphDatabase, derive_features, generate_mixhop
+from glad.data import (Graph, GraphDatabase, derive_features, generate_mixhop,
+                       load_tu_dataset, write_tu_dataset)
 from glad.encoder import backprop_block, blocks, embed_block
-from glad.numkit import ParamSet, init_params
+from glad.numkit import ParamSet, Workspace, init_params
 
 
 def path_graph(weights=(1.0, 1.0), features=None):
@@ -166,6 +167,39 @@ class TestBlocks:
                                 features=g.features
                                 + rng.uniform(0, 0.5, (n, 3))))
         return graphs
+
+    def test_stack_equals_hand_built_adjacency(self, tmp_path):
+        # One block: an edgeless 1-node graph, graphs of 7 and 20 nodes,
+        # and weighted graphs of 4 and 3 nodes read back from disk, whose
+        # edges are slices of one array.
+        rng = np.random.default_rng(27)
+        on_disk = GraphDatabase(graphs=(
+            Graph(graph_id=0, node_count=4,
+                  edges=((0, 1, 0.25), (1, 2, 3.0), (2, 3, 1.5)),
+                  node_attributes=rng.uniform(0, 1, (4, 3))),
+            Graph(graph_id=1, node_count=3, edges=((0, 2, 1e-3),),
+                  node_attributes=rng.uniform(0, 1, (3, 3)))))
+        write_tu_dataset(on_disk, tmp_path, "W")
+        loaded = derive_features(load_tu_dataset(tmp_path), "attributes")
+        a, b = (g.edges for g in loaded.graphs)
+        assert a.base is not None and a.base is b.base
+        graphs = [*self._ragged(), *loaded.graphs]
+        params = init_params(3, 2, 1, seed=28)
+        _, (stack, _) = embed_block(graphs, params, with_cache=True)
+        want = np.zeros((len(graphs), 20, 20))
+        for k, g in enumerate(graphs):
+            for u, v, w in g.edges:
+                want[k, u, v] = want[k, v, u] = w
+        assert stack.tobytes() == want.tobytes()
+        assert want[3, 1, 0] == 0.25 and want[4, 2, 0] == 1e-3
+        # A block without a single edge, in a workspace that held one.
+        ws = Workspace()
+        embed_block(graphs, params, with_cache=True, ws=ws)
+        edgeless = [graphs[0], Graph(graph_id=5, node_count=2, edges=(),
+                                     features=np.ones((2, 3)))]
+        h, (stack, _) = embed_block(edgeless, params, with_cache=True, ws=ws)
+        assert stack.shape == (2, 2, 2) and not stack.any()
+        assert h.tobytes() == embed_block(edgeless, params).tobytes()
 
     def test_ragged_block_matches_one_graph_blocks(self):
         graphs = self._ragged()

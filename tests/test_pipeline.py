@@ -143,6 +143,8 @@ nystrom_mult = 4.0
         ("[mean]\nLayers = 1\n", r"\[mean\] Layers: unknown grid key"),
         ("[mmd]\npooling = mean\n", r"\[mmd\] pooling: unknown grid key"),
         ("[mean]\nlr = 0.1#x\n", r"\[mean\] lr: bad value '0.1#x'"),
+        ("[mmd]\nnystrom_k = 2\nepochs = 10000001\n",
+         "epochs 10000001 makes 10000001 training steps on 1 graphs"),
     ])
     def test_errors(self, tmp_path, body, msg):
         path = tmp_path / "grid.txt"
@@ -761,6 +763,36 @@ labels = 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {grid}: grid expands to "
                                   "1000000000000 configurations")
+
+    def test_step_limit_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert cli.main(["generate", "--out", str(data), "--n-train", "6",
+                         "--n-test", "6", "--nodes", "10", "--labels", "2",
+                         "--anomaly-rate", "0.2"]) == 0
+        grid, ini = tmp_path / "grid.txt", tmp_path / "run.ini"
+        ini.write_text(f"[run]\nout_dir = {tmp_path / 'out'}\n\n[grid]\n"
+                       f"file = {grid}\n\n[data]\nn_train = 6\nn_test = 6\n"
+                       "anomaly_rate = 0.2\nnodes = 10\nlabels = 2\n")
+        train = ["train", "--grid", str(grid), "--out", str(tmp_path / "pool"),
+                 "--data"]
+        # Past MAX_STEPS on one graph: refused before the data is loaded.
+        grid.write_text("[mean]\nepochs = 1000000000000\n")
+        for argv in (train + [str(data)], train + [str(tmp_path / "none")],
+                     ["pipeline", "--config", str(ini)]):
+            t0 = time.perf_counter()
+            assert cli.main(argv) == 2
+            assert time.perf_counter() - t0 < 1.0
+            assert capsys.readouterr().err == (
+                f"error: {grid}: epochs 1000000000000 makes 1000000000000 "
+                "training steps on 1 graphs, more than 10000000\n")
+        # Within it on one graph, past it on the 6 loaded training graphs.
+        grid.write_text("[mean]\nepochs = 5000000\nbatch_size = 1\n")
+        for argv in (train + [str(data)], ["pipeline", "--config", str(ini)]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == (
+                "error: epochs 5000000 makes 30000000 training steps on 6 "
+                "graphs, more than 10000000\n")
+        assert not (tmp_path / "pool").exists()
 
     def test_evaluate_rejects_bad_rows(self, tmp_path, capsys):
         scores, flags = tmp_path / "scores.csv", tmp_path / "flags.csv"

@@ -19,7 +19,7 @@ from glad.numkit import ParamSet, Workspace, init_params
 from glad.pipeline import BenchmarkParams, generate_benchmark
 from glad.pooling import (median_heuristic, mmd_pool_batch, nystrom_fit,
                           set_kernel)
-from glad.trainer import (DEFAULT_GRID, MAX_CONFIGS, CandidatePool,
+from glad.trainer import (DEFAULT_GRID, MAX_CONFIGS, MAX_STEPS, CandidatePool,
                           ModelConfig, _nine_digit_chunk, batch_objective,
                           expand_grid, format_rows, load_pool, nystrom_size,
                           pool_graphs, run_grid, save_pool, score_graphs,
@@ -485,6 +485,24 @@ class TestTrainCandidate:
         assert all(cached for step, cached in calls if step)
         assert len(calls) > len(outside)
 
+    def test_no_dense_adjacency_outlives_a_block(self):
+        # Four 1,000-node graphs, a block each: a dense adjacency kept per
+        # graph would leave 4 x 8 MB alive after pooling and training.
+        db = derive_features(generate_mixhop(4, 1000, 2, 0.6, 3, seed=9),
+                             "one_hot_label")
+        tracemalloc.start()
+        try:
+            pool_graphs(db.graphs, init_params(db.d_in, 4, 1, seed=0))
+            train_candidate(db, ModelConfig(pooling="mean", layers=1,
+                                            epochs=1, d_hidden=4))
+            alive = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        held = [(g.graph_id, k) for g in db.graphs for k, a in vars(g).items()
+                if np.shape(a) == (1000, 1000)]
+        assert held == []
+        assert alive < 2**20, alive  # one 1000 x 1000 matrix is 8 MB
+
     def test_divergence_marks_failed(self, bench):
         train, _ = bench
         cfg = ModelConfig(pooling="mean", layers=2, lr=1e9, seed=0,
@@ -563,6 +581,24 @@ class TestGrids:
             expand_grid(big, 10)
         with pytest.raises(ValueError, match="unknown grid keys.*pooling"):
             expand_grid({"mean": {"pooling": ["mmd"]}}, 10)
+
+    def test_step_limit(self):
+        # epochs * ceil(n_train / batch_size) steps: 2 batches of 64 for 65
+        # graphs, one batch when it holds every graph.
+        half = MAX_STEPS // 2
+        for epochs, batch_size, n_train in ((half, 64, 65), (half, 64, 128),
+                                            (MAX_STEPS, 64, 64),
+                                            (MAX_STEPS, 1000, 10)):
+            spec = {"mean": {"epochs": [epochs], "batch_size": [batch_size]}}
+            assert len(expand_grid(spec, n_train)) == 1
+        spec = {"mean": {"epochs": [1, half + 1], "batch_size": [64]}}
+        with pytest.raises(FormatError, match=(
+                f"^epochs {half + 1} makes {MAX_STEPS + 2} training steps on "
+                f"65 graphs, more than {MAX_STEPS}$")):
+            expand_grid(spec, 65)
+        with pytest.raises(FormatError, match=f"^epochs {MAX_STEPS + 1} "):
+            expand_grid({"mmd": {"epochs": [MAX_STEPS + 1],
+                                 "nystrom_k": [2]}}, 1)
 
     def test_family_overrides_common(self):
         spec = {"common": {"epochs": [10], "batch_size": [8],
