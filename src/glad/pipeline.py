@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -326,19 +326,21 @@ def write_report(report: EvalReport, pool: gtrain.CandidatePool,
 
 def run_pipeline(cfg: PipelineConfig):
     """Run dataset -> pool -> selection -> evaluation, writing every
-    artifact under ``cfg.out_dir``.
+    artifact under ``cfg.out_dir``.  Selection and evaluation use the pool
+    as read back from its files, as ``glad select`` reads it.
 
     Returns ``(report, pool, selections)``.
     """
     t0 = time.monotonic()
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     train_db, test_db = build_dataset(cfg)
     configs = gtrain.expand_grid(cfg.grid_spec, len(train_db))
     pool = gtrain.run_grid(train_db, test_db, configs, workers=cfg.workers,
                            base_seed=stage_seed(cfg.master_seed,
                                                 STAGE_TRAINING))
-    gtrain.save_pool(pool, out)
+    gtrain.save_pool(pool, out)  # makes out: a refused run leaves none
+    dropped, pool = pool.dropped, None  # let go of the unrounded scores
+    pool = replace(gtrain.load_pool(out), dropped=dropped)
 
     selections = {}
     notices = [f"dropped {mid}: {diag}" for mid, diag in pool.dropped]

@@ -48,6 +48,8 @@ def tri(gid=0, **kw):
 
 class TestGraph:
     def test_validation(self):
+        with pytest.raises(ValueError, match="at least one node"):
+            Graph(graph_id=0, node_count=0, edges=())
         with pytest.raises(ValueError, match="self loop"):
             Graph(graph_id=0, node_count=2, edges=((1, 1, 1.0),))
         with pytest.raises(ValueError, match="outside node range"):
@@ -100,6 +102,8 @@ class TestGraph:
          "self loop on node 3"),
         (((0, 1, 1.0), (2**64, 1.5, 1.0)),
          "edge (18446744073709551616, 1.5) has a non-integral node id"),
+        # node ids run 0 .. node_count - 1
+        (((0, 1, 1.0), (4, 0, 1.0)), "edge (4, 0) outside node range"),
     ])
     def test_first_bad_edge_in_input_order_wins(self, edges, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -559,6 +563,9 @@ class TestDeriveFeatures:
             derive_features(GraphDatabase(graphs=(g,)), "one_hot_label")
         with pytest.raises(ValueError, match="attributes"):
             derive_features(GraphDatabase(graphs=(g,)), "attributes")
+        with pytest.raises(ValueError, match="degree_cap must be >= 1"):
+            derive_features(GraphDatabase(graphs=(g,)), "one_hot_degree",
+                            degree_cap=0)
 
 
 class TestMakeSplit:

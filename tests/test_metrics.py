@@ -1,6 +1,7 @@
 """Rank statistics against direct pair counting and sign enumeration."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -46,6 +47,18 @@ def wilcoxon_by_enumeration(x, y):
         if float(np.dot(signs, ranks)) >= w_obs - 1e-9:
             hits += 1
     return w_obs, hits / 2 ** d.size
+
+
+def wilcoxon_by_rank_variance(x, y):
+    """Normal tail with continuity correction, from the midranks r of |d|:
+    under sign flips W+ has mean sum(r) / 2 and variance sum(r**2) / 4."""
+    d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+    d = d[d != 0.0]
+    ranks = midrank_by_counting(np.abs(d))
+    w_obs = float(ranks[d > 0.0].sum())
+    z = ((w_obs - ranks.sum() / 2.0 - 0.5)
+         / math.sqrt(float(np.sum(ranks ** 2)) / 4.0))
+    return w_obs, 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 class TestMidrank:
@@ -162,6 +175,20 @@ class TestWilcoxonApprox:
         x = rng.normal(size=40)
         _, p = wilcoxon_one_sided(x, x - 1.0)
         assert p > 1 - 1e-8
+
+    def test_matches_rank_variance_oracle(self):
+        # Past the enumeration cutoff, with distinct and with tied |d|.
+        rng = np.random.default_rng(8)
+        for n in range(EXACT_WILCOXON_MAX_N + 1, 41):
+            x = rng.normal(size=n)
+            whole = np.floor(4.0 * x)  # integral, so tied |d| stay tied
+            steps = rng.choice([-2.0, -1.0, 1.0, 2.0, 3.0], size=n)
+            for a, b in ((x, x + rng.normal(loc=0.3, size=n)),
+                         (whole, whole + steps)):
+                w_got, p_got = wilcoxon_one_sided(a, b)
+                w_want, p_want = wilcoxon_by_rank_variance(a, b)
+                assert w_got == w_want
+                assert p_got == pytest.approx(p_want, rel=1e-12, abs=0.0)
 
     def test_close_to_exact_at_threshold(self):
         # n just above the enumeration cutoff: the corrected normal

@@ -15,11 +15,13 @@ from glad.data import (DEFAULT_DEGREE_CAP, Graph, GraphDatabase,
                        derive_features, featurize, load_tu_dataset,
                        write_tu_dataset)
 from glad.errors import FormatError
+from glad.metrics import roc_auc
 from glad.pipeline import (BenchmarkParams, PipelineConfig, build_dataset,
                            evaluate_pool, generate_benchmark,
                            parse_grid_file, parse_pipeline_config,
                            run_pipeline, stage_seed, write_report)
-from glad.trainer import DEFAULT_GRID, CandidatePool, ModelConfig
+from glad.trainer import (DEFAULT_GRID, CandidatePool, ModelConfig,
+                           load_pool)
 
 TINY_BENCH = BenchmarkParams(n_train=8, n_test=8, anomaly_rate=0.25,
                              nodes=12, ba_m=2, labels=2,
@@ -399,6 +401,24 @@ class TestRunPipeline:
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
 
+    def test_returns_the_pool_it_wrote_with_its_drops(self, tmp_path):
+        # lr 1e9 diverges: the returned pool is the one read back from the
+        # files, with the dropped candidates it was trained with.
+        grid = {"common": {"epochs": [5], "batch_size": [8], "d_hidden": [8]},
+                "mean": {"lr": [1e-3, 1e9], "seed": [0, 1]}}
+        out = tmp_path / "run"
+        report, pool, _ = run_pipeline(
+            PipelineConfig(out_dir=out, bench=TINY_BENCH, grid_spec=grid))
+        assert [mid for mid, _ in pool.dropped] == ["m002", "m003"]
+        assert report.n_dropped == 2
+        saved = load_pool(out)
+        assert pool.model_ids == saved.model_ids == ["m000", "m001"]
+        assert pool.scores.tobytes() == saved.scores.tobytes()
+        assert pool.graph_ids == saved.graph_ids
+        flags = generate_benchmark(TINY_BENCH, 0)[1].anomaly_flags
+        assert report.model_auc.tolist() == [roc_auc(r, flags)
+                                             for r in saved.scores]
+
     def test_udr_skipped_without_seed_variation(self, tmp_path):
         grid = {"common": TINY_GRID["common"],
                 "mean": {"layers": [1, 2], "weight_decay": [1e-4],
@@ -481,6 +501,14 @@ class TestCli:
             assert cli.main(train) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {a_path}:1: bad edge: weight {w}")
+        n_total = len((data / "train" / "synthetic_graph_indicator.txt")
+                      .read_text().split())
+        for line in (f"{n_total + 1}, 1", f"1, {n_total + 1}"):  # past the end
+            a_path.write_text(f"{line}\n{first}\n{rest}")
+            assert cli.main(train) == 2
+            assert capsys.readouterr().err == (
+                f"error: {a_path}:1: bad edge: node id out of range in "
+                f"{line!r}\n")
         a_path.write_text(f"{first}\n{rest}")
         attrs = data / "test" / "synthetic_node_attributes.txt"
         n_nodes = len((data / "test" / "synthetic_graph_indicator.txt")
@@ -693,6 +721,29 @@ labels = 2
         assert (tmp_path / "out" / "report.txt").exists()
         assert "auc[hits]" in capsys.readouterr().out
 
+    def test_pipeline_selections_equal_select_on_its_pool(self, tmp_path):
+        # The pipeline selects on the pool as written, so `glad select` on
+        # its out_dir reproduces each selection file and its meta text.
+        grid, ini = tmp_path / "grid.txt", tmp_path / "run.ini"
+        out = tmp_path / "out"
+        grid.write_text("[common]\nepochs = 2\nbatch_size = 8\n"
+                        "d_hidden = 6\nlayers = 1\n\n[mean]\nseed = 0, 1\n"
+                        "lr = 1e-3, 1e-2\n\n[mmd]\nnystrom_k = 4\n")
+        ini.write_text(f"[run]\nout_dir = {out}\nmaster_seed = 3\n\n"
+                       f"[grid]\nfile = {grid}\n\n[data]\nn_train = 8\n"
+                       "n_test = 40\nanomaly_rate = 0.2\nnodes = 10\n"
+                       "labels = 2\n")
+        assert cli.main(["pipeline", "--config", str(ini)]) == 0
+        for method in gsel.METHODS:
+            tag = method.replace("-", "_")
+            sel = tmp_path / tag / "scores.csv"
+            assert cli.main(["select", "--pool", str(out), "--method", method,
+                             "--out", str(sel)]) == 0
+            assert sel.read_bytes() == (
+                out / f"selected_{tag}.csv").read_bytes(), method
+            assert (sel.parent / "selection_meta.txt").read_bytes() == (
+                out / f"selection_meta_{tag}.txt").read_bytes(), method
+
     def test_pipeline_negative_class_id(self, tmp_path, capsys):
         class_of = write_signed_tu(tmp_path / "tu")
         grid, ini = tmp_path / "grid.txt", tmp_path / "run.ini"
@@ -792,7 +843,9 @@ labels = 2
             assert capsys.readouterr().err == (
                 "error: epochs 5000000 makes 30000000 training steps on 6 "
                 "graphs, more than 10000000\n")
+        # Each command makes its output directory only to write the pool.
         assert not (tmp_path / "pool").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_evaluate_rejects_bad_rows(self, tmp_path, capsys):
         scores, flags = tmp_path / "scores.csv", tmp_path / "flags.csv"
@@ -827,6 +880,11 @@ labels = 2
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {flags}:3: bad flag row: blank graph id")
+        scores.write_text("id,score\n1,0.5\n2,0.7\n")
+        flags.write_text("graph_id,flag\n1,1\n2,0\n")
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {scores}:1: expected header 'graph_id,score'\n")
 
     def test_dead_worker_exits_2(self, tmp_path, capsys, monkeypatch):
         # A worker that dies mid-grid ends both commands in one error line.
@@ -891,6 +949,12 @@ labels = 2
         assert capsys.readouterr().err == (
             f"error: {empty / 'pool_scores.csv'}:1: graph ids must be "
             f"unique\n")
+        (empty / "pool_scores.csv").write_text(
+            "model,1,2\nm000,0.5,0.25\nm001,0.5,0.75\n")
+        assert cli.main(["select", "--pool", str(empty), "--method", "mc",
+                         "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {empty / 'pool_scores.csv'}:1: bad header\n")
         assert not (tmp_path / "s.csv").exists()
 
         bad = tmp_path / "bad.csv"

@@ -130,6 +130,7 @@ class TestMedianHeuristic:
 
     def test_constant_points_fallback(self):
         assert median_heuristic(np.ones((4, 2))) == 1.0
+        assert median_heuristic(np.array([[2.0, 5.0]])) == 1.0  # no pairs
 
     def test_sampled_path_deterministic(self, monkeypatch):
         rng = np.random.default_rng(6)
