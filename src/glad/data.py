@@ -173,9 +173,6 @@ class GraphDatabase:
         # Training embeds each graph id once, so ids must name one graph.
         if len({g.graph_id for g in self.graphs}) != len(self.graphs):
             raise ValueError("graph ids must be unique")
-        dims = {g.d_in for g in self.graphs}
-        if len(dims) > 1:
-            raise ValueError(f"inconsistent feature widths: {sorted(map(str, dims))}")
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -636,8 +633,6 @@ def generate_mixhop(n_graphs: int, nodes_per_graph: int, ba_m: int,
         raise ValueError("need nodes_per_graph > ba_m >= 1")
     if not 0 <= homophily <= 1:
         raise ValueError(f"homophily {homophily} outside [0, 1]")
-    if n_labels < 1:
-        raise ValueError("need at least one label symbol")
     if n_graphs < 1:
         raise ValueError("need at least one graph")
     rng = np.random.default_rng(seed)

@@ -19,7 +19,8 @@ class SplitError(GladError):
 
 class DegenerateInputError(GladError):
     """Numerical input admits no valid result (e.g. no positive eigenvalues),
-    or a candidate diverged: a non-finite center, loss or score."""
+    or a candidate failed: a non-finite loss or test score, or a failed
+    refit."""
 
 
 class MethodError(GladError):

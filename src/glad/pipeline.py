@@ -354,9 +354,8 @@ def run_pipeline(cfg: PipelineConfig):
         if result.residual > gsel.HITS_TOL:
             notices.append(f"selection {method} did not converge "
                            f"(residual {result.residual:.3e})")
-        tag = method.replace("-", "_")
-        gsel.write_selection(result, out / f"selected_{tag}.csv",
-                             out / f"selection_meta_{tag}.txt")
+        gsel.write_selection(
+            result, out / f"selected_{method.replace('-', '_')}.csv")
 
     report = evaluate_pool(pool, selections, test_db.anomaly_flags,
                            n_dropped=len(pool.dropped), notices=notices)

@@ -162,8 +162,6 @@ def nystrom_fit(x, offsets, gamma: float, rank: int | None = None,
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if len(offsets) < 2:
-        raise ValueError("need at least one landmark set")
     k = set_kernel(x, offsets, x, offsets, gamma, ws=ws)
     evals, evecs = np.linalg.eigh(k)
     evals, evecs = evals[::-1], evecs[:, ::-1]

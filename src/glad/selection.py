@@ -67,9 +67,6 @@ def hits(w: np.ndarray):
     than ``HITS_TOL`` in the max norm, or after ``HITS_MAX_ITER``
     iterations.  Returns ``(h, a, iterations, residual)``.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or 0 in w.shape:
-        raise ValueError("need a non-empty 2-d matrix")
     m, n = w.shape
     h = np.ones(m) / np.sqrt(m)
     a = np.ones(n) / np.sqrt(n)
@@ -81,10 +78,7 @@ def hits(w: np.ndarray):
             raise DegenerateInputError("hub update collapsed to zero")
         h_new /= nh
         a_new = w.T @ h_new
-        na = np.linalg.norm(a_new)
-        if na == 0.0:
-            raise DegenerateInputError("authority update collapsed to zero")
-        a_new /= na
+        a_new /= np.linalg.norm(a_new)  # nonzero: a . a_new = ||w a|| > 0
         residual = max(float(np.max(np.abs(h_new - h))),
                        float(np.max(np.abs(a_new - a))))
         h, a = h_new, a_new
@@ -171,8 +165,6 @@ def _row_stat(corr: np.ndarray, stat) -> np.ndarray:
 def mc_select(pool: CandidatePool) -> SelectionResult:
     """Model consistency: reliability of a model is its mean rank
     correlation with every other model; the most agreeable model wins."""
-    if pool.scores.shape[0] < 2:
-        raise MethodError("consistency selection needs at least two models")
     reliability = _row_stat(_shared(
         pool, "spearman", lambda: _pairwise_spearman(pool.scores)), np.nanmean)
     if not np.any(np.isfinite(reliability)):
@@ -219,7 +211,8 @@ def write_selection(result: SelectionResult, out_path,
     """Write ``graph_id,score`` rows, each score exactly as ``'%.9g'``
     writes it (:func:`glad.trainer.format_rows`), plus a small metadata
     sidecar (method, selected model, iteration count, convergence
-    residual)."""
+    residual), by default ``selection_meta_<method>.txt`` beside
+    ``out_path`` with ``-`` in the method as ``_``."""
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w") as f:
@@ -227,7 +220,8 @@ def write_selection(result: SelectionResult, out_path,
         f.writelines(format_rows(result.graph_ids,
                                  result.final_scores[:, None]))
     if meta_path is None:
-        meta_path = out_path.parent / "selection_meta.txt"
+        tag = result.method.replace("-", "_")
+        meta_path = out_path.parent / f"selection_meta_{tag}.txt"
     meta = [f"method = {result.method}",
             f"selected_model = {result.selected_model or '-'}",
             f"iterations = {result.iterations}",

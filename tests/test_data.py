@@ -66,6 +66,10 @@ class TestGraph:
         with pytest.raises(ValueError, match="unique"):
             GraphDatabase(graphs=(Graph(graph_id=0, node_count=2, edges=()),
                                   Graph(graph_id=0, node_count=3, edges=())))
+        one = (Graph(graph_id=0, node_count=2, edges=()),)
+        for name in ("class_labels", "anomaly_flags"):
+            with pytest.raises(ValueError, match=f"{name} length 2 != 1"):
+                GraphDatabase(graphs=one, **{name: np.zeros(2, dtype=bool)})
 
     @pytest.mark.parametrize("edges, message", [
         (((0, 1, 1.0), (2, 2, 1.0), (0, 5, 1.0)), "self loop on node 2"),
@@ -601,6 +605,10 @@ class TestMakeSplit:
     def test_at_least_one_anomaly(self):
         train, test = make_split(self.build(), 0, 0.001, 0.5, seed=1)
         assert int(np.sum(test.anomaly_flags)) == 1
+        # Two inliers are the fewest that split: one trains, one is held.
+        train, test = make_split(self.build(n_in=2), 0, 0.001, 0.5, seed=1)
+        assert (len(train), len(test), int(test.anomaly_flags.sum())) == (
+            1, 2, 1)
 
     def test_deterministic(self):
         db = self.build()
@@ -617,6 +625,8 @@ class TestMakeSplit:
             make_split(db, 0, 0.0, 0.5, seed=0)
         with pytest.raises(SplitError, match="class 7"):
             make_split(db, 7, 0.05, 0.5, seed=0)
+        with pytest.raises(SplitError, match="two graphs of class 0, found 1"):
+            make_split(self.build(n_in=1), 0, 0.05, 0.5, seed=0)
         no_labels = GraphDatabase(graphs=db.graphs)
         with pytest.raises(SplitError, match="class labels"):
             make_split(no_labels, 0, 0.05, 0.5, seed=0)

@@ -154,6 +154,9 @@ class TestWilcoxonExact:
     def test_too_few_pairs(self):
         with pytest.raises(MethodError, match="at least 5"):
             wilcoxon_one_sided([1.0] * 4, [2.0] * 4)
+        # One y would broadcast against six x.
+        with pytest.raises(ValueError, match="equal-length"):
+            wilcoxon_one_sided([1.0] * 6, [2.0])
 
 
 class TestWilcoxonApprox:

@@ -37,6 +37,9 @@ class TestInitParams:
         with pytest.raises(ValueError, match="w1 shape"):
             ParamSet(layers=[(np.zeros((9, 3)), np.zeros((3, 3)))],
                      d_in=2, d_hidden=3)
+        with pytest.raises(ValueError, match="w2 shape"):
+            ParamSet(layers=[(np.zeros((2, 3)), np.zeros((3, 1)))],
+                     d_in=2, d_hidden=3)
 
 
 class TestSgdStep:
@@ -61,6 +64,10 @@ class TestSgdStep:
         p = init_params(2, 3, 2, seed=0)
         g = init_params(2, 3, 1, seed=0).zeros_like()
         with pytest.raises(ValueError, match="layer count"):
+            sgd_step(p, g, 0.1, 0.0)
+        # A (1, 3) gradient would broadcast over a (2, 3) weight.
+        g = init_params(1, 3, 2, seed=0).zeros_like()
+        with pytest.raises(ValueError, match="shape mismatch"):
             sgd_step(p, g, 0.1, 0.0)
 
 

@@ -469,7 +469,7 @@ class TestCli:
         assert cli.main(["select", "--pool", str(pool_dir), "--method",
                          "hits", "--out", str(scores)]) == 0
         assert scores.read_text().startswith("graph_id,score\n")
-        assert (tmp_path / "selection_meta.txt").exists()
+        assert (tmp_path / "selection_meta_hits.txt").exists()
 
         test_db = load_tu_dataset(data / "test")
         flags = tmp_path / "flags.csv"
@@ -503,12 +503,15 @@ class TestCli:
             assert err.startswith(f"error: {a_path}:1: bad edge: weight {w}")
         n_total = len((data / "train" / "synthetic_graph_indicator.txt")
                       .read_text().split())
-        for line in (f"{n_total + 1}, 1", f"1, {n_total + 1}"):  # past the end
+        for line, why in [  # ids past the end, then a column too few or many
+                (f"{n_total + 1}, 1", "node id out of range in"),
+                (f"1, {n_total + 1}", "node id out of range in"),
+                ("1", "expected 'i, j[, w]', got"),
+                ("1, 2, 1.0, 7", "expected 'i, j[, w]', got")]:
             a_path.write_text(f"{line}\n{first}\n{rest}")
             assert cli.main(train) == 2
             assert capsys.readouterr().err == (
-                f"error: {a_path}:1: bad edge: node id out of range in "
-                f"{line!r}\n")
+                f"error: {a_path}:1: bad edge: {why} {line!r}\n")
         a_path.write_text(f"{first}\n{rest}")
         attrs = data / "test" / "synthetic_node_attributes.txt"
         n_nodes = len((data / "test" / "synthetic_graph_indicator.txt")
@@ -533,6 +536,16 @@ class TestCli:
                          "--out", str(tmp_path / "pool")]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {ind}:1: bad graph id: ")
+
+    def test_empty_graph_indicator_exits_2(self, tmp_path, capsys):
+        data, grid = tmp_path / "data", tmp_path / "grid.txt"
+        self.generate_split(data)
+        self.write_grid(grid)
+        ind = data / "train" / "synthetic_graph_indicator.txt"
+        ind.write_text("")
+        assert cli.main(["train", "--data", str(data), "--grid", str(grid),
+                         "--out", str(tmp_path / "pool")]) == 2
+        assert capsys.readouterr().err == f"error: {ind}: no nodes\n"
 
     @staticmethod
     def generate_split(data, **attribute_rows):
@@ -723,7 +736,8 @@ labels = 2
 
     def test_pipeline_selections_equal_select_on_its_pool(self, tmp_path):
         # The pipeline selects on the pool as written, so `glad select` on
-        # its out_dir reproduces each selection file and its meta text.
+        # its out_dir reproduces each selection file and its meta text,
+        # and runs into one directory keep one meta file per method.
         grid, ini = tmp_path / "grid.txt", tmp_path / "run.ini"
         out = tmp_path / "out"
         grid.write_text("[common]\nepochs = 2\nbatch_size = 8\n"
@@ -734,15 +748,16 @@ labels = 2
                        "n_test = 40\nanomaly_rate = 0.2\nnodes = 10\n"
                        "labels = 2\n")
         assert cli.main(["pipeline", "--config", str(ini)]) == 0
+        sel = tmp_path / "sel"
         for method in gsel.METHODS:
             tag = method.replace("-", "_")
-            sel = tmp_path / tag / "scores.csv"
             assert cli.main(["select", "--pool", str(out), "--method", method,
-                             "--out", str(sel)]) == 0
-            assert sel.read_bytes() == (
+                             "--out", str(sel / f"{tag}.csv")]) == 0
+            assert (sel / f"{tag}.csv").read_bytes() == (
                 out / f"selected_{tag}.csv").read_bytes(), method
-            assert (sel.parent / "selection_meta.txt").read_bytes() == (
-                out / f"selection_meta_{tag}.txt").read_bytes(), method
+        for method in gsel.METHODS:
+            meta = f"selection_meta_{method.replace('-', '_')}.txt"
+            assert (sel / meta).read_bytes() == (out / meta).read_bytes()
 
     def test_pipeline_negative_class_id(self, tmp_path, capsys):
         class_of = write_signed_tu(tmp_path / "tu")
@@ -955,6 +970,17 @@ labels = 2
                          "--out", str(tmp_path / "s.csv")]) == 2
         assert capsys.readouterr().err == (
             f"error: {empty / 'pool_scores.csv'}:1: bad header\n")
+        # A repeated config row is refused, not overwritten by the later one.
+        (empty / "pool_scores.csv").write_text(
+            "model_id,1,2\nm000,0.5,0.25\nm001,0.5,0.75\n")
+        configs = (empty / "pool_configs.csv").read_text()
+        (empty / "pool_configs.csv").write_text(
+            configs + configs.splitlines()[1] + "\n")
+        assert cli.main(["select", "--pool", str(empty), "--method", "mc",
+                         "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {empty / 'pool_configs.csv'}:4: duplicate model id "
+            f"m000\n")
         assert not (tmp_path / "s.csv").exists()
 
         bad = tmp_path / "bad.csv"
@@ -1048,7 +1074,18 @@ labels = 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and flag[2:].replace("-", "_") \
                 in err
+        for bad in ("0", "-0.5"):
+            assert cli.main(["generate", "--out", str(tmp_path / "g"),
+                             "--anomaly-rate", bad]) == 2
+            assert capsys.readouterr().err == (
+                f"error: bad generate option: anomaly_rate {float(bad)} "
+                f"outside (0, 1)\n")
         assert not (tmp_path / "g").exists()
+        # The smallest valid training set, attachment count and alphabet.
+        assert cli.main(["generate", "--out", str(tmp_path / "g1"),
+                         "--n-train", "1", "--ba-m", "1", "--labels", "1",
+                         "--n-test", "4", "--nodes", "6"]) == 0
+        assert "wrote 1 training and 4 test graphs" in capsys.readouterr().out
 
         # Negative seeds, on the command line or in a grid file.
         grid.write_text("[mean]\nepochs = 1\n")

@@ -206,6 +206,13 @@ class TestUdrSelect:
         with pytest.raises(MethodError, match="seed"):
             udr_select(pool)
 
+    def test_constant_siblings_raise(self):
+        # Siblings exist, but every sibling pair involves a constant row.
+        pool = make_pool([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0], [3.0, 1.0, 2.0]],
+                         seeds=[0, 1, 0], lrs=[1e-3, 1e-3, 0.1])
+        with pytest.raises(MethodError, match="no sibling pair"):
+            udr_select(pool)
+
 
 class TestDispatch:
     def test_select_routes_by_name(self):
@@ -295,7 +302,7 @@ class TestWriteSelection:
                               graph_ids=[0], reliability=np.array([1.0]),
                               iterations=5, residual=1e-10)
         write_selection(res, tmp_path / "s.csv")
-        meta = (tmp_path / "selection_meta.txt").read_text()
+        meta = (tmp_path / "selection_meta_hits_ens.txt").read_text()
         assert "selected_model = -" in meta
 
 

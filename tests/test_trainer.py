@@ -851,6 +851,15 @@ class TestPoolFiles:
                 CandidatePool(model_ids=pool.model_ids, configs=pool.configs,
                               scores=scores, graph_ids=pool.graph_ids)
 
+    def test_shape_and_config_count_checked(self):
+        pool = self.make_pool()
+        with pytest.raises(ValueError, match=r"does not match 2 models x 3"):
+            CandidatePool(model_ids=pool.model_ids, configs=pool.configs,
+                          scores=pool.scores, graph_ids=[10, 11, 12])
+        with pytest.raises(ValueError, match="one config per model id"):
+            CandidatePool(model_ids=pool.model_ids, configs=pool.configs[:1],
+                          scores=pool.scores, graph_ids=pool.graph_ids)
+
     def test_round_trip(self, tmp_path):
         pool = self.make_pool()
         save_pool(pool, tmp_path)

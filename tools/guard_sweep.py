@@ -1,5 +1,5 @@
 """Raise-guard sweep: switch off each ``if ...: raise`` in ``src/glad`` and
-list the guards whose loss no tier-1 test notices.
+fail if a guard whose loss no tier-1 test notices is not kept on purpose.
 
 For every ``if`` statement in ``src/glad`` whose body ends in ``raise``,
 the sweep copies the repository's ``src``, ``tests``, ``benchmark``,
@@ -10,14 +10,18 @@ criterion_6_"``).  A guard whose mutant passes every test survives.  A
 mutant that runs past ten minutes counts as noticed.  The working tree
 is only read.
 
+``KEPT`` names the guards that may survive, by file and test text, each
+with the reason it stays.  The sweep exits 1 if a guard survives that
+``KEPT`` does not name, or if a ``KEPT`` entry names no guard; else 0.
+
 Usage, from anywhere::
 
     python tools/guard_sweep.py          # sweep; prints the survivors
     python tools/guard_sweep.py --list   # list the guards, run nothing
 
 Each run gets one BLAS thread, and at most two mutants run at once.  On
-a 2-vCPU machine a mutant takes about 8.5 s, so 111 guards take about
-8 minutes.  Standard library only.
+a 2-vCPU machine a mutant takes about 7 s, so 101 guards take about
+6 minutes.  Standard library only.
 """
 
 from __future__ import annotations
@@ -40,6 +44,12 @@ JOBS = 2
 TIMEOUT_S = 600
 ONE_THREAD = dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+# (file, the if's test as listed) -> why the guard stays with no test.
+KEPT = {
+    ("src/glad/pooling.py", "not np.any(keep)"):
+        "numeric safety on LAPACK output: eigh returns finite eigenvalues "
+        "even for a NaN kernel, so no finite input makes it fire",
+}
 
 
 @dataclass(frozen=True)
@@ -111,6 +121,11 @@ def main(argv=None) -> int:
         for g in guards:
             print(f"{g.path}:{g.line}: if {g.test}")
         return 0
+    stale = set(KEPT) - {(g.path.as_posix(), g.test) for g in guards}
+    for path, test in sorted(stale):
+        print(f"KEPT names no guard: {path}: if {test}", file=sys.stderr)
+    if stale:
+        return 1
     if not passes(ROOT):
         print("tier-1 fails with no guard switched off", file=sys.stderr)
         return 1
@@ -123,9 +138,13 @@ def main(argv=None) -> int:
             if ok:
                 survivors.append(g)
     print(f"{len(survivors)} of {len(guards)} guards survive")
+    unlisted = 0
     for g in survivors:
-        print(f"{g.path}:{g.line}: if {g.test}")
-    return 0
+        reason = KEPT.get((g.path.as_posix(), g.test))
+        unlisted += reason is None
+        print(f"{g.path}:{g.line}: if {g.test}"
+              + ("" if reason is None else f"  (kept: {reason})"))
+    return 1 if unlisted else 0
 
 
 if __name__ == "__main__":
