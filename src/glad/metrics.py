@@ -65,8 +65,6 @@ def wilcoxon_one_sided(x, y):
     d = y - x
     d = d[d != 0.0]
     n = d.size
-    if n == 0:
-        return 0.0, 1.0
     ranks = midrank(np.abs(d))
     w_plus = float(np.sum(ranks[d > 0.0]))
 
@@ -84,7 +82,5 @@ def wilcoxon_one_sided(x, y):
     var = n * (n + 1) * (2 * n + 1) / 24.0
     _, counts = np.unique(np.abs(d), return_counts=True)
     var -= float(np.sum(counts ** 3 - counts)) / 48.0
-    if var <= 0:
-        return w_plus, 1.0
     z = (w_plus - mean - 0.5) / math.sqrt(var)
     return w_plus, _normal_sf(z)

@@ -134,9 +134,8 @@ def median_heuristic(x, rng=None) -> float:
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        idx = np.int32 if n < 2**31 else np.int64  # same draws, half the bytes
-        i = rng.integers(0, n, size=SAMPLE_CAP, dtype=idx)
-        j = rng.integers(0, n - 1, size=SAMPLE_CAP, dtype=idx)
+        i = rng.integers(0, n, size=SAMPLE_CAP)
+        j = rng.integers(0, n - 1, size=SAMPLE_CAP)
         j += j >= i  # distinct partner
         vals = np.empty(SAMPLE_CAP)
         step = encoder.BLOCK_ROWS
@@ -175,8 +174,7 @@ def nystrom_fit(x, offsets, gamma: float, rank: int | None = None,
     vecs = evecs[:, :n_keep]
     # Deterministic eigenvector orientation: largest-magnitude entry positive.
     lead = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[lead, np.arange(n_keep)])
-    signs[signs == 0] = 1.0
+    signs = np.sign(vecs[lead, np.arange(n_keep)])  # never 0 for a unit column
     factor = (vecs * signs) / np.sqrt(vals)
     if rank is not None and n_keep < rank:
         factor = np.hstack([factor, np.zeros((len(k), rank - n_keep))])

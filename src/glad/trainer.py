@@ -10,6 +10,7 @@ of candidates, each scoring every test graph.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields
 from itertools import product
 from pathlib import Path
@@ -426,16 +427,18 @@ def run_grid(train_db: GraphDatabase, test_db: GraphDatabase, configs,
     Candidates whose training diverges or whose test scores are not
     finite are dropped and recorded in ``pool.dropped``; if all are,
     GladError names the first.  Model ids follow grid order and stay
-    stable in the presence of drops.  With ``workers > 1``, ``k =
-    min(workers, len(configs))`` processes in total, this one included,
-    each train the next config by a shared counter; the ``k - 1`` workers
-    get both databases and the configs once at start-up.  Results are
-    identical to the serial path; a worker that dies raises GladError.
+    stable in the presence of drops.  ``k = min(workers, len(configs),
+    usable CPUs)`` processes in total, this one included, each train the
+    next config by a shared counter; the ``k - 1`` workers get both
+    databases and the configs once at start-up.  Results are identical
+    at any ``k``; a worker that dies raises GladError.
     """
     if workers < 1 or not configs:
         raise ValueError(f"need workers >= 1 and a config, got workers "
                          f"{workers}, {len(configs)} configs")
-    workers = min(workers, len(configs))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, len(configs), cpus)
     if workers > 1:
         # Imported here: they are a third of glad's import time.
         from concurrent.futures.process import (BrokenProcessPool,

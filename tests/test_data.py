@@ -108,6 +108,14 @@ class TestGraph:
          "edge (18446744073709551616, 1.5) has a non-integral node id"),
         # node ids run 0 .. node_count - 1
         (((0, 1, 1.0), (4, 0, 1.0)), "edge (4, 0) outside node range"),
+        # int64 ends: the lowest id is read (its self loop comes first),
+        # one past either end is not
+        (((0, 1, 1.0), (-2**63, -2**63, 1.0)),
+         "self loop on node -9223372036854775808"),
+        (((0, 1, 1.0), (-2**64, 3, 1.0)),
+         "edge (-18446744073709551616, 3) outside node range"),
+        (((0, 2**63, 1.0), (1, 1, 1.0)),
+         "edge (0, 9223372036854775808) outside node range"),
     ])
     def test_first_bad_edge_in_input_order_wins(self, edges, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -173,6 +181,16 @@ class TestGraph:
         np.testing.assert_array_equal(g.degrees, [2, 2, 3, 1])
         assert len(g.edges) == 4
 
+    def test_edge_array_checked_as_a_whole(self, monkeypatch):
+        # An EDGE_DTYPE array skips the per-record id check.
+        def per_record(edge):
+            raise AssertionError("per-record check on an edge array")
+
+        edges = tri().edges
+        monkeypatch.setattr(glad.data, "_id_fault", per_record)
+        g = Graph(graph_id=5, node_count=4, edges=edges)
+        assert g.edges.tobytes() == edges.tobytes()
+
 
 class TestFirstCopies:
     @pytest.mark.parametrize("keys, first, repeat", [
@@ -230,6 +248,18 @@ class TestTuFormat:
         write_tu_dataset(GraphDatabase(graphs=(g,)), tmp_path, "uw")
         lines = (tmp_path / "uw_A.txt").read_text().splitlines()
         assert lines == ["1, 2", "2, 1"]
+
+    def test_edge_files_parsed_whole(self, tmp_path, monkeypatch):
+        # Two- and three-column files never reach the line tokenizer.
+        def per_line(s):
+            raise AssertionError(f"line tokenizer on {s!r}")
+
+        monkeypatch.setattr(glad.data, "_edge", per_line)
+        for name, w in (("uw", 1.0), ("w", 2.5)):
+            g = Graph(graph_id=0, node_count=3, edges=((0, 1, w), (1, 2, w)))
+            write_tu_dataset(GraphDatabase(graphs=(g,)), tmp_path / name, name)
+            back = load_tu_dataset(tmp_path / name)
+            assert back.graphs[0].edges.tolist() == g.edges.tolist()
 
     def test_directed_duplicates_collapse(self, tmp_path):
         (tmp_path / "d_A.txt").write_text("1, 2\n2, 1\n")
@@ -571,6 +601,21 @@ class TestDeriveFeatures:
             derive_features(GraphDatabase(graphs=(g,)), "one_hot_degree",
                             degree_cap=0)
 
+    def test_degree_cap_of_one(self):
+        # The smallest cap: isolated nodes in slot 0, every other in slot 1.
+        g = Graph(graph_id=0, node_count=4, edges=((0, 1, 1.0), (0, 2, 1.0)))
+        db = derive_features(GraphDatabase(graphs=(g,)), "one_hot_degree",
+                             degree_cap=1)
+        np.testing.assert_array_equal(db.graphs[0].features,
+                                      [[0, 1], [0, 1], [0, 1], [1, 0]])
+
+    def test_first_label_outside_the_alphabet_named(self):
+        g = Graph(graph_id=0, node_count=4, edges=(),
+                  node_labels=np.array([1, 5, 0, 7]))
+        with pytest.raises(ValueError, match="^label 5 outside alphabet$"):
+            derive_features(GraphDatabase(graphs=(g,)), "one_hot_label",
+                            label_alphabet=[0, 1])
+
 
 class TestMakeSplit:
     def build(self, n_in=100, n_out=40):
@@ -634,6 +679,29 @@ class TestMakeSplit:
                              class_labels=np.zeros(len(db), dtype=int))
         with pytest.raises(SplitError, match="outside the inlier class"):
             make_split(pure, 0, 0.05, 0.5, seed=0)
+
+    def test_open_interval_ends_refused(self):
+        db = self.build()
+        for rate, fraction, name, value in ((0.05, 0.0, "train_fraction", 0.0),
+                                            (0.05, 1.0, "train_fraction", 1.0),
+                                            (1.0, 0.5, "anomaly_rate", 1.0)):
+            with pytest.raises(SplitError,
+                               match=rf"^{name} {value} outside \(0, 1\)$"):
+                make_split(db, 0, rate, fraction, seed=0)
+
+    def test_training_count_clamped(self):
+        # round(0.1 * 4) = 0 trains one graph; round(0.9 * 3) = 3 keeps one.
+        for n_in, fraction, n_train in ((4, 0.1, 1), (3, 0.9, 2)):
+            train, test = make_split(self.build(n_in=n_in), 0, 0.05,
+                                     fraction, seed=2)
+            assert len(train) == n_train
+            assert int((~test.anomaly_flags).sum()) == n_in - n_train
+
+    def test_anomaly_share_of_the_test_set(self):
+        # 10 held-out inliers at rate 0.5 want 10 anomalies: half the test set.
+        train, test = make_split(self.build(n_in=20), 0, 0.5, 0.5, seed=4)
+        assert (len(train), len(test), int(test.anomaly_flags.sum())) == (
+            10, 20, 10)
 
 
 class TestGenerateMixhop:
@@ -700,3 +768,12 @@ class TestGenerateMixhop:
             generate_mixhop(1, 10, 2, 1.5, 2, seed=0)
         with pytest.raises(ValueError):
             generate_mixhop(0, 10, 2, 0.5, 2, seed=0)
+
+    def test_defaults_and_homophily_ends(self):
+        # Ids start at 0; homophily 0 and 1 are both allowed.
+        for h in (0.0, 1.0):
+            db = generate_mixhop(2, 8, 2, h, 3, seed=6)
+            assert db.graph_ids == [0, 1]
+            same = [g.node_labels[u] == g.node_labels[v]
+                    for g in db.graphs for u, v, _ in g.edges]
+            assert np.mean(same) == pytest.approx(h, abs=0.35)

@@ -151,6 +151,23 @@ class TestWilcoxonExact:
         v = np.arange(8.0)
         assert wilcoxon_one_sided(v, v) == (0.0, 1.0)
 
+    def test_one_nonzero_difference(self):
+        v = np.arange(8.0)
+        assert wilcoxon_one_sided(v, v + (v == 3)) == (1.0, 0.5)
+        assert wilcoxon_one_sided(v, v - (v == 3)) == (0.0, 1.0)
+
+    def test_exact_up_to_twelve_pairs(self):
+        # 12 nonzero differences are counted exactly, 13 approximated.
+        rng = np.random.default_rng(10)
+        for n, oracle in ((12, wilcoxon_by_enumeration),
+                          (13, wilcoxon_by_rank_variance)):
+            x = rng.normal(size=n)
+            y = x + rng.normal(loc=0.3, size=n)
+            w_got, p_got = wilcoxon_one_sided(x, y)
+            w_want, p_want = oracle(x, y)
+            assert w_got == w_want
+            assert p_got == pytest.approx(p_want, rel=1e-12, abs=0.0)
+
     def test_too_few_pairs(self):
         with pytest.raises(MethodError, match="at least 5"):
             wilcoxon_one_sided([1.0] * 4, [2.0] * 4)

@@ -6,9 +6,16 @@ mutated line by line from a fixed seed and fed to ``cli.main``
 in-process under a per-call time limit.
 Every call must exit 0, or exit 2 with one ``error:`` line; an exception
 or a call past the limit fails the test.
+
+The bookkeeping of ``tools/guard_sweep.py``, the mutation sweep of
+``src/glad`` that runs outside the suite, is checked here too: its site
+list, without running a mutant.
 """
 
+import importlib.util
 import signal
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,3 +205,17 @@ def test_mutated_inputs_exit_0_or_2(inputs, monkeypatch, capsys):
                     (argv[0], names, code, err, text[:400])
     finally:
         signal.signal(signal.SIGALRM, old)
+
+
+def test_kept_entries_name_one_site(monkeypatch):
+    # The sweep leaves this test out of its mutant runs (its copies hold
+    # no tools/), so a KEPT site's own mutant cannot orphan its entry.
+    path = Path(__file__).resolve().parents[1] / "tools" / "guard_sweep.py"
+    spec = importlib.util.spec_from_file_location("guard_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, sweep)  # for @dataclass
+    spec.loader.exec_module(sweep)
+    keys = [s.key for s in sweep.find_sites(sweep.ROOT)]
+    assert len(keys) > 1000
+    assert {k: keys.count(k) for k in sweep.KEPT} == dict.fromkeys(
+        sweep.KEPT, 1)

@@ -21,7 +21,7 @@ from glad.pipeline import (BenchmarkParams, PipelineConfig, build_dataset,
                            parse_grid_file, parse_pipeline_config,
                            run_pipeline, stage_seed, write_report)
 from glad.trainer import (DEFAULT_GRID, CandidatePool, ModelConfig,
-                           load_pool)
+                           load_pool, save_pool)
 
 TINY_BENCH = BenchmarkParams(n_train=8, n_test=8, anomaly_rate=0.25,
                              nodes=12, ba_m=2, labels=2,
@@ -51,6 +51,15 @@ class TestStageSeed:
         assert stage_seed(7, 0) == stage_seed(7, 0)
         assert stage_seed(7, 0) != stage_seed(7, 1)
         assert stage_seed(7, 0) != stage_seed(8, 0)
+
+    def test_each_stage_its_own_stream(self):
+        # Two stages on one stream would, say, grow the test inliers as
+        # copies of the training graphs.
+        import glad.pipeline as gp
+        stages = [getattr(gp, name) for name in dir(gp)
+                  if name.startswith("STAGE_")]
+        assert len(stages) == 5
+        assert len({stage_seed(7, s) for s in stages}) == 5
 
 
 class TestGenerateBenchmark:
@@ -97,6 +106,16 @@ class TestGenerateBenchmark:
     def test_shape_validated_at_construction(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):
             BenchmarkParams(**kwargs)
+
+    def test_range_ends(self):
+        # Homophily takes both ends; the rate's open interval refuses 1
+        # by name; a tiny rate still plants one anomaly.
+        ends = BenchmarkParams(homophily_in=0.0, homophily_out=1.0)
+        assert (ends.homophily_in, ends.homophily_out) == (0.0, 1.0)
+        with pytest.raises(ValueError,
+                           match=r"^anomaly_rate 1\.0 outside \(0, 1\)$"):
+            BenchmarkParams(anomaly_rate=1.0)
+        assert BenchmarkParams(n_test=10, anomaly_rate=0.01).n_anomalies == 1
 
 
 class TestGridFile:
@@ -182,6 +201,35 @@ labels = 3
         assert cfg.bench.n_train == 12 and cfg.bench.labels == 3
         assert cfg.bench.ba_m == 2  # default survives partial [data]
         assert cfg.grid_spec == DEFAULT_GRID  # no [grid] file
+
+    def test_documented_defaults(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nout_dir = out\n")
+        cfg = parse_pipeline_config(path)
+        assert (cfg.master_seed, cfg.workers, cfg.methods) == (
+            0, 1, ("hits", "hits-ens", "mc", "udr"))
+
+    def test_integer_range_ends(self, tmp_path):
+        # Seeds in [0, 2**63), workers and degree_cap from 1, class ids in
+        # int64: each end is taken, one past it refused by key.
+        top, low = 2**63 - 1, -2**63
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\nout_dir = out\nmaster_seed = {top}\n"
+                        f"workers = 1\n\n[data]\nsource = tu\ndirectory = d"
+                        f"\ndegree_cap = 1\ninlier_class = {low}\n")
+        cfg = parse_pipeline_config(path)
+        assert (cfg.master_seed, cfg.workers, cfg.degree_cap,
+                cfg.inlier_class) == (top, 1, 1, low)
+        for section, key, value in (("run", "master_seed", top + 1),
+                                    ("data", "inlier_class", low - 1)):
+            lines = {"run": "out_dir = out\n",
+                     "data": "source = tu\ndirectory = d\n"}
+            lines[section] += f"{key} = {value}\n"
+            path.write_text("".join(f"[{k}]\n{v}" for k, v in lines.items()))
+            with pytest.raises(FormatError) as exc:
+                parse_pipeline_config(path)
+            assert str(exc.value) == (
+                f"{path}: bad value for [{section}] {key}: '{value}'")
 
     def test_tu_source(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -378,7 +426,9 @@ class TestRunPipeline:
                               bench=TINY_BENCH, grid_spec=TINY_GRID)
 
     def test_artifacts_and_report(self, tmp_path):
+        t0 = time.monotonic()
         report, pool, selections = run_pipeline(self.cfg(tmp_path / "run"))
+        wall = time.monotonic() - t0
         out = tmp_path / "run"
         for name in ("pool_configs.csv", "pool_scores.csv", "report.txt",
                      "selected_hits.csv", "selection_meta_hits.txt",
@@ -393,6 +443,9 @@ class TestRunPipeline:
         text = (out / "report.txt").read_text()
         assert "models_kept = 3" in text
         assert "did not converge" not in text
+        elapsed = float(re.search(r"^elapsed_seconds = (.*)$", text,
+                                  re.M).group(1))
+        assert 0.0 <= elapsed <= round(wall, 1)
 
     def test_same_seed_runs_are_byte_identical(self, tmp_path):
         run_pipeline(self.cfg(tmp_path / "a", seed=5))
@@ -900,6 +953,66 @@ labels = 2
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == (
             f"error: {scores}:1: expected header 'graph_id,score'\n")
+
+    def test_evaluate_reads_spellings_numpy_refuses(self, tmp_path, capsys):
+        # "1_0" sends a file to the line reader, which keeps ids and values.
+        scores, flags = tmp_path / "scores.csv", tmp_path / "flags.csv"
+        scores.write_text("graph_id,score\n7,1_0\n8,0.5\n9,2.5\n")
+        flags.write_text("graph_id,flag\n9,0\n8,0\n7,1\n")
+        assert cli.main(["evaluate", "--scores", str(scores), "--flags",
+                         str(flags), "--out", str(tmp_path / "e.txt")]) == 0
+        assert capsys.readouterr().out == (
+            "graphs = 3\nflagged = 1\nroc_auc = 1\n")
+
+    def test_evaluate_empty_file_names_line_1(self, tmp_path, capsys):
+        scores, flags = tmp_path / "scores.csv", tmp_path / "flags.csv"
+        scores.write_text("\n \n")
+        flags.write_text("graph_id,flag\n1,1\n")
+        assert cli.main(["evaluate", "--scores", str(scores), "--flags",
+                         str(flags), "--out", str(tmp_path / "e.txt")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {scores}:1: expected header 'graph_id,score'\n")
+
+    def test_select_prints_its_pick(self, tmp_path, capsys):
+        # Model m001 agrees most with the others; the ensemble has no pick.
+        pool = CandidatePool(
+            model_ids=["m000", "m001", "m002"],
+            configs=[ModelConfig(pooling="mean", seed=s) for s in range(3)],
+            scores=np.array([[0.1, 0.2, 0.3, 0.9], [0.2, 0.1, 0.3, 0.9],
+                             [0.9, 0.1, 0.3, 0.2]]), graph_ids=[1, 2, 3, 4])
+        save_pool(pool, tmp_path / "pool")
+        for method, who in (("mc", "m001"), ("hits-ens", "ensemble")):
+            out = tmp_path / f"{method}.csv"
+            assert cli.main(["select", "--pool", str(tmp_path / "pool"),
+                             "--method", method, "--out", str(out)]) == 0
+            assert capsys.readouterr().out == f"{method}: {who} -> {out}\n"
+        # mc runs no recursion: zero iterations, zero residual.
+        assert (tmp_path / "selection_meta_mc.txt").read_text() == (
+            "method = mc\nselected_model = m001\niterations = 0\n"
+            "residual = 0.000e+00\n")
+
+    def test_default_seeds_and_workers(self, tmp_path, monkeypatch):
+        import glad.trainer as gt
+        small = ["--n-train", "4", "--n-test", "4", "--nodes", "6",
+                 "--anomaly-rate", "0.25"]
+        for name, seed in (("default", []), ("zero", ["--seed", "0"])):
+            assert cli.main(["generate", "--out", str(tmp_path / name),
+                             *small, *seed]) == 0
+        for f in (tmp_path / "zero").rglob("*.txt"):
+            assert (tmp_path / "default" / f.relative_to(
+                tmp_path / "zero")).read_bytes() == f.read_bytes()
+        calls, run = [], gt.run_grid
+
+        def recorded(*args, **kw):
+            calls.append(kw)
+            return run(*args, **kw)
+
+        monkeypatch.setattr(gt, "run_grid", recorded)
+        self.write_grid(tmp_path / "grid.txt")
+        assert cli.main(["train", "--data", str(tmp_path / "zero"), "--grid",
+                         str(tmp_path / "grid.txt"), "--out",
+                         str(tmp_path / "pool")]) == 0
+        assert calls == [{"workers": 1, "base_seed": 0}]
 
     def test_dead_worker_exits_2(self, tmp_path, capsys, monkeypatch):
         # A worker that dies mid-grid ends both commands in one error line.

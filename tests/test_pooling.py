@@ -96,6 +96,19 @@ class TestKernels:
             with pytest.raises(ValueError, match=f"^{msg} has no rows$"):
                 list_kernel(a, b, 0.5, rows_of(np.ones((len(a), len(b)))))
 
+    def test_never_above_one(self):
+        # Rounding in the augmented product can leave a zero distance
+        # slightly negative; the clip keeps every value at most 1.
+        x = np.random.default_rng(0).normal(size=(8, 5)) * 3
+        o = np.arange(9)
+        assert set_kernel(x, o, x, o, 0.7).max() <= 1.0
+
+    def test_first_empty_set_named(self):
+        # A one-row set before it is not empty.
+        one, empty = np.ones((1, 2)), np.zeros((0, 2))
+        with pytest.raises(ValueError, match="^set 1 of xa has no rows$"):
+            list_kernel([one, empty], [one], 0.5)
+
 
 class TestComplementarity:
     def test_mmd_separates_equal_mean_different_spread(self):
@@ -132,6 +145,25 @@ class TestMedianHeuristic:
         assert median_heuristic(np.ones((4, 2))) == 1.0
         assert median_heuristic(np.array([[2.0, 5.0]])) == 1.0  # no pairs
 
+    def test_every_pair_up_to_the_cap(self, monkeypatch):
+        # n (n - 1) / 2 pairs up to SAMPLE_CAP use every pair, more are
+        # sampled.  Eighths keep the arithmetic exact, and most squared
+        # distances below 1; two rows are the fewest that have a pair.
+        x = np.random.default_rng(0).integers(-4, 5, size=(6, 2)) * 0.125
+        d = ((x[:, None] - x[None]) ** 2).sum(axis=2)[np.triu_indices(6, 1)]
+        every = 1.0 / float(np.median(d))
+        for cap, want_every in ((15, True), (14, False)):
+            draw = np.random.default_rng(2)
+            i = draw.integers(0, 6, size=cap)
+            j = draw.integers(0, 5, size=cap)
+            diff = x[i] - x[np.where(j >= i, j + 1, j)]
+            sampled = 1.0 / float(np.median(np.sum(diff * diff, axis=1)))
+            assert sampled != every
+            monkeypatch.setattr(pooling, "SAMPLE_CAP", cap)
+            got = median_heuristic(x, rng=np.random.default_rng(2))
+            assert got == (every if want_every else sampled)
+        assert median_heuristic(x[:2]) == 1.0 / d[0]
+
     def test_sampled_path_deterministic(self, monkeypatch):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((60, 3))
@@ -163,8 +195,8 @@ class TestMedianHeuristic:
 
     @pytest.mark.parametrize("n", [150, 1_501, 7_500])
     def test_sampled_draws_equal_int64_draws(self, n, monkeypatch):
-        # The sample indices are drawn as int32 when n fits: the same
-        # values and the same generator state after as int64 draws.
+        # The sample indices: the same values and the same generator
+        # state after as int64 draws.
         x = np.random.default_rng(n).standard_normal((n, 3))
         monkeypatch.setattr(pooling, "SAMPLE_CAP", 3_000)
         for seed in range(5):
@@ -180,6 +212,25 @@ class TestMedianHeuristic:
 
 
 class TestNystrom:
+    def test_cutoff_relative_to_the_largest_eigenvalue(self):
+        # Two landmark sets of `rows` rows 100 apart, the second shifted by
+        # eps: eigenvalues (1 +- exp(-eps**2)) / rows.  The small one stays
+        # only above EIGEN_CUTOFF times the large one (2e-8, then 6.7e-9).
+        for rows, eps2, rank in ((1, 1.5e-8, 1), (3, 2.5e-8, 2)):
+            a = 100.0 * np.arange(rows)[:, None]
+            x = np.concatenate([a, a + np.sqrt(eps2)])
+            nmap = nystrom_fit(x, np.array([0, rows, 2 * rows]), 1.0)
+            assert nmap.rank == rank
+
+    def test_factor_columns_lead_positive(self):
+        # eigh's signs are arbitrary; each column's largest entry is made
+        # positive, whatever sign it came with.
+        land = make_sets(np.random.default_rng(7), 6, 3)
+        raw = np.linalg.eigh(list_kernel(land, land, 0.5))[1]
+        assert (raw[np.argmax(np.abs(raw), axis=0), range(6)] < 0).any()
+        f = nystrom_fit(*pack(land), 0.5).factor
+        assert (f[np.argmax(np.abs(f), axis=0), range(f.shape[1])] > 0).all()
+
     def test_factor_whitens_landmark_kernel(self):
         rng = np.random.default_rng(7)
         land = make_sets(rng, 6, 3)

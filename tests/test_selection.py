@@ -80,6 +80,15 @@ class TestHits:
         np.testing.assert_allclose(a, v / np.linalg.norm(v))
         assert iters <= 2
 
+    def test_uniform_start_and_iteration_limit(self, monkeypatch):
+        # A constant W's fixed point is the uniform start: one iteration.
+        assert hits(np.full((3, 4), 0.5))[2] == 1
+        # At HITS_MAX_ITER iterations it stops, converged or not.
+        monkeypatch.setattr(selection, "HITS_MAX_ITER", 2)
+        w = np.random.default_rng(4).uniform(size=(5, 7))
+        _, _, iters, residual = hits(w)
+        assert iters == 2 and residual > selection.HITS_TOL
+
     def test_errors(self):
         with pytest.raises(ValueError):
             hits(np.ones(3))

@@ -349,6 +349,19 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             ModelConfig(pooling="mean", seed=-1)
 
+    def test_integer_fields_below_two_to_the_63(self):
+        top = 2**63 - 1
+        assert ModelConfig(pooling="mean", seed=top).seed == top
+        with pytest.raises(ValueError, match=(
+                r"^epochs must be below 2\*\*63, got 9223372036854775808$")):
+            ModelConfig(pooling="mean", epochs=top + 1)
+
+    def test_infinite_weight_decay_refused(self):
+        with pytest.raises(ValueError, match=(
+                "^need finite lr > 0 and weight_decay >= 0, got lr 0.001, "
+                "weight_decay inf$")):
+            ModelConfig(pooling="mean", weight_decay=math.inf)
+
     def test_hyper_key_ignores_seed(self):
         a = ModelConfig(pooling="mean", seed=0)
         b = ModelConfig(pooling="mean", seed=5)
@@ -358,6 +371,23 @@ class TestModelConfig:
 
 
 class TestTrainCandidate:
+    def test_each_epoch_visits_every_graph_once(self, bench, monkeypatch):
+        import glad.trainer as gt
+        train, _ = bench
+        seen, objective = [], gt.batch_objective
+
+        def recorded(graphs, *args):
+            seen.append(sorted(g.graph_id for g in graphs))
+            return objective(graphs, *args)
+
+        monkeypatch.setattr(gt, "batch_objective", recorded)
+        train_candidate(train, ModelConfig(pooling="mean", layers=1, epochs=2,
+                                           batch_size=8, d_hidden=4))
+        # 30 graphs in batches of 8, 8, 8 and 6, twice over
+        assert [len(b) for b in seen] == [8, 8, 8, 6] * 2
+        for epoch in (seen[:4], seen[4:]):
+            assert sorted(sum(epoch, [])) == sorted(train.graph_ids)
+
     def test_deterministic(self, bench):
         train, test = bench
         cfg = ModelConfig(pooling="mean", layers=1, lr=1e-3, seed=0,
@@ -537,6 +567,12 @@ class TestGrids:
         # a product past the float range still clamps to n_train
         assert nystrom_size(1e308, 150) == 150
 
+    def test_nystrom_mult_must_be_finite(self):
+        for bad in (math.inf, 0.0):
+            with pytest.raises(ValueError, match=(
+                    f"^nystrom_mult must be finite and positive, got {bad}$")):
+                nystrom_size(bad, 150)
+
     def test_default_grid_counts(self):
         configs = expand_grid(DEFAULT_GRID, n_train=150)
         mean = [c for c in configs if c.pooling == "mean"]
@@ -547,6 +583,11 @@ class TestGrids:
         assert len(mmd) == 162
         assert all(c.epochs == 150 and c.batch_size == 64 for c in configs)
         assert {c.nystrom_k for c in mmd} == {21, 41, 81}
+
+    def test_default_grid_candidates_distinct(self):
+        # README's 216 candidates: no value list repeats a value.
+        configs = expand_grid(DEFAULT_GRID, n_train=150)
+        assert len({astuple(c) for c in configs}) == 216
 
     def test_expand_orders_mean_first(self):
         configs = expand_grid(DEFAULT_GRID, n_train=150)
@@ -707,6 +748,9 @@ class TestRunGrid:
             return fit(*args)
 
         monkeypatch.setattr(gt, "_train_and_score", counted)
+        # Three processes even on a machine with fewer CPUs.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
         for workers in (2, 3):
             calls.write_text("")
             parallel = run_grid(train, test, configs, workers=workers,
@@ -821,6 +865,9 @@ class TestRunGrid:
         monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor",
                             Recorder)
         monkeypatch.setattr("glad.trainer._worker_inputs", ())
+        cpus = set(range(64))  # the CPUs process 0 (this one) may use
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0: cpus}[pid], raising=False)
         capped = run_grid(train, test, configs, workers=1000, base_seed=3)
         assert started == [len(configs) - 1]  # this process is the last
         serial = run_grid(train, test, configs, workers=1, base_seed=3)
@@ -831,6 +878,22 @@ class TestRunGrid:
             with pytest.raises(ValueError, match="workers"):
                 run_grid(train, test, configs, workers=bad)
         assert started == [len(configs) - 1]
+        # Capped too at the CPUs this process may use: two of them.
+        cpus = {0, 5}
+        many = configs * 2
+        capped = run_grid(train, test, many, workers=5000, base_seed=3)
+        assert started == [len(configs) - 1, 1]
+        np.testing.assert_array_equal(capped.scores,
+                                      np.vstack([serial.scores] * 2))
+        # Where the affinity call is missing, the CPU count caps, and an
+        # unknown count runs serially.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        run_grid(train, test, many, workers=5000, base_seed=3)
+        assert started == [len(configs) - 1, 1, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        run_grid(train, test, many, workers=5000, base_seed=3)
+        assert started == [len(configs) - 1, 1, 2]
 
 
 class TestPoolFiles:
@@ -874,6 +937,13 @@ class TestPoolFiles:
         lines = (tmp_path / "pool_scores.csv").read_text().splitlines()
         assert lines[0] == "model_id,10,11"
         assert lines[1].split(",")[1] == "0.123456789"
+
+    def test_exponent_notation_decades(self):
+        # Every decade from 1e-9 to 1e12, in e-notation below 1e-4 and
+        # from 1e9, the fixed notation between.
+        values = np.array([[1.5 * 10.0 ** e for e in range(-9, 13)]])
+        text = "".join(format_rows(["m"], values))
+        assert text == "m" + "".join(f",{v:.9g}" for v in values[0]) + "\n"
 
     def test_score_format_matches_per_element_format(self, tmp_path):
         pool = self.make_pool()
@@ -924,6 +994,32 @@ class TestPoolFiles:
         head = (tmp_path / "pool_configs.csv").read_text().splitlines()[0]
         assert head == ("model_id,pooling,layers,weight_decay,lr,seed,"
                         "nystrom_k,epochs,batch_size,d_hidden")
+
+    def test_config_file_errors_name_the_line(self, tmp_path):
+        save_pool(self.make_pool(), tmp_path)
+        cfgs = tmp_path / "pool_configs.csv"
+        head, first, second = cfgs.read_text().splitlines()
+        for text, want in (("\n", ":1: bad header"),
+                           (f"{head}\n{first},2\n{second}\n",
+                            ":2: bad config row: expected 10 columns")):
+            cfgs.write_text(text)
+            with pytest.raises(FormatError) as exc:
+                load_pool(tmp_path)
+            assert str(exc.value) == f"{cfgs}{want}"
+
+    def test_score_file_errors_name_the_value(self, tmp_path):
+        save_pool(self.make_pool(), tmp_path)
+        scores = tmp_path / "pool_scores.csv"
+        good = scores.read_text()
+        for text, want in ((good.replace("0.25", "nan"),
+                            ":3: bad score row: non-finite score nan for "
+                            "graph 11"),
+                           (good.replace("0.25", "0.25,1"),
+                            ":3: bad score row: expected 3 columns")):
+            scores.write_text(text)
+            with pytest.raises(FormatError) as exc:
+                load_pool(tmp_path)
+            assert str(exc.value) == f"{scores}{want}"
 
     def test_load_errors(self, tmp_path):
         pool = self.make_pool()
