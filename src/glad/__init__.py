@@ -21,5 +21,3 @@ from .selection import (SelectionResult, hits, hits_ens, hits_select,
 from .trainer import (CandidatePool, ModelConfig, TrainedCandidate,
                       batch_objective, expand_grid, load_pool, pool_graphs,
                       run_grid, save_pool, score_graphs, train_candidate)
-
-__version__ = "0.1.0"

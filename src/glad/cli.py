@@ -185,7 +185,3 @@ def main(argv=None) -> int:
     except (GladError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

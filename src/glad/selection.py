@@ -70,7 +70,6 @@ def hits(w: np.ndarray):
     m, n = w.shape
     h = np.ones(m) / np.sqrt(m)
     a = np.ones(n) / np.sqrt(n)
-    residual = np.inf
     for it in range(1, HITS_MAX_ITER + 1):
         h_new = w @ a
         nh = np.linalg.norm(h_new)

@@ -102,7 +102,6 @@ CONFIG_TYPES = {**{k: (get_args(t) or (t,))[0] for k, t in
 class TrainedCandidate:
     """A trained scorer.  ``nystrom`` is None for the mean readout."""
 
-    config: ModelConfig
     params: ParamSet
     center: np.ndarray
     nystrom: NystromMap | None
@@ -297,7 +296,6 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
             if epoch == 0:
                 center = (pool_graphs(graphs, params) if nmap is None
                           else mmd_pool_batch(x, offs, nmap, ws)).mean(axis=0)
-            x = offs = None  # the refit's rows, before any training step
             if epoch == config.epochs:
                 break
             order = rng.permutation(n)
@@ -311,8 +309,7 @@ def train_candidate(train_db: GraphDatabase, config: ModelConfig,
                         f"non-finite loss in epoch {epoch}")
                 params = sgd_step(params, grads, config.lr,
                                   config.weight_decay)
-    return TrainedCandidate(config=config, params=params, center=center,
-                            nystrom=nmap)
+    return TrainedCandidate(params=params, center=center, nystrom=nmap)
 
 
 def score_graphs(db: GraphDatabase, candidate: TrainedCandidate) -> np.ndarray:
@@ -361,7 +358,6 @@ def expand_grid(spec: dict, n_train: int) -> list:
             raise ValueError(f"unknown grid keys {sorted(bad)}")
         if family == "mean":
             merged.pop("nystrom_k", None)
-            merged.pop("nystrom_mult", None)
         elif "nystrom_k" in merged and "nystrom_mult" in merged:
             raise ValueError("give nystrom_k or nystrom_mult, not both")
         elif "nystrom_k" in merged:
@@ -548,7 +544,6 @@ def _nine_digit_chunk(x: np.ndarray):
     k -= carry
     ok &= (k >= 0) & (k <= 12)
     rows = ok.reshape(x.shape).all(axis=1)
-    ok = np.repeat(rows, x.shape[1])
     k[~ok] = 0
     m = np.where(ok & ~carry, m, 1e8)
     # Integer part and fraction (exact below 2**53) as the slot's words.
@@ -574,7 +569,6 @@ def format_rows(labels, values):
     newline) for the rows of the 2-d ``values``, a fixed number of values
     at a time, each value exactly as ``'%.9g'`` writes it: in numpy, and
     by ``%`` for a row that path cannot prove."""
-    values = np.asarray(values, dtype=float)
     step = max(1, _CHUNK_VALUES // max(values.shape[1], 1))
     row_fmt = "%s" + ",%.9g" * values.shape[1] + "\n"
     for lo in range(0, len(values), step):

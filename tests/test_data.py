@@ -405,6 +405,31 @@ class TestTuFormat:
                 assert [g.edges.tolist() for g in db.graphs] == [[], []]
                 assert [g.node_count for g in db.graphs] == [2, 2]
 
+    def test_empty_edge_file_warns_nothing(self, tmp_path):
+        # numpy warns on an empty file.  The suite makes every warning an
+        # error; under Python's default filters none may reach the caller.
+        (tmp_path / "o_graph_indicator.txt").write_text("1\n1\n")
+        (tmp_path / "o_A.txt").write_text("")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.resetwarnings()
+            db = load_tu_dataset(tmp_path, "o")
+        assert [str(w.message) for w in seen] == []
+        assert [g.edges.tolist() for g in db.graphs] == [[]]
+
+    def test_line_of_spaces_in_attribute_file(self, tmp_path):
+        # numpy refuses the line of spaces, so the line reader parses rows.
+        (tmp_path / "o_graph_indicator.txt").write_text("1\n1\n")
+        (tmp_path / "o_A.txt").write_text("1, 2\n")
+        (tmp_path / "o_node_attributes.txt").write_text("0.5, 1\n   \n2, -3e2\n")
+        db = load_tu_dataset(tmp_path, "o")
+        assert db.graphs[0].node_attributes.tolist() == [[0.5, 1.0],
+                                                         [2.0, -300.0]]
+
+    def test_str_paths(self, tmp_path):
+        write_tu_dataset(self.build_db(), str(tmp_path), "toy")
+        assert_same_database(load_tu_dataset(str(tmp_path)),
+                             load_tu_dataset(tmp_path))
+
     def test_array_checks_report_the_first_bad_line(self, tmp_path):
         (tmp_path / "e_graph_indicator.txt").write_text("1\n1\n2\n")
         cases = [
@@ -696,6 +721,14 @@ class TestMakeSplit:
                                      fraction, seed=2)
             assert len(train) == n_train
             assert int((~test.anomaly_flags).sum()) == n_in - n_train
+
+    def test_training_graphs_are_a_seeded_shuffle(self):
+        # Each seed trains on its own draw of inliers, not on the first
+        # inliers in database order.
+        db = self.build()
+        picks = {tuple(make_split(db, 0, 0.05, 0.1, seed=s)[0].graph_ids)
+                 for s in range(4)}
+        assert len(picks) == 4 and tuple(range(10)) not in picks
 
     def test_anomaly_share_of_the_test_set(self):
         # 10 held-out inliers at rate 0.5 want 10 anomalies: half the test set.

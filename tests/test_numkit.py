@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import finite_diff_grad, flatten
 
-from glad.numkit import ParamSet, init_params, sgd_step
+from glad.numkit import ParamSet, Workspace, init_params, sgd_step
 
 
 class TestInitParams:
@@ -69,6 +69,16 @@ class TestSgdStep:
         g = init_params(1, 3, 2, seed=0).zeros_like()
         with pytest.raises(ValueError, match="shape mismatch"):
             sgd_step(p, g, 0.1, 0.0)
+
+
+class TestWorkspace:
+    def test_grown_buffer_serves_fresh_views(self):
+        ws = Workspace()
+        small = ws("x", (2, 3))
+        ws("x", (4, 3))  # grows the buffer
+        again = ws("x", (2, 3))
+        assert np.shares_memory(again, ws.bufs["x"])
+        assert not np.shares_memory(again, small)
 
 
 class TestFiniteDiff:

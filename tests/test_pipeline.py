@@ -538,6 +538,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "roc_auc = " in out
 
+    def test_train_names_dropped_candidates(self, tmp_path, capsys):
+        data, grid = tmp_path / "data", tmp_path / "grid.txt"
+        assert cli.main(["generate", "--out", str(data), "--n-train", "6",
+                         "--n-test", "6", "--nodes", "10", "--labels", "2",
+                         "--anomaly-rate", "0.2"]) == 0
+        grid.write_text("[common]\nepochs = 5\nbatch_size = 8\nd_hidden = 6\n"
+                        "\n[mean]\nlr = 1e-3, 1e9\n")  # 1e9 diverges
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(data), "--grid", str(grid),
+                         "--out", str(tmp_path / "pool")]) == 0
+        out, err = capsys.readouterr()
+        assert err == "dropped m001: non-finite loss in epoch 2\n"
+        assert out.startswith("trained 1 of 2 candidates;")
+
     def test_bad_weights_and_attributes_exit_2(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert cli.main(["generate", "--out", str(data), "--n-train", "6",

@@ -305,6 +305,14 @@ class TestWriteSelection:
                 for line in out.read_text().splitlines()[1:]]
         np.testing.assert_allclose(back, scores, rtol=1e-8)
 
+    def test_str_path(self, tmp_path):
+        res = SelectionResult(method="mc", final_scores=np.array([1.5]),
+                              graph_ids=[4], reliability=np.array([1.0]))
+        write_selection(res, str(tmp_path / "sub" / "s.csv"))
+        assert (tmp_path / "sub" / "s.csv").read_text() == (
+            "graph_id,score\n4,1.5\n")
+        assert (tmp_path / "sub" / "selection_meta_mc.txt").exists()
+
     def test_ensemble_meta_uses_dash(self, tmp_path):
         res = SelectionResult(method="hits-ens",
                               final_scores=np.array([1.0]),

@@ -97,6 +97,17 @@ class TestObjective:
         np.testing.assert_array_equal(pooled, rows)
         np.testing.assert_array_equal(pooled.mean(axis=0), rows.mean(axis=0))
 
+    def test_pool_graphs_takes_a_generator(self, toy_db):
+        graphs = list(toy_db.graphs)
+        params = init_params(toy_db.d_in, 5, 2, seed=4)
+        sets = [embed_one(g, params) for g in graphs]
+        nmap = nystrom_fit(*pack(sets[:2]),
+                           median_heuristic(np.concatenate(sets)))
+        for m in (None, nmap):
+            np.testing.assert_array_equal(
+                pool_graphs((g for g in graphs), params, m),
+                pool_graphs(graphs, params, m))
+
     def _full_grad(self, grads, params, wd):
         full = params.zeros_like()
         for (f1, f2), (g1, g2), (w1, w2) in zip(full.layers, grads.layers,
@@ -584,6 +595,14 @@ class TestGrids:
         assert all(c.epochs == 150 and c.batch_size == 64 for c in configs)
         assert {c.nystrom_k for c in mmd} == {21, 41, 81}
 
+    def test_nystrom_k_capped_and_kept_off_the_mean_family(self):
+        # A common nystrom_k reaches only the mmd family, capped at n_train
+        # as README documents: pool_configs.csv writes what the config holds.
+        spec = {"common": {"nystrom_k": [3, 50]}, "mean": {"seed": [0]},
+                "mmd": {"seed": [0]}}
+        assert [(c.pooling, c.nystrom_k) for c in expand_grid(spec, 10)] == [
+            ("mean", None), ("mmd", 3), ("mmd", 10)]
+
     def test_default_grid_candidates_distinct(self):
         # README's 216 candidates: no value list repeats a value.
         configs = expand_grid(DEFAULT_GRID, n_train=150)
@@ -653,7 +672,8 @@ class TestGrids:
     def test_errors(self):
         with pytest.raises(ValueError, match="unknown grid keys"):
             expand_grid({"mean": {"bogus": [1]}}, 10)
-        with pytest.raises(ValueError, match="nystrom"):
+        with pytest.raises(ValueError, match=(
+                "^mmd family needs nystrom_k or nystrom_mult$")):
             expand_grid({"mmd": {"layers": [1], "weight_decay": [0.0],
                                  "lr": [0.1], "seed": [0]}}, 10)
         with pytest.raises(ValueError, match="not both"):
@@ -931,6 +951,9 @@ class TestPoolFiles:
         assert back.configs == pool.configs
         assert back.graph_ids == pool.graph_ids
         np.testing.assert_allclose(back.scores, pool.scores, rtol=1e-8)
+        # Ids that are not all integers are read back as text.
+        save_pool(replace(pool, graph_ids=["a", "01"]), tmp_path)
+        assert load_pool(tmp_path).graph_ids == ["a", "01"]
 
     def test_score_format_nine_significant_digits(self, tmp_path):
         save_pool(self.make_pool(), tmp_path)
@@ -985,7 +1008,13 @@ class TestPoolFiles:
                 for lab, row in zip(labels, values.tolist())]
         chunks = list(format_rows(labels, values))
         assert len(chunks) == 34  # six 5,000-value rows fit in 1 << 15
-        assert "".join(chunks) == "\n".join(want) + "\n"
+        # Line by line: pytest's diff of two unequal 10 MB strings takes
+        # minutes, so a failure names only the first line that differs.
+        got = "".join(chunks).split("\n")
+        assert len(got) == len(want) + 1 and got[-1] == ""
+        bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                   None)
+        assert bad is None, f"line {bad + 1}: {got[bad]!r} != {want[bad]!r}"
         fast = _nine_digit_chunk(values[140:160])[2]
         assert fast == [True] * 10 + [False] * 10
 

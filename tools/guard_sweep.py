@@ -1,6 +1,6 @@
-"""Mutation sweep: change each guard and operator in ``src/glad`` one at a
-time and fail if a change that no tier-1 test notices is not kept on
-purpose.
+"""Mutation sweep: change each guard, operator and statement in
+``src/glad`` one at a time and fail if a change that no tier-1 test
+notices is not kept on purpose.
 
 A site is one of:
 
@@ -16,7 +16,13 @@ A site is one of:
 - a comparison operator: ``<`` and ``<=`` swap, ``>`` and ``>=``
   swap, ``==`` and ``!=`` swap, ``is`` and ``is not`` swap, ``in`` and
   ``not in`` swap;
-- a boolean operator: ``and`` and ``or`` swap.
+- a boolean operator: ``and`` and ``or`` swap;
+- a simple statement: an assignment, an augmented assignment, an
+  expression statement, ``return``, ``continue``, ``break`` or a
+  ``raise`` that does not end a guard becomes ``pass``.  Docstrings,
+  annotated assignments (dataclass fields), imports, ``global`` and
+  ``pass`` are left alone, and so is a guard's ``raise``: the guard
+  kind covers it.
 
 Annotations are skipped: every module that has them imports
 ``annotations`` from ``__future__``, so they are never run.
@@ -30,7 +36,8 @@ kept_entries"``), stopping at the first failure.  The mutated module's
 own ``tests/test_<module>.py`` runs first, as its own pytest run, and
 the other test files after it, so most mutants stop within a few
 seconds; every test runs either way.  A mutant that passes every test
-survives.  A mutant that runs past two minutes (a clean run takes about
+survives; for a killed one the sweep prints the first test that
+failed.  A mutant that runs past two minutes (a clean run takes about
 12 s) counts as noticed, and its whole process group is killed.  The
 working tree is only read.
 
@@ -46,7 +53,7 @@ Usage, from anywhere::
 
 Each run gets one BLAS thread and a 3 GiB address-space limit, and at
 most two mutants run at once.  On a 2-vCPU machine the sweep of about
-1,230 sites takes about 26 minutes.  Standard library only.
+2,000 sites takes about 40 minutes.  Standard library only.
 """
 
 from __future__ import annotations
@@ -88,9 +95,14 @@ SWAP = {
     "is": "is not", "is not": "is", "in": "not in", "not in": "in",
     "and": "or", "or": "and",
 }
+STATEMENTS = (ast.Assign, ast.AugAssign, ast.Expr, ast.Return, ast.Continue,
+              ast.Break, ast.Raise)
 # Reasons shared by several KEPT entries.
 DEFAULT = "default: a default value that no document fixes; any is as valid"
 GRID = "tuning: a DEFAULT_GRID value; nearby values are as valid"
+NEG_ZERO = ("equivalent here: fmax keeps -0.0 only where z @ w1 is -0.0, "
+            "which a GEMM summing from +0.0 never gives; kept for BLAS builds "
+            "that might")
 LOSS = ("per-step loss: only its finiteness is read until a per-candidate "
         "record reads its value")
 TUNING = "tuning: nearby values are as valid"
@@ -130,9 +142,10 @@ KEPT = {
         'equivalent: every graph has at least one node',
     ('src/glad/encoder.py', 'a += 0.0',
      '+= -> -='):
-        'equivalent here: fmax keeps -0.0 only where z @ w1 is -0.0, which '
-        'a GEMM summing from +0.0 never gives; kept for BLAS builds that '
-        'might',
+        NEG_ZERO,
+    ('src/glad/encoder.py', 'a += 0.0',
+     'statement -> pass'):
+        NEG_ZERO,
     ('src/glad/encoder.py', 'dm.view(np.int64)[...] &= np.right_shift(m, 63, out=m)',
      '63 -> 64'):
         'equivalent: numpy fills a shift by 64 or more with the sign bit, '
@@ -359,8 +372,8 @@ KEPT = {
 class Site:
     path: Path  # relative to the repository root
     line: int
-    kind: str  # guard, constant, arithmetic, comparison or boolean
-    text: str  # the if's test for a guard, else the source line
+    kind: str  # guard, constant, arithmetic, comparison, boolean or statement
+    text: str  # the if's test for a guard, else the (first) source line
     before: str
     after: str
     start: int  # byte span that ``after`` replaces
@@ -442,12 +455,17 @@ def find_sites(root: Path) -> list:
         tree = ast.parse(data, str(path))
         skip = _annotations(tree) | {  # the c of each -c
             id(n.operand) for n in ast.walk(tree)
-            if isinstance(n, ast.UnaryOp) and _number(n) is not None}
+            if isinstance(n, ast.UnaryOp) and _number(n) is not None} | {
+            id(n.body[0]) for n in ast.walk(tree)  # docstrings
+            if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(n, clean=False) is not None} | {
+            id(n.body[-1]) for n in ast.walk(tree)  # a guard's raise
+            if isinstance(n, ast.If) and isinstance(n.body[-1], ast.Raise)}
 
-        def add(kind, start, end, after, text=None):
+        def add(kind, start, end, after, text=None, before=None):
             ln = next(k for k in range(len(lines)) if line_at[k + 1] > start)
             text = text or " ".join(lines[ln].decode().split())
-            before = " ".join(data[start:end].decode().split())
+            before = before or " ".join(data[start:end].decode().split())
             found.append(Site(rel, ln + 1, kind, text, before, after, start,
                               end))
 
@@ -490,6 +508,10 @@ def find_sites(root: Path) -> list:
                     after = SWAP[op] + ("=" if isinstance(node, ast.AugAssign)
                                         else "")
                     add(kind, between[0][0], between[-1][1], after)
+            if isinstance(node, STATEMENTS):
+                add("statement", pos(node.lineno, node.col_offset),
+                    pos(node.end_lineno, node.end_col_offset), "pass",
+                    before="statement")
     found.sort(key=lambda s: (str(s.path), s.start, s.kind != "guard"))
     # Two equal sites on one line are told apart by their order.
     seen = Counter()
@@ -506,29 +528,38 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def _run(cmd, cwd: Path, timeout: float) -> bool | None:
-    """Whether ``cmd`` exits 0 within ``timeout`` seconds; None past it.
-    Its whole process group is killed after, pool workers included."""
+def _run(cmd, cwd: Path, timeout: float):
+    """``(ok, failed)``: whether ``cmd`` exits 0 within ``timeout`` seconds
+    (None past it), and the first test pytest names as failed or in error
+    ('' if none).  Its whole process group is killed after, pool workers
+    included."""
     env = {**os.environ, **ONE_THREAD, "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL, start_new_session=True,
-                            preexec_fn=_limit_memory)
-    try:
-        return proc.wait(timeout=max(timeout, 0)) == 0
-    except subprocess.TimeoutExpired:
-        return None
-    finally:
+    with tempfile.TemporaryFile("w+") as out:
+        proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=out,
+                                stderr=subprocess.DEVNULL,
+                                start_new_session=True,
+                                preexec_fn=_limit_memory)
         try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.wait()
+            ok = proc.wait(timeout=max(timeout, 0)) == 0
+        except subprocess.TimeoutExpired:
+            ok = None
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        out.seek(0)
+        failed = next((line.split()[1] for line in out
+                       if line.startswith(("FAILED ", "ERROR "))), "")
+    return ok, failed
 
 
-def passes(root: Path, site: Site | None = None) -> bool | None:
-    """Whether tier-1 (criteria 1 and 6 left out) passes in a fresh copy
-    of ``root`` with ``site``'s change applied; None past the time limit.
-    The mutated module's own test file runs first, then the rest."""
+def passes(root: Path, site: Site | None = None):
+    """``(ok, failed)``: whether tier-1 (criteria 1 and 6 left out) passes
+    in a fresh copy of ``root`` with ``site``'s change applied (None past
+    the time limit), and the first failed test.  The mutated module's own
+    test file runs first, then the rest."""
     with tempfile.TemporaryDirectory(prefix="guard_sweep_") as tmp:
         tmp = Path(tmp)
         for name in COPIED:
@@ -548,12 +579,12 @@ def passes(root: Path, site: Site | None = None) -> bool | None:
                 stages = [[own], [f"--ignore={own}", "tests"]]
         deadline = time.monotonic() + TIMEOUT_S
         for args in stages:
-            ok = _run([sys.executable, "-m", "pytest", *PYTEST,
-                       f"--basetemp={tmp / 'pytest'}", *args], tmp,
-                      deadline - time.monotonic())
+            ok, failed = _run([sys.executable, "-m", "pytest", *PYTEST,
+                               f"--basetemp={tmp / 'pytest'}", *args], tmp,
+                              deadline - time.monotonic())
             if not ok:
-                return ok
-        return True
+                return ok, failed
+        return True, ""
 
 
 def main(argv=None) -> int:
@@ -572,17 +603,20 @@ def main(argv=None) -> int:
               file=sys.stderr)
     if stale:
         return 1
-    if not passes(ROOT):
-        print("tier-1 fails with no change made", file=sys.stderr)
+    ok, failed = passes(ROOT)
+    if not ok:
+        print("tier-1 fails with no change made"
+              + (f": {failed}" if failed else ""), file=sys.stderr)
         return 1
     t0 = time.perf_counter()
     survivors = []
     timeouts = 0
     with ThreadPoolExecutor(JOBS) as pool:
-        for k, (s, ok) in enumerate(zip(
+        for k, (s, (ok, failed)) in enumerate(zip(
                 sites, pool.map(lambda s: passes(ROOT, s), sites)), 1):
             word = {True: "SURVIVED", False: "killed", None: "timeout"}[ok]
-            print(f"[{k}/{len(sites)}] {word} {s}", file=sys.stderr,
+            by = f"  by {failed}" if failed else ""
+            print(f"[{k}/{len(sites)}] {word} {s}{by}", file=sys.stderr,
                   flush=True)
             timeouts += ok is None
             if ok:
