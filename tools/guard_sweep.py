@@ -53,7 +53,7 @@ Usage, from anywhere::
 
 Each run gets one BLAS thread and a 3 GiB address-space limit, and at
 most two mutants run at once.  On a 2-vCPU machine the sweep of about
-2,000 sites takes about 40 minutes.  Standard library only.
+2,000 sites takes about 47 minutes.  Standard library only.
 """
 
 from __future__ import annotations
